@@ -102,10 +102,6 @@ def build_ls_formula(clauses, trail):
     return out
 
 
-def should_run_ls(schedule: LsSchedule, conflicts: int, enabled: bool) -> bool:
-    return enabled and schedule.due(conflicts)
-
-
 def apply_ls_result(result, free_vars, cache, bump_var, top_k: int = 10):
     """Write the final assignment into the value cache and bump activities.
 
@@ -127,19 +123,17 @@ def apply_ls_result(result, free_vars, cache, bump_var, top_k: int = 10):
 class LsController:
     """Runs scheduled local-search calls against a solver instance."""
 
-    enabled: bool = True
     base: int = 50
     budget_per_var: int = 100
     acc: float = localsearch.DEFAULT_ACC
     top_k: int = 10
     schedule: LsSchedule = field(init=False)
-    last_result: object = field(init=False, default=None)
 
     def __post_init__(self):
         self.schedule = LsSchedule(self.base)
 
     def should_run(self, conflicts: int) -> bool:
-        return should_run_ls(self.schedule, conflicts, self.enabled)
+        return self.schedule.due(conflicts)
 
     def run(self, solver) -> object:
         """One local-search call; returns the LsResult."""
@@ -166,5 +160,4 @@ class LsController:
         result = localsearch.run(problem, localsearch.MoveEngine(self.acc))
         solver.stats.ls_moves_accepted += result.moves_accepted
         apply_ls_result(result, free, solver.cache, solver.bump_var, self.top_k)
-        self.last_result = result
         return result

@@ -14,7 +14,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Optional
 
 from . import smtlib
@@ -23,32 +22,6 @@ from .errors import NialsError
 
 CSV_COLUMNS = ("name", "answer", "wall_ms", "conflicts", "decisions",
                "theory_assignments", "ls_calls", "ls_moves_accepted")
-
-
-@dataclass
-class RunConfig:
-    path: str
-    ls_enabled: bool = True
-    ls_threshold_base: int = 50
-    ls_budget_per_var: int = 100
-    acc: float = 1.2
-    seed: int = 0
-    max_conflicts: Optional[int] = None
-    timeout_ms: Optional[int] = None
-    print_model: bool = False
-    print_stats: bool = False
-    csv_out: Optional[str] = None
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            ls_enabled=self.ls_enabled,
-            ls_threshold_base=self.ls_threshold_base,
-            ls_budget_per_var=self.ls_budget_per_var,
-            acc=self.acc,
-            seed=self.seed,
-            max_conflicts=self.max_conflicts,
-            timeout_ms=self.timeout_ms,
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="local-search move budget per free variable")
     p.add_argument("--acc", type=float, default=1.2, metavar="F",
                    help="hill-climbing acceleration constant")
-    p.add_argument("--seed", type=int, default=0, metavar="N",
-                   help="seed for randomized tie-breaking")
     p.add_argument("--max-conflicts", type=int, default=None, metavar="N",
                    help="give up with unknown after this many conflicts")
     p.add_argument("--timeout-ms", type=int, default=None, metavar="N",
@@ -79,19 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        path=args.path,
+def config_from_args(args) -> SolverConfig:
+    return SolverConfig(
         ls_enabled=not args.no_ls,
         ls_threshold_base=args.ls_threshold_base,
         ls_budget_per_var=args.ls_budget,
         acc=args.acc,
-        seed=args.seed,
         max_conflicts=args.max_conflicts,
         timeout_ms=args.timeout_ms,
-        print_model=args.print_model,
-        print_stats=args.print_stats,
-        csv_out=args.csv_out,
     )
 
 
@@ -103,8 +69,8 @@ def _stats_lines(stats: Stats, answer: str, wall_ms: float) -> list[str]:
     return lines
 
 
-def solve_file(config: RunConfig, path: str, out=None,
-               err=None) -> int:
+def solve_file(config: SolverConfig, path: str, out=None, err=None,
+               print_model: bool = False, print_stats: bool = False) -> int:
     """Solve one file; returns the process exit status."""
     out = out or sys.stdout
     err = err or sys.stderr
@@ -119,18 +85,18 @@ def solve_file(config: RunConfig, path: str, out=None,
         print(f"{path}: error: {e}", file=err)
         return 2
     t0 = time.monotonic()
-    answer, model, solver = smtlib.solve(script, config.solver_config())
+    answer, model, solver = smtlib.solve(script, config)
     wall_ms = (time.monotonic() - t0) * 1000.0
     print(answer.value, file=out)
-    if config.print_model and model is not None:
+    if print_model and model is not None:
         print("\n".join(smtlib.format_model(model)), file=out)
-    if config.print_stats:
+    if print_stats:
         print("\n".join(_stats_lines(solver.stats, answer.value, wall_ms)),
               file=out)
     return 0
 
 
-def _bench_one(config: RunConfig, path: str) -> dict:
+def _bench_one(config: SolverConfig, path: str) -> dict:
     name = os.path.basename(path)
     t0 = time.monotonic()
     stats = Stats()
@@ -138,7 +104,7 @@ def _bench_one(config: RunConfig, path: str) -> dict:
         with open(path, "r") as f:
             text = f.read()
         script = smtlib.parse(text)
-        answer, _, solver = smtlib.solve(script, config.solver_config())
+        answer, _, solver = smtlib.solve(script, config)
         ans = answer.value
         stats = solver.stats
     except (OSError, NialsError):
@@ -157,8 +123,8 @@ def _bench_one(config: RunConfig, path: str) -> dict:
     }
 
 
-def bench_dir(config: RunConfig, directory: str, out=None,
-              err=None, jobs: Optional[int] = None) -> int:
+def bench_dir(config: SolverConfig, directory: str, out=None, err=None,
+              jobs: Optional[int] = None, csv_out: Optional[str] = None) -> int:
     """Benchmark every .smt2 file in a directory; writes one CSV."""
     out = out or sys.stdout
     err = err or sys.stderr
@@ -179,8 +145,8 @@ def bench_dir(config: RunConfig, directory: str, out=None,
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    if config.csv_out:
-        with open(config.csv_out, "w") as f:
+    if csv_out:
+        with open(csv_out, "w") as f:
             f.write(buf.getvalue())
     else:
         out.write(buf.getvalue())
@@ -190,9 +156,10 @@ def bench_dir(config: RunConfig, directory: str, out=None,
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     config = config_from_args(args)
-    if os.path.isdir(config.path):
-        return bench_dir(config, config.path)
-    return solve_file(config, config.path)
+    if os.path.isdir(args.path):
+        return bench_dir(config, args.path, csv_out=args.csv_out)
+    return solve_file(config, args.path, print_model=args.print_model,
+                      print_stats=args.print_stats)
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ class SolverConfig:
     ls_threshold_base: int = 50
     ls_budget_per_var: int = 100
     acc: float = 1.2
-    seed: int = 0
     max_conflicts: Optional[int] = None
     timeout_ms: Optional[int] = None
 
@@ -89,7 +88,6 @@ class Solver:
         for clause in formula.clauses:
             self._attach_clause(clause)
         self.ls = LsController(
-            enabled=self.config.ls_enabled,
             base=self.config.ls_threshold_base,
             budget_per_var=self.config.ls_budget_per_var,
             acc=self.config.acc,

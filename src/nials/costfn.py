@@ -1,433 +1,167 @@
-"""Compilation of formulas into exact integer cost expressions.
+"""Compilation of clause sets into exact integer cost functions.
 
 The cost of an assignment is a nonnegative arbitrary-precision integer that
-is zero exactly on satisfying assignments.  Distance between integer terms
-is ``|t1 − t2|`` and the strict-inequality penalty is 1 (for integers,
-``t < 0`` and ``t + 1 ≤ 0`` are interchangeable).  Conjunction maps to a
-sum of costs, disjunction to a product.
+is zero exactly on satisfying assignments.  Clauses add and the literals in
+a clause multiply.  A literal costs 0 when it holds; otherwise ``p = 0``
+costs ``|p|``, ``p ≠ 0`` costs 1, ``p ≤ 0`` costs ``p`` and ``p < 0`` costs
+``p + 1`` (for integers, ``p < 0`` and ``p + 1 ≤ 0`` are interchangeable),
+and a false Boolean literal costs 1.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Optional
 
-import numpy as np
+from .terms import Formula, Literal, Rel
 
-from . import formula_ast as fa
-from .errors import IncompleteAssignment, SortError
-from .terms import Atom, Clause, Formula, Literal, Polynomial, Rel
 
-
-class CostExpr:
-    """Immutable cost evaluation tree node."""
-
-    __slots__ = ("vars",)
-
-    def evaluate(self, int_values, bool_values, cache: Optional[dict] = None) -> int:
-        try:
-            v = self._eval(int_values, bool_values, cache)
-        except KeyError as e:
-            raise IncompleteAssignment(f"missing variable id {e.args[0]}") from e
-        return v
-
-    def _eval(self, iv, bv, cache):
-        raise NotImplementedError
-
-    def evaluate_grid(self, int_arrays, bool_arrays):
-        """Vectorized evaluation over parallel assignment arrays."""
-        raise NotImplementedError
-
-
-class Const(CostExpr):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        assert value >= 0
-        self.value = value
-        self.vars = frozenset()
-
-    def _eval(self, iv, bv, cache):
-        return self.value
-
-    def evaluate_grid(self, ia, ba):
-        return self.value
-
-    def __repr__(self):
-        return str(self.value)
-
-
-class BoolTest(CostExpr):
-    """Cost of a Boolean variable literal: when_true / when_false."""
-
-    __slots__ = ("var_id", "when_true", "when_false")
-
-    def __init__(self, var_id: int, when_true: int, when_false: int):
-        self.var_id = var_id
-        self.when_true = when_true
-        self.when_false = when_false
-        self.vars = frozenset((var_id,))
-
-    def _eval(self, iv, bv, cache):
-        return self.when_true if bv[self.var_id] else self.when_false
-
-    def evaluate_grid(self, ia, ba):
-        return np.where(ba[self.var_id], self.when_true, self.when_false)
-
-    def __repr__(self):
-        return f"ite(b{self.var_id},{self.when_true},{self.when_false})"
-
-
-class AbsDiff(CostExpr):
-    """|p| for a polynomial p (distance of an equality from holding)."""
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: Polynomial):
-        self.poly = poly
-        self.vars = poly.variables
-
-    def _eval(self, iv, bv, cache):
-        return abs(self.poly.evaluate(iv))
-
-    def evaluate_grid(self, ia, ba):
-        return np.abs(_poly_grid(self.poly, ia))
-
-    def __repr__(self):
-        return f"|{self.poly}|"
-
-
-class IteGuard(CostExpr):
-    """0 when the guard atom holds, else the violation cost."""
-
-    __slots__ = ("poly", "rel", "els")
-
-    def __init__(self, poly: Polynomial, rel: Rel, els: CostExpr):
-        self.poly = poly
-        self.rel = rel
-        self.els = els
-        self.vars = poly.variables | els.vars
-
-    def _eval(self, iv, bv, cache):
-        if self.rel.holds(self.poly.evaluate(iv)):
-            return 0
-        return self.els._eval(iv, bv, cache)
-
-    def evaluate_grid(self, ia, ba):
-        v = _poly_grid(self.poly, ia)
-        if self.rel is Rel.EQ:
-            holds = v == 0
-        elif self.rel is Rel.NEQ:
-            holds = v != 0
-        elif self.rel is Rel.LEQ:
-            holds = v <= 0
-        else:
-            holds = v < 0
-        return np.where(holds, 0, self.els.evaluate_grid(ia, ba))
-
-    def __repr__(self):
-        return f"ite({self.poly} {self.rel.value} 0, 0, {self.els})"
-
-
-class Branch(CostExpr):
-    """Boolean-ITE rule: condition truth given by zero cost of its compile."""
-
-    __slots__ = ("cond", "then", "els")
-
-    def __init__(self, cond: CostExpr, then: CostExpr, els: CostExpr):
-        self.cond = cond
-        self.then = then
-        self.els = els
-        self.vars = cond.vars | then.vars | els.vars
-
-    def _eval(self, iv, bv, cache):
-        if self.cond._eval(iv, bv, cache) == 0:
-            return self.then._eval(iv, bv, cache)
-        return self.els._eval(iv, bv, cache)
-
-    def evaluate_grid(self, ia, ba):
-        c = self.cond.evaluate_grid(ia, ba)
-        return np.where(np.equal(c, 0),
-                        self.then.evaluate_grid(ia, ba),
-                        self.els.evaluate_grid(ia, ba))
-
-    def __repr__(self):
-        return f"ite({self.cond}=0, {self.then}, {self.els})"
-
-
-class Sum(CostExpr):
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        self.children = tuple(children)
-        vs = frozenset()
-        for c in self.children:
-            vs |= c.vars
-        self.vars = vs
-
-    def _eval(self, iv, bv, cache):
-        return sum(_cached_eval(c, iv, bv, cache) for c in self.children)
-
-    def evaluate_grid(self, ia, ba):
-        total = 0
-        for c in self.children:
-            total = total + c.evaluate_grid(ia, ba)
-        return total
-
-    def __repr__(self):
-        return "(" + " + ".join(map(repr, self.children)) + ")"
-
-
-class Product(CostExpr):
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        self.children = tuple(children)
-        vs = frozenset()
-        for c in self.children:
-            vs |= c.vars
-        self.vars = vs
-
-    def _eval(self, iv, bv, cache):
-        total = 1
-        for c in self.children:
-            total *= _cached_eval(c, iv, bv, cache)
-            if total == 0:
-                return 0
-        return total
-
-    def evaluate_grid(self, ia, ba):
-        total = 1
-        for c in self.children:
-            total = total * c.evaluate_grid(ia, ba)
-        return total
-
-    def __repr__(self):
-        return "(" + " * ".join(map(repr, self.children)) + ")"
-
-
-def _cached_eval(node, iv, bv, cache):
-    if cache is None:
-        return node._eval(iv, bv, cache)
-    key = id(node)
-    v = cache.get(key)
-    if v is None:
-        v = node._eval(iv, bv, cache)
-        cache[key] = v
-    return v
-
-
-def _poly_grid(poly: Polynomial, arrays):
-    total = 0
-    for mono, coeff in poly.terms.items():
-        term = coeff
-        for vid, e in mono:
-            term = term * arrays[vid] ** e
-        total = total + term
-    return total
-
-
-# --- compilation -----------------------------------------------------------
-
-
-def _subst(poly: Polynomial, fixed) -> Polynomial:
-    if fixed and (poly.variables & fixed.keys()):
-        return poly.substitute(fixed)
-    return poly
-
-
-def _compile_atom(atom: Atom, positive: bool, fixed) -> CostExpr:
-    poly, rel = atom.poly, atom.rel
-    if not positive:
-        # Complementary relation of p ⋈ 0.
-        if rel is Rel.EQ:
-            rel = Rel.NEQ
-        elif rel is Rel.NEQ:
-            rel = Rel.EQ
-        elif rel is Rel.LEQ:
-            poly, rel = -poly, Rel.LT
-        else:
-            poly, rel = -poly, Rel.LEQ
-    poly = _subst(poly, fixed)
-    if poly.is_constant():
-        v = poly.constant_value()
-        if rel.holds(v):
-            return Const(0)
-        if rel is Rel.EQ:
-            return Const(abs(v))
-        if rel is Rel.NEQ:
-            return Const(1)
-        if rel is Rel.LEQ:
-            return Const(abs(v))
-        return Const(abs(v) + 1)
+def _violation(value: int, rel: Rel) -> int:
+    """Cost of ``value ⋈ 0``: 0 when it holds, else how far it is from it."""
     if rel is Rel.EQ:
-        return AbsDiff(poly)
+        return abs(value)
     if rel is Rel.NEQ:
-        return IteGuard(poly, Rel.NEQ, Const(1))
+        return 1 if value == 0 else 0
     if rel is Rel.LEQ:
-        return IteGuard(poly, Rel.LEQ, AbsDiff(poly))
-    return IteGuard(poly, Rel.LT, Sum((AbsDiff(poly), Const(1))))
+        return value if value > 0 else 0
+    return value + 1 if value >= 0 else 0
 
 
-def compile_literal(lit: Literal, fixed=None) -> CostExpr:
-    if lit.bvar is not None:
-        vid = lit.bvar.id
-        if fixed and vid in fixed:
-            holds = bool(fixed[vid]) == lit.positive
-            return Const(0 if holds else 1)
-        return BoolTest(vid, 0, 1) if lit.positive else BoolTest(vid, 1, 0)
-    return _compile_atom(lit.atom, lit.positive, fixed)
+class CostClause(NamedTuple):
+    """``factor`` times the costs of the clause's unfixed literals."""
+
+    factor: int                 # product of the literals folded to constants
+    arith: tuple                # (poly, rel): the literal holds iff poly ⋈ 0
+    bools: tuple                # (var id, value that makes the literal hold)
 
 
-def _compile_expr(node: fa.BoolExpr, negated: bool, fixed) -> CostExpr:
-    if isinstance(node, fa.BConst):
-        return Const(0) if node.value != negated else Const(1)
-    if isinstance(node, fa.BVar):
-        vid = node.var.id
-        if fixed and vid in fixed:
-            holds = bool(fixed[vid]) != negated
-            return Const(0 if holds else 1)
-        return BoolTest(vid, 1, 0) if negated else BoolTest(vid, 0, 1)
-    if isinstance(node, fa.AtomRef):
-        return _compile_atom(node.atom, not negated, fixed)
-    if isinstance(node, fa.Not):
-        return _compile_expr(node.arg, not negated, fixed)
-    if isinstance(node, fa.And):
-        parts = [_compile_expr(a, negated, fixed) for a in node.args]
-        return _flatten(Product(parts)) if negated else _flatten(Sum(parts))
-    if isinstance(node, fa.Or):
-        parts = [_compile_expr(a, negated, fixed) for a in node.args]
-        return _flatten(Sum(parts)) if negated else _flatten(Product(parts))
-    if isinstance(node, fa.Ite):
-        cond = _compile_expr(node.cond, False, fixed)
-        then = _compile_expr(node.then, negated, fixed)
-        els = _compile_expr(node.els, negated, fixed)
-        if isinstance(cond, Const):
-            return then if cond.value == 0 else els
-        return Branch(cond, then, els)
-    raise SortError(f"cannot compile {node!r} as a cost expression")
+@dataclass
+class CostFunction:
+    """Sum of clause costs, with the clauses that mention each variable."""
+
+    clauses: list               # CostClause
+    occurs: dict                # var id -> indices into clauses
 
 
-def _flatten(node: CostExpr) -> CostExpr:
-    """Constant folding for Sum/Product; keeps semantics, trims nodes."""
-    if isinstance(node, Sum):
-        parts = [c for c in node.children if not (isinstance(c, Const) and c.value == 0)]
-        if not parts:
-            return Const(0)
-        if len(parts) == 1:
-            return parts[0]
-        return Sum(parts)
-    if isinstance(node, Product):
-        out = []
-        for c in node.children:
-            if isinstance(c, Const):
-                if c.value == 0:
-                    return Const(0)
-                if c.value == 1:
-                    continue
-            out.append(c)
-        if not out:
-            return Const(1)
-        if len(out) == 1:
-            return out[0]
-        return Product(out)
-    return node
+def _clause_cost(clause: CostClause, int_values, bool_values) -> int:
+    factor, arith, bools = clause
+    for vid, want in bools:
+        if bool_values[vid] == want:
+            return 0
+    cost = factor
+    for poly, rel in arith:
+        cost *= _violation(poly.evaluate(int_values), rel)
+        if not cost:
+            return 0
+    return cost
 
 
-def compile_ast(ast: fa.BoolExpr, fixed: Optional[Mapping[int, int]] = None) -> CostExpr:
-    """Cost expression of a Boolean structure, folding fixed variables."""
-    return _compile_expr(ast, False, fixed or {})
+def _holds_form(lit: Literal):
+    """(poly, rel) such that an atom literal holds iff ``poly ⋈ 0``."""
+    poly, rel = lit.atom.poly, lit.atom.rel
+    if lit.positive:
+        return poly, rel
+    if rel is Rel.EQ:
+        return poly, Rel.NEQ
+    if rel is Rel.NEQ:
+        return poly, Rel.EQ
+    if rel is Rel.LEQ:
+        return -poly, Rel.LT
+    return -poly, Rel.LEQ
 
 
-def compile_clauses(clauses, fixed: Optional[Mapping[int, int]] = None) -> CostExpr:
-    """Cost expression of a clause conjunction (Formula or clause list)."""
+def _compile_clause(lits, fixed) -> Optional[CostClause]:
+    """The clause with fixed variables folded in; None if they make it hold."""
+    factor = 1
+    arith = []
+    bools = []
+    for lit in lits:
+        if lit.bvar is not None:
+            vid = lit.bvar.id
+            if vid not in fixed:
+                bools.append((vid, lit.positive))
+            elif bool(fixed[vid]) == lit.positive:
+                return None
+            continue
+        poly, rel = _holds_form(lit)
+        if fixed and (poly.variables & fixed.keys()):
+            poly = poly.substitute(fixed)
+        if not poly.is_constant():
+            arith.append((poly, rel))
+            continue
+        cost = _violation(poly.constant_value(), rel)
+        if cost == 0:
+            return None
+        factor *= cost
+    return CostClause(factor, tuple(arith), tuple(bools))
+
+
+def compile_clauses(clauses,
+                    fixed: Optional[Mapping[int, int]] = None) -> CostFunction:
+    """Cost function of a clause conjunction (Formula or clause list).
+
+    Variables in ``fixed`` are replaced by their values; a clause they make
+    true is dropped, and literals they make false become constant factors.
+    """
     if isinstance(clauses, Formula):
         clauses = clauses.clauses
     fixed = fixed or {}
-    terms = []
-    for clause in clauses:
-        lits = clause.literals if isinstance(clause, Clause) else tuple(clause)
-        parts = [compile_literal(lit, fixed) for lit in lits]
-        terms.append(_flatten(Product(parts)))
-    return _flatten(Sum(terms)) if terms else Const(0)
-
-
-def evaluate(expr: CostExpr, int_values, bool_values, cache: Optional[dict] = None) -> int:
-    return expr.evaluate(int_values, bool_values, cache)
-
-
-def evaluate_delta(expr: CostExpr, int_values, bool_values, var_id: int, new_value,
-                   cache: Optional[dict] = None) -> int:
-    """Cost under the assignment with one variable changed.
-
-    Only nodes mentioning the variable are re-evaluated; others come from
-    ``cache`` when provided (as filled by a prior ``evaluate`` call).
-    """
-    if var_id not in expr.vars:
-        return _cached_eval(expr, int_values, bool_values, cache)
-    if isinstance(new_value, bool):
-        bool_values = dict(bool_values)
-        bool_values[var_id] = new_value
-    else:
-        int_values = dict(int_values)
-        int_values[var_id] = new_value
-    return _eval_mixed(expr, int_values, bool_values, var_id, cache)
-
-
-def _eval_mixed(expr, iv, bv, var_id, cache):
-    if var_id not in expr.vars:
-        return _cached_eval(expr, iv, bv, cache)
-    if isinstance(expr, Sum):
-        return sum(_eval_mixed(c, iv, bv, var_id, cache) for c in expr.children)
-    if isinstance(expr, Product):
-        total = 1
-        for c in expr.children:
-            total *= _eval_mixed(c, iv, bv, var_id, cache)
-            if total == 0:
-                return 0
-        return total
-    if isinstance(expr, Branch):
-        if _eval_mixed(expr.cond, iv, bv, var_id, cache) == 0:
-            return _eval_mixed(expr.then, iv, bv, var_id, cache)
-        return _eval_mixed(expr.els, iv, bv, var_id, cache)
-    if isinstance(expr, IteGuard):
-        if expr.rel.holds(expr.poly.evaluate(iv)):
-            return 0
-        return _eval_mixed(expr.els, iv, bv, var_id, cache)
-    return expr._eval(iv, bv, None)
+    out: list[CostClause] = []
+    occurs: dict[int, list] = {}
+    for lits in clauses:
+        clause = _compile_clause(lits, fixed)
+        if clause is None:
+            continue
+        mentioned = {vid for vid, _ in clause.bools}
+        for poly, _ in clause.arith:
+            mentioned |= poly.variables
+        for vid in mentioned:
+            occurs.setdefault(vid, []).append(len(out))
+        out.append(clause)
+    return CostFunction(out, occurs)
 
 
 class IncrementalCost:
-    """Probe/commit evaluator for move loops over a fixed cost expression."""
+    """Probe/commit evaluator for move loops over a fixed cost function.
 
-    def __init__(self, expr: CostExpr, int_values: dict, bool_values: dict):
-        self.expr = expr
+    Keeps one cost per clause and their total; a probe or a commit
+    re-scores only the clauses that mention the changed variable.
+    """
+
+    def __init__(self, cost: CostFunction, int_values: dict,
+                 bool_values: dict):
+        self.cost = cost
         self.int_values = dict(int_values)
         self.bool_values = dict(bool_values)
-        self.cache: dict = {}
-        self.value = expr.evaluate(self.int_values, self.bool_values, self.cache)
+        self.clause_costs = [_clause_cost(c, self.int_values, self.bool_values)
+                             for c in cost.clauses]
+        self.value = sum(self.clause_costs)
+
+    def _values_of(self, new_value) -> dict:
+        if isinstance(new_value, bool):
+            return self.bool_values
+        return self.int_values
 
     def probe(self, var_id: int, new_value) -> int:
-        return evaluate_delta(self.expr, self.int_values, self.bool_values,
-                              var_id, new_value, self.cache)
+        """Total cost with one variable changed; the state stays as it was."""
+        values = self._values_of(new_value)
+        old = values[var_id]
+        values[var_id] = new_value
+        clauses, costs = self.cost.clauses, self.clause_costs
+        total = self.value
+        try:
+            for i in self.cost.occurs.get(var_id, ()):
+                total += _clause_cost(clauses[i], self.int_values,
+                                      self.bool_values) - costs[i]
+        finally:
+            values[var_id] = old
+        return total
 
     def commit(self, var_id: int, new_value) -> int:
-        if isinstance(new_value, bool):
-            self.bool_values[var_id] = new_value
-        else:
-            self.int_values[var_id] = new_value
-        _invalidate(self.expr, var_id, self.cache)
-        self.value = self.expr.evaluate(self.int_values, self.bool_values, self.cache)
+        self._values_of(new_value)[var_id] = new_value
+        clauses, costs = self.cost.clauses, self.clause_costs
+        for i in self.cost.occurs.get(var_id, ()):
+            c = _clause_cost(clauses[i], self.int_values, self.bool_values)
+            self.value += c - costs[i]
+            costs[i] = c
         return self.value
-
-
-def _invalidate(expr, var_id, cache):
-    if var_id not in expr.vars:
-        return
-    cache.pop(id(expr), None)
-    for attr in ("children",):
-        for c in getattr(expr, attr, ()):
-            _invalidate(c, var_id, cache)
-    for attr in ("cond", "then", "els"):
-        c = getattr(expr, attr, None)
-        if isinstance(c, CostExpr):
-            _invalidate(c, var_id, cache)

@@ -24,9 +24,5 @@ class SortError(NialsError):
     """A Boolean term in arithmetic position or vice versa."""
 
 
-class IncompleteAssignment(NialsError):
-    """Cost evaluation requested under an assignment missing variables."""
-
-
 class DuplicateAssignment(NialsError):
     """Internal bug signal: a trail subject was assigned twice."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .costfn import CostExpr, IncrementalCost
+from .costfn import CostFunction, IncrementalCost
 from .intervals import IntervalSet
 from .terms import Sort, Variable
 
@@ -38,7 +38,7 @@ class LsProblem:
     feasible: dict                  # int var id -> IntervalSet snapshot
     mu0_int: dict                   # var id -> int, non-fixed integer vars
     mu0_bool: dict                  # var id -> bool, non-fixed Boolean vars
-    cost: CostExpr                  # fixed variables already folded in
+    cost: CostFunction              # fixed variables already folded in
     budget: int                     # max move evaluations
 
 

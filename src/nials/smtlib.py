@@ -129,6 +129,7 @@ class Compiler:
         self.assertions: list[fa.BoolExpr] = []
         self.side: list[fa.BoolExpr] = []
         self.logic: Optional[str] = None
+        self.checked = False            # a check-sat has been seen
 
     # -- command level ------------------------------------------------------
 
@@ -168,8 +169,14 @@ class Compiler:
         elif head == "assert":
             if len(cmd) != 2:
                 raise ParseError(f"malformed assert {print_sexpr(cmd)}", 0, 0)
+            if self.checked:
+                # Every check-sat answers for all of the script's assertions.
+                raise UnsupportedError(
+                    "assert after check-sat: incremental scripts are not supported")
             self.assertions.append(self.bool_term(cmd[1], {}))
-        elif head in ("check-sat", "get-model", "exit"):
+        elif head == "check-sat":
+            self.checked = True
+        elif head in ("get-model", "exit"):
             pass
         else:
             raise UnsupportedError(f"unsupported command {head}")
@@ -373,21 +380,14 @@ def _format_int(v: int) -> str:
 
 def execute(script: Script, config: Optional[SolverConfig] = None):
     """Run the script's commands; returns (output lines, last Solver)."""
-    comp = compile_script(script)
     out: list[str] = []
     solver = None
     model = None
     for cmd in script.commands:
         head = cmd[0] if isinstance(cmd, list) and cmd else None
         if head == "check-sat":
-            ast = fa.mk_and(comp.assertions + comp.side)
-            formula = clausify(comp.store, ast)
-            solver = Solver(comp.store, formula, config)
-            ans = solver.check_sat()
+            ans, model, solver = solve(script, config)
             out.append(ans.value)
-            model = None
-            if ans is Answer.SAT:
-                model = _script_model(comp, solver)
         elif head == "get-model":
             if model is None:
                 out.append("(error \"no model available\")")

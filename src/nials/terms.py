@@ -379,15 +379,6 @@ def normalize_poly(p: Polynomial, rel: Rel) -> tuple[Polynomial, Rel]:
     return p, rel
 
 
-def normalize_atom(store: TermStore, lhs: Polynomial, rel: Rel, rhs: Polynomial) -> Atom:
-    """Intern the atom for ``lhs ⋈ rhs`` as canonical ``(lhs − rhs) ⋈ 0``."""
-    return store.mk_atom(lhs, rel, rhs)
-
-
-def negate(lit: Literal) -> Literal:
-    return lit.negate()
-
-
 def lit_evaluate(lit: Literal, int_values: Mapping[int, int],
                  bool_values: Mapping[int, bool]) -> bool:
     """Total evaluation of a literal under a complete assignment."""

@@ -101,12 +101,6 @@ class Trail:
                 return t if lit.positive else not t
         return None
 
-    def is_assigned_key(self, key: tuple) -> bool:
-        return key in self.bool_assign
-
-    def assign_pos(self, lit: Literal) -> int:
-        return self.bool_assign[lit.key][1]
-
     def var_pos(self, x: Variable) -> int:
         return self.var_elem[x.id].pos
 

@@ -2,6 +2,7 @@
 
 import itertools
 
+from nials.costfn import IncrementalCost
 from nials.terms import (Clause, Literal, Polynomial, Rel, Sort, TermStore,
                          lit_evaluate)
 
@@ -77,6 +78,11 @@ def assignments(int_vars, lo, hi, bool_vars):
 
 def clauses_sat(clauses, iv, bv):
     return all(any(lit_evaluate(lit, iv, bv) for lit in c) for c in clauses)
+
+
+def cost_at(cost, iv, bv):
+    """Total of a compiled cost function under one complete assignment."""
+    return IncrementalCost(cost, iv, bv).value
 
 
 def brute_force(clauses, int_vars, lo, hi, bool_vars):

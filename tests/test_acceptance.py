@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from helpers import (assignments, box_clauses, brute_force, clauses_sat,
-                     entailed, random_instance)
-from nials import formula_ast as fa
+                     cost_at, entailed, random_instance)
 from nials.bridge import LsSchedule, build_ls_formula
 from nials.clausify import clausify
 from nials.core import Answer, Solver, SolverConfig
-from nials.costfn import compile_ast, compile_clauses
+from nials.costfn import compile_clauses
 from nials.intervals import IntervalSet
 from nials.localsearch import FS_JUMPS, LsProblem, MoveEngine, run
 from nials.terms import (Clause, Formula, Literal, Polynomial, Rel, Sort,
@@ -73,9 +72,31 @@ def np_clause_sat(clauses, arrays, bool_arrays, shape):
     return mask
 
 
+def np_cost(cost, arrays, bool_arrays, shape):
+    """The flat cost form evaluated over whole grids at once."""
+    total = np.zeros(shape, dtype=np.int64)
+    for factor, arith, bools in cost.clauses:
+        c = np.full(shape, factor, dtype=np.int64)
+        for vid, want in bools:
+            c = np.where(bool_arrays[vid] == want, 0, c)
+        for poly, rel in arith:
+            v = np_poly(poly, arrays, shape)
+            if rel is Rel.EQ:
+                c = c * np.abs(v)
+            elif rel is Rel.NEQ:
+                c = c * (v == 0)
+            elif rel is Rel.LEQ:
+                c = c * np.maximum(v, 0)
+            else:
+                c = c * np.maximum(v + 1, 0)
+        total = total + c
+    return total
+
+
 def test_criterion_1_l2o_zero_iff_sat(capsys):
     t0 = time.monotonic()
     rng = random.Random(1001)
+    points = random.Random(1002)
     n = 1000
     for _ in range(n):
         store, clauses, ints, bools = random_instance(
@@ -90,12 +111,18 @@ def test_criterion_1_l2o_zero_iff_sat(capsys):
         bool_arrays = {v.id: grids[len(ints) + i].astype(bool)
                        for i, v in enumerate(bools)}
         cost = compile_clauses(clauses)
-        got = cost.evaluate_grid(arrays, bool_arrays)
-        got = np.broadcast_to(np.asarray(got), shape)
+        got = np_cost(cost, arrays, bool_arrays, shape)
         want = np_clause_sat(clauses, arrays, bool_arrays, shape)
         assert np.all(got >= 0)
         if not np.array_equal(got == 0, want):
             report(capsys, 1, False, "cost zero set differs from model set")
+        # The solver's scalar evaluator agrees with the grid.
+        for _ in range(5):
+            idx = tuple(points.randrange(k) for k in shape)
+            iv = {v.id: int(arrays[v.id][idx]) for v in ints}
+            bv = {v.id: bool(bool_arrays[v.id][idx]) for v in bools}
+            if cost_at(cost, iv, bv) != got[idx]:
+                report(capsys, 1, False, "scalar cost differs from grid")
     elapsed = time.monotonic() - t0
     report(capsys, 1, elapsed < 60,
            f"{n} formulas, exact zero set match, {elapsed:.1f}s")
@@ -109,15 +136,14 @@ def test_criterion_2_example_cost_trajectory(capsys):
     b = store.new_var("b", Sort.BOOL)
     x = store.new_var("x", Sort.INT)
     y = store.new_var("y", Sort.INT)
-    ast = fa.mk_and([
-        fa.BVar(b),
-        fa.AtomRef(store.mk_atom(P.var(x.id), Rel.EQ,
-                                 P.var(y.id) * P.var(y.id))),
+    cost = compile_clauses([
+        [Literal(True, bvar=b)],
+        [Literal(True, atom=store.mk_atom(P.var(x.id), Rel.EQ,
+                                          P.var(y.id) * P.var(y.id)))],
     ])
-    cost = compile_ast(ast)
-    c0 = cost.evaluate({x.id: 4, y.id: 1}, {b.id: False})
-    c1 = cost.evaluate({x.id: 4, y.id: 1}, {b.id: True})
-    c2 = cost.evaluate({x.id: 4, y.id: 2}, {b.id: True})
+    c0 = cost_at(cost, {x.id: 4, y.id: 1}, {b.id: False})
+    c1 = cost_at(cost, {x.id: 4, y.id: 1}, {b.id: True})
+    c2 = cost_at(cost, {x.id: 4, y.id: 2}, {b.id: True})
     trajectory_ok = (c0, c1, c2) == (4, 3, 0)
     problem = LsProblem(
         vars=[b, x, y], fixed={},
@@ -340,7 +366,7 @@ def test_criterion_6_move_engine_invariants(capsys):
 
         mirror_iv = dict(mu_int)
         mirror_bv = dict(mu_bool)
-        state = {"cost": cost.evaluate(mirror_iv, mirror_bv), "steps": 0}
+        state = {"cost": cost_at(cost, mirror_iv, mirror_bv), "steps": 0}
 
         def on_move(var, alpha, cand, mode, success):
             state["steps"] += 1
@@ -353,7 +379,7 @@ def test_criterion_6_move_engine_invariants(capsys):
                     mirror_bv[var.id] = cand
                 else:
                     mirror_iv[var.id] = cand
-                new = cost.evaluate(mirror_iv, mirror_bv)
+                new = cost_at(cost, mirror_iv, mirror_bv)
                 assert new < state["cost"], "accepted move did not decrease"
                 state["cost"] = new
 

@@ -3,12 +3,13 @@
 import random
 
 from helpers import assignments, clauses_sat, random_instance
-from nials.bridge import (LsSchedule, apply_ls_result,
-                          build_initial_assignment, build_ls_formula,
-                          should_run_ls)
+from nials.bridge import (LsController, LsSchedule, apply_ls_result,
+                          build_initial_assignment, build_ls_formula)
+from nials.core import Solver, SolverConfig
 from nials.feasibility import FeasibilityMap
 from nials.localsearch import LsResult
-from nials.terms import Clause, Literal, Polynomial, Rel, Sort, TermStore
+from nials.terms import (Clause, Formula, Literal, Polynomial, Rel, Sort,
+                         TermStore)
 from nials.trail import Trail, ValueCache
 
 P = Polynomial
@@ -29,8 +30,15 @@ class TestSchedule:
         sched = LsSchedule(50)
         assert not sched.due(49)
         assert sched.due(50)
-        assert should_run_ls(sched, 50, enabled=True)
-        assert not should_run_ls(sched, 50, enabled=False)
+        ls = LsController(base=50)
+        assert not ls.should_run(49)
+        assert ls.should_run(50)
+
+    def test_disabled_ls_has_no_controller(self):
+        formula = Formula([], [])
+        assert Solver(TermStore(), formula, SolverConfig()).ls is not None
+        assert Solver(TermStore(), formula,
+                      SolverConfig(ls_enabled=False)).ls is None
 
     def test_custom_base(self):
         sched = LsSchedule(10)

@@ -46,10 +46,13 @@ def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     args = cli.build_parser().parse_args(argv)
     config = cli.config_from_args(args)
-    if os.path.isdir(config.path):
-        code = cli.bench_dir(config, config.path, out=out, err=err)
+    if os.path.isdir(args.path):
+        code = cli.bench_dir(config, args.path, out=out, err=err,
+                             csv_out=args.csv_out)
     else:
-        code = cli.solve_file(config, config.path, out=out, err=err)
+        code = cli.solve_file(config, args.path, out=out, err=err,
+                              print_model=args.print_model,
+                              print_stats=args.print_stats)
     return code, out.getvalue(), err.getvalue()
 
 

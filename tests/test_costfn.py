@@ -1,16 +1,20 @@
 """Cost compilation: zero exactly on satisfying assignments, exact integers."""
 
+import os
 import random
+import subprocess
+import sys
 
-import numpy as np
-
-from helpers import assignments, clauses_sat, random_instance
-from nials import formula_ast as fa
-from nials.costfn import (IncrementalCost, compile_ast, compile_clauses,
-                          compile_literal)
-from nials.terms import Clause, Literal, Polynomial, Rel, Sort, TermStore
+import nials
+from helpers import assignments, clauses_sat, cost_at, random_instance
+from nials.costfn import IncrementalCost, compile_clauses
+from nials.terms import Literal, Polynomial, Rel, Sort, TermStore
 
 P = Polynomial
+
+
+def compile_literal(lit, fixed=None):
+    return compile_clauses([[lit]], fixed)
 
 
 class TestLiteralCosts:
@@ -24,42 +28,52 @@ class TestLiteralCosts:
 
     def test_equality_is_absolute_distance(self):
         c = compile_literal(self.lit(Rel.EQ))
-        assert c.evaluate({self.x.id: 0}, {}) == 0
-        assert c.evaluate({self.x.id: 7}, {}) == 7
-        assert c.evaluate({self.x.id: -7}, {}) == 7
+        assert cost_at(c, {self.x.id: 0}, {}) == 0
+        assert cost_at(c, {self.x.id: 7}, {}) == 7
+        assert cost_at(c, {self.x.id: -7}, {}) == 7
 
     def test_leq_zero_when_holds(self):
         c = compile_literal(self.lit(Rel.LEQ))
-        assert c.evaluate({self.x.id: -9}, {}) == 0
-        assert c.evaluate({self.x.id: 0}, {}) == 0
-        assert c.evaluate({self.x.id: 4}, {}) == 4
+        assert cost_at(c, {self.x.id: -9}, {}) == 0
+        assert cost_at(c, {self.x.id: 0}, {}) == 0
+        assert cost_at(c, {self.x.id: 4}, {}) == 4
 
     def test_lt_adds_epsilon_one(self):
         c = compile_literal(self.lit(Rel.LT))
-        assert c.evaluate({self.x.id: -1}, {}) == 0
-        assert c.evaluate({self.x.id: 0}, {}) == 1
-        assert c.evaluate({self.x.id: 4}, {}) == 5
+        assert cost_at(c, {self.x.id: -1}, {}) == 0
+        assert cost_at(c, {self.x.id: 0}, {}) == 1
+        assert cost_at(c, {self.x.id: 4}, {}) == 5
 
     def test_neq_constant_one(self):
         c = compile_literal(self.lit(Rel.NEQ))
-        assert c.evaluate({self.x.id: 0}, {}) == 1
-        assert c.evaluate({self.x.id: 100}, {}) == 0
+        assert cost_at(c, {self.x.id: 0}, {}) == 1
+        assert cost_at(c, {self.x.id: 100}, {}) == 0
 
     def test_negative_polarity_complements(self):
         c = compile_literal(self.lit(Rel.LEQ, positive=False))  # x > 0
-        assert c.evaluate({self.x.id: 1}, {}) == 0
-        assert c.evaluate({self.x.id: 0}, {}) == 1
+        assert cost_at(c, {self.x.id: 1}, {}) == 0
+        assert cost_at(c, {self.x.id: 0}, {}) == 1
 
     def test_bool_literal(self):
         store = TermStore()
         b = store.new_var("b", Sort.BOOL)
         c = compile_literal(Literal(True, bvar=b))
-        assert c.evaluate({}, {b.id: True}) == 0
-        assert c.evaluate({}, {b.id: False}) == 1
+        assert cost_at(c, {}, {b.id: True}) == 0
+        assert cost_at(c, {}, {b.id: False}) == 1
 
     def test_fixed_variables_fold(self):
         c = compile_literal(self.lit(Rel.EQ), fixed={self.x.id: 5})
-        assert c.evaluate({}, {}) == 5
+        assert cost_at(c, {}, {}) == 5
+
+    def test_fixed_false_literal_becomes_factor(self):
+        y = self.store.new_var("y", Sort.INT)
+        ley = Literal(True, atom=self.store.mk_atom(P.var(y.id), Rel.LEQ,
+                                                    P.zero()))
+        c = compile_clauses([[self.lit(Rel.EQ), ley]], fixed={self.x.id: 3})
+        assert cost_at(c, {y.id: 2}, {}) == 6
+        assert cost_at(c, {y.id: -1}, {}) == 0
+        c = compile_clauses([[self.lit(Rel.EQ), ley]], fixed={self.x.id: 0})
+        assert c.clauses == []
 
 
 class TestPaperExample:
@@ -70,21 +84,20 @@ class TestPaperExample:
         self.b = store.new_var("b", Sort.BOOL)
         self.x = store.new_var("x", Sort.INT)
         self.y = store.new_var("y", Sort.INT)
-        ast = fa.mk_and([
-            fa.BVar(self.b),
-            fa.AtomRef(store.mk_atom(
+        self.cost = compile_clauses([
+            [Literal(True, bvar=self.b)],
+            [Literal(True, atom=store.mk_atom(
                 P.var(self.x.id), Rel.EQ,
-                P.var(self.y.id) * P.var(self.y.id))),
+                P.var(self.y.id) * P.var(self.y.id)))],
         ])
-        self.cost = compile_ast(ast)
 
     def mu(self, b, x, y):
         return {self.x.id: x, self.y.id: y}, {self.b.id: b}
 
     def test_trajectory(self):
-        assert self.cost.evaluate(*self.mu(False, 4, 1)) == 4
-        assert self.cost.evaluate(*self.mu(True, 4, 1)) == 3
-        assert self.cost.evaluate(*self.mu(True, 4, 2)) == 0
+        assert cost_at(self.cost, *self.mu(False, 4, 1)) == 4
+        assert cost_at(self.cost, *self.mu(True, 4, 1)) == 3
+        assert cost_at(self.cost, *self.mu(True, 4, 2)) == 0
 
 
 class TestZeroIffSat:
@@ -95,27 +108,9 @@ class TestZeroIffSat:
                 rng, n_int=2, n_bool=2, n_clauses=3, max_deg=2, coeff=3)
             cost = compile_clauses(clauses)
             for iv, bv in assignments(ints, -3, 3, bools):
-                c = cost.evaluate(iv, bv)
+                c = cost_at(cost, iv, bv)
                 assert c >= 0
                 assert (c == 0) == clauses_sat(clauses, iv, bv)
-
-
-class TestGridEvaluation:
-    def test_matches_scalar(self):
-        rng = random.Random(9)
-        for _ in range(30):
-            store, clauses, ints, bools = random_instance(
-                rng, n_int=2, n_bool=1, n_clauses=3, max_deg=2, coeff=3)
-            cost = compile_clauses(clauses)
-            pts = [(iv, bv) for iv, bv in assignments(ints, -2, 2, bools)]
-            ia = {v.id: np.array([iv[v.id] for iv, _ in pts], dtype=object)
-                  for v in ints}
-            ba = {v.id: np.array([bv[v.id] for _, bv in pts])
-                  for v in bools}
-            grid = cost.evaluate_grid(ia, ba)
-            grid = np.broadcast_to(np.asarray(grid, dtype=object), (len(pts),))
-            for k, (iv, bv) in enumerate(pts):
-                assert grid[k] == cost.evaluate(iv, bv)
 
 
 class TestIncremental:
@@ -128,7 +123,6 @@ class TestIncremental:
             iv = {v.id: rng.randint(-3, 3) for v in ints}
             bv = {v.id: rng.random() < 0.5 for v in bools}
             inc = IncrementalCost(cost, iv, bv)
-            assert inc.value == cost.evaluate(iv, bv)
             for _ in range(30):
                 if bools and rng.random() < 0.3:
                     var = rng.choice(bools)
@@ -143,7 +137,19 @@ class TestIncremental:
                     trial_bv[var.id] = new
                 else:
                     trial_iv[var.id] = new
-                assert probed == cost.evaluate(trial_iv, trial_bv)
+                assert probed == cost_at(cost, trial_iv, trial_bv)
                 if rng.random() < 0.5:
                     inc.commit(var.id, new)
                     assert inc.value == probed
+                assert inc.value == cost_at(cost, inc.int_values,
+                                            inc.bool_values)
+
+
+def test_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(nials.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nials; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

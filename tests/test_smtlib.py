@@ -77,6 +77,14 @@ class TestErrors:
             smtlib.parse("(set-logic QF_NIA)(declare-const b Bool)"
                          "(assert (< b 1))")
 
+    def test_assert_after_check_sat_rejected(self):
+        # Answering both check-sats for all assertions would make the first
+        # answer wrong: x > 0 alone is sat.
+        with pytest.raises(UnsupportedError, match="check-sat"):
+            smtlib.parse("(set-logic QF_NIA)(declare-const x Int)"
+                         "(assert (> x 0))(check-sat)"
+                         "(assert (< x 0))(check-sat)")
+
 
 class TestExecution:
     def test_example_is_sat_with_model(self):
@@ -195,3 +203,11 @@ class TestSolveHelper:
         entries = {name: (sort, value) for name, sort, value in model}
         assert entries["a"] == (Sort.INT, 2)
         assert entries["p"] == (Sort.BOOL, False)
+
+    def test_solve_twice_same_result(self):
+        script = smtlib.parse(EXAMPLE)
+        first = smtlib.solve(script)
+        second = smtlib.solve(script)
+        assert first[0] is second[0] is Answer.SAT
+        assert first[1] == second[1]
+        assert first[2].stats.as_dict() == second[2].stats.as_dict()
