@@ -13,12 +13,11 @@ import io
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from . import smtlib
 from .core import SolverConfig, Stats
-from .errors import NialsError
+from .errors import InternalError, NialsError
 
 CSV_COLUMNS = ("name", "answer", "wall_ms", "conflicts", "decisions",
                "theory_assignments", "ls_calls", "ls_moves_accepted")
@@ -85,7 +84,11 @@ def solve_file(config: SolverConfig, path: str, out=None, err=None,
         print(f"{path}: error: {e}", file=err)
         return 2
     t0 = time.monotonic()
-    answer, model, solver = smtlib.solve(script, config)
+    try:
+        answer, model, solver = smtlib.solve(script, config)
+    except InternalError as e:
+        print(f"{path}: internal error: {e}", file=err)
+        return 3
     wall_ms = (time.monotonic() - t0) * 1000.0
     print(answer.value, file=out)
     if print_model and model is not None:
@@ -124,8 +127,8 @@ def _bench_one(config: SolverConfig, path: str) -> dict:
 
 
 def bench_dir(config: SolverConfig, directory: str, out=None, err=None,
-              jobs: Optional[int] = None, csv_out: Optional[str] = None) -> int:
-    """Benchmark every .smt2 file in a directory; writes one CSV."""
+              csv_out: Optional[str] = None) -> int:
+    """Benchmark every .smt2 file in a directory in turn; writes one CSV."""
     out = out or sys.stdout
     err = err or sys.stderr
     try:
@@ -133,13 +136,7 @@ def bench_dir(config: SolverConfig, directory: str, out=None, err=None,
     except OSError as e:
         print(f"error: {e}", file=err)
         return 2
-    paths = [os.path.join(directory, n) for n in names]
-    if jobs is None:
-        jobs = min(len(paths), os.cpu_count() or 1) or 1
-    # Workers share nothing; rows come back in input order and a single
-    # writer emits the CSV.
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(lambda p: _bench_one(config, p), paths))
+    rows = [_bench_one(config, os.path.join(directory, n)) for n in names]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()

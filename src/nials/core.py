@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bridge import LsController
+from .errors import InternalError
 from .feasibility import EmptyConflict, FeasibilityMap, Singleton
 from .terms import (Clause, Formula, Literal, Polynomial, Rel, Sort,
                     TermStore, Variable)
@@ -492,17 +493,17 @@ class Solver:
         for x in self.formula.variables:
             if x.sort is Sort.INT:
                 v = self.trail.value_of_var(x)
-                assert v is not None
                 self.model_int[x.id] = v
             else:
-                b = self.trail.bool_value_of(Literal(True, bvar=x))
-                assert b is not None
-                self.model_bool[x.id] = b
+                v = self.trail.bool_value_of(Literal(True, bvar=x))
+                self.model_bool[x.id] = v
+            if v is None:
+                raise InternalError(f"model leaves {x} unassigned")
         for clause in self.formula.clauses:
             if clause.learned:
                 continue
-            assert any(self._model_lit(lit) for lit in clause), \
-                f"model does not satisfy {clause}"
+            if not any(self._model_lit(lit) for lit in clause):
+                raise InternalError(f"model does not satisfy {clause}")
 
     def _model_lit(self, lit: Literal) -> bool:
         if lit.bvar is not None:

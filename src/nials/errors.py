@@ -26,3 +26,7 @@ class SortError(NialsError):
 
 class DuplicateAssignment(NialsError):
     """Internal bug signal: a trail subject was assigned twice."""
+
+
+class InternalError(NialsError):
+    """Internal bug signal: the solver failed one of its own answer checks."""

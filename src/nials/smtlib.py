@@ -13,7 +13,7 @@ from typing import Optional, Union
 from . import formula_ast as fa
 from .clausify import clausify
 from .core import Answer, Solver, SolverConfig
-from .errors import ParseError, SortError, UnsupportedError
+from .errors import InternalError, ParseError, SortError, UnsupportedError
 from .terms import Polynomial, Rel, Sort, TermStore
 
 Sexpr = Union[str, list]
@@ -446,6 +446,6 @@ def _script_model(comp: Compiler, solver: Solver):
             if not var.is_aux:
                 model.append((var.name, Sort.BOOL, b))
     for ast in comp.assertions + comp.side:
-        assert fa.evaluate(ast, int_values, bool_values), \
-            "model fails an assertion"
+        if not fa.evaluate(ast, int_values, bool_values):
+            raise InternalError("model fails an assertion")
     return model

@@ -70,21 +70,18 @@ def _mono_key(m: Monomial):
 class Polynomial:
     """Multivariate polynomial with arbitrary-precision integer coefficients.
 
-    Canonical: no zero coefficients are stored, so equal polynomials have
-    identical term maps.  Instances are immutable and hashable.
+    Canonical: no zero coefficients are stored and monomials are sorted, so
+    equal polynomials have equal term maps.  Equality compares the term maps
+    directly; the hash (of the frozen term set) and the variable set are
+    computed on first use and cached.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_key", "_hash", "_vars")
+    __slots__ = ("_terms", "_hash", "_vars")
 
     def __init__(self, terms: Mapping[Monomial, int]):
         self._terms = {m: c for m, c in terms.items() if c != 0}
-        self._key = tuple(sorted(self._terms.items(), key=lambda t: _mono_key(t[0])))
-        self._hash = hash(self._key)
-        vs: set[int] = set()
-        for m in self._terms:
-            for vid, _ in m:
-                vs.add(vid)
-        self._vars = frozenset(vs)
+        self._hash = None
+        self._vars = None
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -104,12 +101,20 @@ class Polynomial:
 
     @property
     def variables(self) -> frozenset:
+        if self._vars is None:
+            vs: set[int] = set()
+            for m in self._terms:
+                for vid, _ in m:
+                    vs.add(vid)
+            self._vars = frozenset(vs)
         return self._vars
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self._key == other._key
+        return isinstance(other, Polynomial) and self._terms == other._terms
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -136,7 +141,7 @@ class Polynomial:
         return Polynomial({m: c * k for m, c in self._terms.items()})
 
     def is_constant(self) -> bool:
-        return not self._vars
+        return not any(self._terms)  # only the unit monomial () is falsy
 
     def constant_value(self) -> int:
         assert self.is_constant()
@@ -187,7 +192,7 @@ class Polynomial:
 
         Requires that ``vid`` is the only variable occurring.
         """
-        if self._vars - {vid}:
+        if self.variables - {vid}:
             raise ValueError("polynomial is not univariate in the given variable")
         deg = self.degree()
         coeffs = [0] * (deg + 1)

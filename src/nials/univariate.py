@@ -1,15 +1,18 @@
 """Exact integer solution sets of univariate polynomial constraints.
 
 ``solve_univariate`` maps ``p(x) ⋈ 0`` to a canonical IntervalSet of its
-integer solutions.  Real roots are bracketed with Sturm sequences over exact
-rational arithmetic; the integer restriction then follows from sign tests at
-finitely many integers (signs are constant between bracketed roots).
+integer solutions.  All arithmetic is on integers.  The squarefree part of
+``p`` is ``p / gcd(p, p')``, with the gcd taken by a primitive
+pseudo-remainder sequence and the quotient by exact integer division.  Its
+real roots are counted with a Sturm chain of primitive pseudo-remainders
+and bracketed by bisection over integer endpoints, down to unit brackets;
+the integer restriction then follows from sign tests at finitely many
+integers (signs are constant between bracketed roots).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .intervals import IntervalSet
@@ -35,46 +38,82 @@ def _derivative(cs):
     return [i * c for i, c in enumerate(cs)][1:]
 
 
-def _poly_rem(a, b):
-    """Remainder of a / b over the rationals."""
-    a = list(a)
-    _trim(a)
+def _primitive(cs):
+    """``cs`` divided by the gcd of its coefficients (a positive number)."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _prem(a, b):
+    """Pseudo-remainder of a by b: ``lc(b)^k · a mod b`` for some k ≥ 0.
+
+    Returns ``(r, k)``; ``r`` is ``lc(b)^k`` times the rational remainder.
+    The leading coefficient is multiplied in only where a step needs it.
+    """
+    r = list(a)
     db, lb = len(b) - 1, b[-1]
-    while a and len(a) - 1 >= db:
-        da, la = len(a) - 1, a[-1]
-        q = Fraction(la) / lb
-        for i in range(db + 1):
-            a[da - db + i] -= q * b[i]
-        a.pop()
-        _trim(a)
-    return a
+    k = 0
+    while r and len(r) - 1 >= db:
+        lr = r[-1]
+        shift = len(r) - 1 - db
+        if lr % lb == 0:
+            q = lr // lb
+        else:
+            r = [lb * c for c in r]
+            q = lr
+            k += 1
+        for i in range(db):
+            r[shift + i] -= q * b[i]
+        r.pop()
+        _trim(r)
+    return r, k
 
 
-def _poly_gcd(a, b):
-    a, b = list(a), list(b)
-    _trim(a)
-    _trim(b)
+def _primitive_gcd(a, b):
+    """Primitive gcd of two nonzero integer polynomials (sign unspecified)."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _poly_rem(a, b)
-        _trim(b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+        r, _ = _prem(a, b)
+        a, b = b, (_primitive(r) if r else r)
     return a
+
+
+def _div_exact(a, b):
+    """Exact quotient a / b over ℤ; b divides a and has an integral quotient."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    while r and len(r) - 1 >= db:
+        shift = len(r) - 1 - db
+        c = r[-1] // lb
+        q[shift] = c
+        for i in range(db):
+            r[shift + i] -= c * b[i]
+        r.pop()
+        _trim(r)
+    return q
 
 
 def _sturm_chain(cs):
-    chain = [[Fraction(c) for c in cs]]
-    d = _derivative(chain[0])
-    _trim(d)
+    """Sturm chain of a squarefree polynomial, every element primitive.
+
+    Each next element is ``-sign(lc(b)^k) · prem(a, b) / content``: a
+    positive multiple of the negated rational remainder, so the sign
+    sequence at every point is that of the classical chain.
+    """
+    chain = [cs]
+    d = _derivative(cs)
     if d:
-        chain.append(d)
+        chain.append(_primitive(d))
         while True:
-            r = _poly_rem(chain[-2], chain[-1])
-            _trim(r)
+            a, b = chain[-2], chain[-1]
+            r, k = _prem(a, b)
             if not r:
                 break
-            chain.append([-c for c in r])
+            g = math.gcd(*r)
+            if b[-1] > 0 or k % 2 == 0:     # lc(b)^k > 0
+                g = -g
+            chain.append([c // g for c in r])
     return chain
 
 
@@ -93,64 +132,42 @@ def _variations(chain, x) -> int:
 
 
 def _isolate_roots(cs) -> list:
-    """Bracket every real root of a squarefree polynomial.
+    """Unit brackets (a, a + 1] holding every real root of a squarefree poly.
 
-    Returns (a, b] brackets of width < 1/2 as Fraction pairs; each bracket
-    contains exactly one root.
+    Bisects integer brackets (a, b] from the integer Cauchy bound;
+    ``V(a) - V(b)`` counts the distinct roots in (a, b].
     """
     chain = _sturm_chain(cs)
-    lead = abs(cs[-1])
-    bound = Fraction(1) + max(abs(Fraction(c)) for c in cs) / lead
+    bound = 2 + max(abs(c) for c in cs) // abs(cs[-1])
     brackets = []
-    stack = [(-bound, bound)]
+    stack = [(-bound, _variations(chain, -bound),
+              bound, _variations(chain, bound))]
     while stack:
-        a, b = stack.pop()
-        n = _variations(chain, a) - _variations(chain, b)
-        if n == 0:
+        a, va, b, vb = stack.pop()
+        if va == vb:
             continue
-        if n == 1 and b - a < Fraction(1, 2):
-            brackets.append((a, b))
+        if b - a == 1:
+            brackets.append(a)
             continue
-        mid = (a + b) / 2
-        stack.append((a, mid))
-        stack.append((mid, b))
+        mid = (a + b) // 2
+        vm = _variations(chain, mid)
+        stack.append((a, va, mid, vm))
+        stack.append((mid, vm, b, vb))
     return brackets
 
 
 def _breakpoints(cs) -> list:
     """Sorted integers bracketing every real root (floor/ceil superset)."""
-    coeffs = [Fraction(c) for c in cs]
-    der = _derivative(coeffs)
-    _trim(der)
-    g = _poly_gcd(coeffs, der) if der else []
-    if len(g) > 1:
-        # Divide out repeated roots: squarefree part = p / gcd(p, p').
-        sf = _poly_div_exact(coeffs, g)
-    else:
-        sf = coeffs
+    der = _derivative(cs)
+    g = _primitive_gcd(cs, der)
+    # Squarefree part p / gcd(p, p'): by Gauss's lemma the quotient by a
+    # primitive divisor is integral.
+    sf = _primitive(_div_exact(cs, g)) if len(g) > 1 else _primitive(cs)
     pts: set[int] = set()
-    for a, b in _isolate_roots(sf):
-        pts.add(math.floor(a))
-        pts.add(math.ceil(a))
-        pts.add(math.floor(b))
-        pts.add(math.ceil(b))
+    for a in _isolate_roots(sf):
+        pts.add(a)
+        pts.add(a + 1)
     return sorted(pts)
-
-
-def _poly_div_exact(a, b):
-    """Exact quotient a / b (b divides a)."""
-    a = [Fraction(c) for c in a]
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    db, lb = len(b) - 1, b[-1]
-    while _trim(a) and len(a) - 1 >= db:
-        da = len(a) - 1
-        c = a[-1] / lb
-        q[da - db] = c
-        for i in range(db + 1):
-            a[da - db + i] -= c * b[i]
-        a.pop()
-        _trim(a)
-    return q
 
 
 @lru_cache(maxsize=65536)

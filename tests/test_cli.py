@@ -3,10 +3,13 @@
 import csv
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
-from nials import cli
+import nials
+from nials import cli, core
 
 EXAMPLE = """(set-logic QF_NIA)
 (declare-fun x () Int)
@@ -110,6 +113,20 @@ class TestSolveFile:
         assert code == 0
         assert out.splitlines()[0] == "unknown"
 
+    def test_failed_model_check_exit_3_under_optimize(self, files):
+        # `python -O` strips asserts; the model check must still refuse.
+        src = os.path.dirname(os.path.dirname(nials.__file__))
+        code = ("import sys; from nials import cli, core; "
+                "core.Solver._model_lit = lambda self, lit: False; "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code, files["ex1"]],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert "sat" not in proc.stdout.split()
+        assert "internal error" in proc.stderr
+
 
 class TestBenchDir:
     def read_csv(self, path):
@@ -154,6 +171,16 @@ class TestBenchDir:
         run_main([files["dir"], "--no-ls", "--csv", p2])
         answers = lambda p: [(r[0], r[1]) for r in self.read_csv(p)[1:]]
         assert answers(p1) == answers(p2)
+
+    def test_failed_model_check_is_error_row(self, files, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setattr(core.Solver, "_model_lit",
+                            lambda self, lit: False)
+        out_path = str(tmp_path / "results.csv")
+        assert run_main([files["dir"], "--csv", out_path])[0] == 0
+        data = {r[0]: r for r in self.read_csv(out_path)[1:]}
+        assert data["ex1.smt2"][1] == "error"
+        assert data["unsat.smt2"][1] == "unsat"
 
     def test_stdout_when_no_csv_flag(self, files):
         code, out, _ = run_main([files["dir"]])

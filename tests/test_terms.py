@@ -60,6 +60,14 @@ class TestPolynomial:
     def test_hash_consistent_with_eq(self, p, q):
         if p == q:
             assert hash(p) == hash(q)
+        # Construction order changes the term maps' insertion order only.
+        store = TermStore()
+        for a, b in ((p + q, q + p), (p * q, q * p)):
+            assert a == b
+            assert hash(a) == hash(b)
+            for rel in (Rel.EQ, Rel.LEQ):
+                assert store.mk_atom(a, rel, P.zero()) is \
+                    store.mk_atom(b, rel, P.zero())
 
     @given(poly_strategy(), st.integers(-5, 5), values)
     def test_substitute_partial_evaluation(self, p, v0, vals):

@@ -1,5 +1,6 @@
 """Univariate constraint solving against brute-force sign checking."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,15 +24,16 @@ def cauchy_window(coeffs):
     return int(b) + 2
 
 
+def evaluate(coeffs, v):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
+
+
 def brute(coeffs, rel, window):
-    out = set()
-    for v in range(-window, window + 1):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * v + c
-        if rel.holds(acc):
-            out.add(v)
-    return out
+    return {v for v in range(-window, window + 1)
+            if rel.holds(evaluate(coeffs, v))}
 
 
 def check(coeffs, rel):
@@ -42,10 +44,30 @@ def check(coeffs, rel):
     assert got_members == want, (coeffs, rel)
     # Outside the window the sign is fixed: spot-check both far ends.
     for v in (-10 * window, 10 * window):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * v + c
-        assert (v in got) == rel.holds(acc), (coeffs, rel, v)
+        assert (v in got) == rel.holds(evaluate(coeffs, v)), (coeffs, rel, v)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def check_roots(coeffs, roots, probes=()):
+    """EQ members are exactly the distinct roots; every relation agrees
+    with direct evaluation at r - 1, r, r + 1, the probes and far out."""
+    assert sorted(solve_univariate_coeffs(tuple(coeffs), Rel.EQ).members()) \
+        == sorted(set(roots)), coeffs
+    window = cauchy_window(coeffs)
+    points = {v for r in roots for v in (r - 1, r, r + 1)}
+    points |= set(probes) | {-10 * window, 10 * window}
+    for rel in RELS:
+        got = solve_univariate_coeffs(tuple(coeffs), rel)
+        for v in points:
+            assert (v in got) == rel.holds(evaluate(coeffs, v)), \
+                (coeffs, rel, v)
 
 
 class TestConstantAndLinear:
@@ -112,6 +134,38 @@ class TestRandomizedOracle:
             if all(c == 0 for c in coeffs):
                 coeffs[-1] = 1
             check(coeffs, rng.choice(RELS))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_quadratics(self, seed):
+        # Guidance-style -(x - 10^6)(x - c): coefficients up to about 10^9.
+        rng = random.Random(100 + seed)
+        for _ in range(50):
+            c = rng.randint(-1000, 1000)
+            check_roots((-c * 10**6, 10**6 + c, -1), [10**6, c])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_roots_times_irreducible_quadratic(self, seed):
+        rng = random.Random(200 + seed)
+        for _ in range(25):
+            while True:
+                a, b, c = (rng.randint(1, 5), rng.randint(-50, 50),
+                           rng.randint(-50, 50))
+                disc = b * b - 4 * a * c
+                if disc < 0 or math.isqrt(disc) ** 2 != disc:
+                    break
+            coeffs = [c, b, a]
+            probes = set()
+            if disc > 0:
+                # Integers around the quadratic's two irrational roots.
+                for s in (-math.isqrt(disc), math.isqrt(disc)):
+                    q = (-b + s) // (2 * a)
+                    probes |= set(range(q - 2, q + 3))
+            roots = [rng.randint(-10**6, 10**6)
+                     for _ in range(rng.randint(1, 3))]
+            for r in roots:
+                for _ in range(rng.randint(1, 3)):
+                    coeffs = poly_mul(coeffs, [-r, 1])
+            check_roots(coeffs, roots, probes)
 
 
 def test_polynomial_wrapper():
