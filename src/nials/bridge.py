@@ -8,12 +8,12 @@ feeding the result back (value cache and variable activities).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import localsearch
 from .costfn import compile_clauses
-from .intervals import IntervalSet
-from .terms import Literal, Sort, Variable
+from .terms import Literal, Sort
+
+TOP_K = 10      # variables whose activity is bumped after a call
 
 
 class LsSchedule:
@@ -55,7 +55,7 @@ def build_initial_assignment(variables, trail, cache, feas):
                 fixed[x.id] = v
                 continue
             fs = feas.get(x)
-            c = cache.get(x)
+            c = cache.get(x.id)
             if isinstance(c, int) and not isinstance(c, bool) and c in fs:
                 mu_int[x.id] = c
             else:
@@ -66,7 +66,7 @@ def build_initial_assignment(variables, trail, cache, feas):
             if b is not None:
                 fixed[x.id] = b
                 continue
-            c = cache.get(x)
+            c = cache.get(x.id)
             mu_bool[x.id] = c if isinstance(c, bool) else True
             free.append(x)
     return free, fixed, mu_int, mu_bool
@@ -102,35 +102,29 @@ def build_ls_formula(clauses, trail):
     return out
 
 
-def apply_ls_result(result, free_vars, cache, bump_var, top_k: int = 10):
+def apply_ls_result(result, free_vars, cache, bump_var):
     """Write the final assignment into the value cache and bump activities.
 
-    Only non-fixed variables are written.  The `top_k` variables with the
+    Only non-fixed variables are written.  The `TOP_K` variables with the
     largest cost decrease get a decision-activity bump via `bump_var`.
     """
     for x in free_vars:
         if x.sort is Sort.BOOL:
-            cache.set(x, result.bool_values[x.id])
+            cache[x.id] = result.bool_values[x.id]
         else:
-            cache.set(x, result.int_values[x.id])
+            cache[x.id] = result.int_values[x.id]
     ranked = sorted(result.activity.items(), key=lambda kv: (-kv[1], kv[0]))
-    for vid, score in ranked[:top_k]:
+    for vid, score in ranked[:TOP_K]:
         if score > 0:
             bump_var(vid)
 
 
-@dataclass
 class LsController:
     """Runs scheduled local-search calls against a solver instance."""
 
-    base: int = 50
-    budget_per_var: int = 100
-    acc: float = localsearch.DEFAULT_ACC
-    top_k: int = 10
-    schedule: LsSchedule = field(init=False)
-
-    def __post_init__(self):
-        self.schedule = LsSchedule(self.base)
+    def __init__(self, config):
+        self.config = config
+        self.schedule = LsSchedule(config.ls_threshold_base)
 
     def should_run(self, conflicts: int) -> bool:
         return self.schedule.due(conflicts)
@@ -155,9 +149,11 @@ class LsController:
             mu0_int=mu_int,
             mu0_bool=mu_bool,
             cost=cost,
-            budget=self.budget_per_var * len(free),
+            budget=self.config.ls_budget_per_var * len(free),
+            deadline=solver.deadline,
         )
-        result = localsearch.run(problem, localsearch.MoveEngine(self.acc))
+        result = localsearch.run(problem,
+                                 localsearch.MoveEngine(self.config.acc))
         solver.stats.ls_moves_accepted += result.moves_accepted
-        apply_ls_result(result, free, solver.cache, solver.bump_var, self.top_k)
+        apply_ls_result(result, free, solver.cache, solver.bump_var)
         return result

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bridge import LsController
@@ -21,7 +21,7 @@ from .errors import InternalError
 from .feasibility import EmptyConflict, FeasibilityMap, Singleton
 from .terms import (Clause, Formula, Literal, Polynomial, Rel, Sort,
                     TermStore, Variable)
-from .trail import Kind, Reason, Trail, ValueCache
+from .trail import Kind, Reason, Trail
 
 
 class Answer(enum.Enum):
@@ -71,7 +71,7 @@ class Solver:
         self.stats = Stats()
         self.trail = Trail()
         self.feas = FeasibilityMap()
-        self.cache = ValueCache()
+        self.cache: dict = {}       # var id -> last undone value or phase
         self.clauses: list[Clause] = []
         self.active: list[Clause] = []
         self.occurs: dict[int, list] = {}
@@ -88,11 +88,9 @@ class Solver:
             heapq.heappush(self._heap, (0.0, x.id))
         for clause in formula.clauses:
             self._attach_clause(clause)
-        self.ls = LsController(
-            base=self.config.ls_threshold_base,
-            budget_per_var=self.config.ls_budget_per_var,
-            acc=self.config.acc,
-        ) if self.config.ls_enabled else None
+        self.ls = (LsController(self.config) if self.config.ls_enabled
+                   else None)
+        self.deadline: Optional[float] = None   # time.monotonic() limit
         self.answer: Optional[Answer] = None
         self.model_int: dict[int, int] = {}
         self.model_bool: dict[int, bool] = {}
@@ -440,12 +438,12 @@ class Solver:
             return False
         self.stats.decisions += 1
         if var.sort is Sort.BOOL:
-            c = self.cache.get(var)
+            c = self.cache.get(var.id)
             phase = c if isinstance(c, bool) else True
             self.trail.push_decision(Literal(phase, bvar=var))
         else:
             fs = self.feas.get(var)
-            hint = self.cache.get(var)
+            hint = self.cache.get(var.id)
             if not isinstance(hint, int) or isinstance(hint, bool):
                 hint = None
             self.trail.push_model_assignment(var, fs.pick_value(hint),
@@ -457,9 +455,10 @@ class Solver:
 
     def check_sat(self) -> Answer:
         cfg = self.config
-        deadline = None
+        self.deadline = None
         if cfg.timeout_ms is not None:
-            deadline = time.monotonic() + cfg.timeout_ms / 1000.0
+            self.deadline = time.monotonic() + cfg.timeout_ms / 1000.0
+        deadline = self.deadline
         if self._root_unsat:
             self.answer = Answer.UNSAT
             return self.answer

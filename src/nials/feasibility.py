@@ -8,7 +8,6 @@ exactly on backtracking via a level-tagged undo log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .intervals import IntervalSet
 from .terms import Literal, Variable
@@ -24,10 +23,6 @@ class Contribution:
     used_vars: tuple            # integer variable ids substituted from the trail
 
 
-class Updated:
-    pass
-
-
 @dataclass
 class Singleton:
     value: int
@@ -37,9 +32,6 @@ class Singleton:
 class EmptyConflict:
     var: Variable
     contributions: tuple  # all Contributions, including the failing one
-
-
-UPDATED = Updated()
 
 
 def unit_solution_set(lit: Literal, vid: int, var_values) -> IntervalSet:
@@ -83,8 +75,8 @@ class FeasibilityMap:
                  level: int):
         """Intersect a unit constraint's solutions into the variable's set.
 
-        Returns UPDATED, Singleton(v) when the set narrows to one value, or
-        EmptyConflict when it empties.
+        Returns Singleton(v) when the set narrows to one value,
+        EmptyConflict when it empties, and None otherwise.
         """
         vid = var.id
         cur = self.get(vid)
@@ -100,16 +92,14 @@ class FeasibilityMap:
         v = new.singleton_value()
         if v is not None:
             return Singleton(v)
-        return UPDATED
+        return None
 
-    def assert_unit_constraint(self, var: Variable, lit: Literal, trail: Trail,
-                               level: Optional[int] = None):
+    def assert_unit_constraint(self, var: Variable, lit: Literal,
+                               trail: Trail):
         """Fold a unit (single-unassigned-variable) literal into F(var)."""
-        if level is None:
-            level = trail.level
         sol = unit_solution_set(lit, var.id, trail.var_value)
         used = tuple(v for v in lit.atom.poly.variables if v != var.id)
-        return self.restrict(var, sol, Contribution(lit, used), level)
+        return self.restrict(var, sol, Contribution(lit, used), trail.level)
 
     def backtrack_to(self, level: int):
         while self._undo and self._undo[-1][0] > level:
@@ -119,7 +109,3 @@ class FeasibilityMap:
             if contribs is not None:
                 del contribs[prev_n:]
             self._last_saved_level[vid] = prev_saved
-
-    def snapshot(self) -> dict:
-        """Read-only copy of the current sets (for local search)."""
-        return dict(self._sets)

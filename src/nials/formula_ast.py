@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .terms import Atom, Literal, Variable
+from .terms import Atom, Variable
 
 
 class BoolExpr:
@@ -79,11 +79,6 @@ def mk_not(arg: BoolExpr) -> BoolExpr:
     return Not(arg)
 
 
-def lit_to_expr(lit: Literal) -> BoolExpr:
-    base = BVar(lit.bvar) if lit.bvar is not None else AtomRef(lit.atom)
-    return base if lit.positive else Not(base)
-
-
 def to_nnf(node: BoolExpr, negated: bool = False) -> BoolExpr:
     """Push negations down to BVar/AtomRef leaves."""
     if isinstance(node, BConst):
@@ -121,26 +116,3 @@ def evaluate(node: BoolExpr, int_values: Mapping[int, int],
         branch = node.then if evaluate(node.cond, int_values, bool_values) else node.els
         return evaluate(branch, int_values, bool_values)
     raise TypeError(f"not a BoolExpr: {node!r}")
-
-
-def variables(node: BoolExpr) -> set:
-    """All variables (ids) occurring in the expression."""
-    out: set[int] = set()
-
-    def walk(n):
-        if isinstance(n, BVar):
-            out.add(n.var.id)
-        elif isinstance(n, AtomRef):
-            out |= n.atom.poly.variables
-        elif isinstance(n, Not):
-            walk(n.arg)
-        elif isinstance(n, (And, Or)):
-            for a in n.args:
-                walk(a)
-        elif isinstance(n, Ite):
-            walk(n.cond)
-            walk(n.then)
-            walk(n.els)
-
-    walk(node)
-    return out

@@ -80,9 +80,6 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def is_full(self) -> bool:
-        return self.intervals == ((None, None),)
-
     def singleton_value(self) -> Optional[int]:
         """The unique member, or None if not a singleton."""
         if len(self.intervals) == 1:
@@ -134,9 +131,6 @@ class IntervalSet:
             else:
                 j += 1
         return IntervalSet(out)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_intervals(list(self.intervals) + list(other.intervals))
 
     def complement(self) -> "IntervalSet":
         if not self.intervals:
@@ -202,35 +196,6 @@ class IntervalSet:
         left = self.intervals[gap - 1] if gap - 1 >= 0 else None
         right = self.intervals[gap] if gap < len(self.intervals) else None
         return idx, left, right
-
-    def remove_point(self, v: int) -> "IntervalSet":
-        idx = self._find(v)
-        if idx < 0:
-            return self
-        lo, hi = self.intervals[idx]
-        repl = []
-        if lo is None or lo <= v - 1:
-            repl.append((lo, v - 1))
-        if hi is None or v + 1 <= hi:
-            repl.append((v + 1, hi))
-        return IntervalSet(self.intervals[:idx] + tuple(repl) + self.intervals[idx + 1:])
-
-    def count_up_to(self, limit: int) -> int:
-        """Number of members, saturated at limit; unbounded sets return limit."""
-        n = 0
-        for lo, hi in self.intervals:
-            if lo is None or hi is None:
-                return limit
-            n += hi - lo + 1
-            if n >= limit:
-                return limit
-        return n
-
-    def members(self):
-        """Iterate members of a fully bounded set."""
-        for lo, hi in self.intervals:
-            assert lo is not None and hi is not None
-            yield from range(lo, hi + 1)
 
     def __eq__(self, other):
         return isinstance(other, IntervalSet) and self.intervals == other.intervals

@@ -3,11 +3,22 @@
 Three move modes cycle in order: Boolean flips, feasible-set jumps, and
 accelerated hill-climbing.  Every accepted move strictly decreases the cost;
 integer candidates always stay inside the variable's feasibility snapshot.
+
+Each mode is one generator over a single variable visit: it yields candidate
+values and is sent back whether the last one was accepted.  A Boolean flip
+yields the negated value once.  Feasible-set jumps first sweep the other
+intervals of the set (once per variable and call), then walk to the nearest
+neighbouring interval, keeping the direction while jumps succeed.
+Hill-climbing tries rounds of deltas around a fixed anchor; a round with an
+accepted move sets the step to its last winning delta and starts the next
+round, a round without one divides the step by the acceleration constant
+and ends the visit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Optional
 
 from .costfn import CostFunction, IncrementalCost
@@ -40,6 +51,7 @@ class LsProblem:
     mu0_bool: dict                  # var id -> bool, non-fixed Boolean vars
     cost: CostFunction              # fixed variables already folded in
     budget: int                     # max move evaluations
+    deadline: Optional[float] = None    # time.monotonic() to stop at
 
 
 @dataclass
@@ -54,6 +66,10 @@ class LsResult:
     reached_zero: bool
 
 
+def _flip(alpha: bool):
+    yield not alpha
+
+
 class MoveEngine:
     """Per-variable move candidate generator with success feedback.
 
@@ -65,41 +81,42 @@ class MoveEngine:
         self.acc = acc
         self.step_size: dict[int, float] = {}
         self.global_used: set[int] = set()
-        self._st: Optional[dict] = None
-
-    def get_step(self, var) -> float:
-        return self.step_size.get(var.id, 1.0)
+        self._moves = None
+        self._accepted = None
 
     def start(self, var: Variable, alpha, feasible: dict, mode: str):
-        st = {"var": var.id, "mode": mode, "queue": [], "done": False}
-        self._st = st
+        self._moves = None
+        self._accepted = None
         if mode == BOOL_FLIPS:
             if var.sort is Sort.BOOL:
-                st["queue"] = [not alpha]
-            else:
-                st["done"] = True
+                self._moves = _flip(alpha)
             return
         if var.sort is not Sort.INT:
-            st["done"] = True
             return
-        if mode == HILL_CLIMB:
-            st["results"] = []
-            st["issued"] = 0
-            self._new_round(st, alpha)
-            return
-        # fs-jumps
         fs = feasible.get(var.id, IntervalSet.full())
-        st["failed"] = set()
-        st["dir"] = None
-        st["pending"] = None
-        queue = []
+        if mode == HILL_CLIMB:
+            self._moves = self._hill_climb(var.id, alpha, fs)
+            return
+        jumps = []
         if var.id not in self.global_used:
             self.global_used.add(var.id)
             idx, _, _ = fs.containing_and_neighbors(alpha)
-            for i in range(len(fs.intervals)):
-                if i != idx:
-                    queue.append(fs.pick_in_interval(i))
-        st["queue"] = queue
+            jumps = [fs.pick_in_interval(i)
+                     for i in range(len(fs.intervals)) if i != idx]
+        self._moves = self._fs_jumps(jumps, alpha, fs)
+
+    def choose(self):
+        """Next candidate for the visited variable, or None when exhausted."""
+        if self._moves is None:
+            return None
+        try:
+            return self._moves.send(self._accepted)
+        except StopIteration:
+            self._moves = None
+            return None
+
+    def notify(self, success: bool):
+        self._accepted = success
 
     def hill_deltas(self, step: float) -> list:
         """Candidate deltas for one hill-climbing round at a given step size."""
@@ -112,94 +129,35 @@ class MoveEngine:
                 out.append(d)
         return out
 
-    def _new_round(self, st, alpha):
-        step = self.step_size.get(st["var"], 1.0)
-        st["anchor"] = alpha
-        st["queue"] = list(self.hill_deltas(step))
-        st["results"] = []
-        st["issued"] = 0
-
-    def choose(self, var: Variable, alpha, feasible: dict, mode: str):
-        """Next candidate value for the variable, or None when exhausted."""
-        st = self._st
-        assert st is not None and st["var"] == var.id and st["mode"] == mode
-        if st["done"]:
-            return None
-        if mode == BOOL_FLIPS:
-            if st["queue"]:
-                return st["queue"].pop(0)
-            st["done"] = True
-            return None
-        fs = feasible.get(var.id, IntervalSet.full())
-        if mode == HILL_CLIMB:
-            while True:
-                while st["queue"]:
-                    delta = st["queue"].pop(0)
-                    cand = st["anchor"] + delta
-                    if cand != alpha and cand in fs:
-                        st["issued"] += 1
-                        st["pending_delta"] = delta
-                        return cand
-                # Round complete; act on the results seen so far.
-                successes = [d for d, ok in st["results"] if ok]
-                if st["issued"] > 0 and successes:
-                    # Best successful step: the one that reached the lowest
-                    # cost, i.e. the last accepted in the round.
-                    self.step_size[var.id] = float(abs(successes[-1]))
-                    self._new_round(st, alpha)
-                    continue
-                step = self.step_size.get(var.id, 1.0)
-                self.step_size[var.id] = max(1.0, step / self.acc)
-                st["done"] = True
-                return None
-        # fs-jumps
-        if st["queue"]:
-            st["pending"] = None
-            cand = st["queue"].pop(0)
-            if cand == alpha or cand not in fs:
-                return self.choose(var, alpha, feasible, mode)
-            return cand
-        # local phase
+    def _hill_climb(self, vid: int, alpha: int, fs: IntervalSet):
         while True:
-            d = st["dir"]
-            if d is None or d in st["failed"]:
-                d = next((x for x in ("left", "right") if x not in st["failed"]), None)
-            if d is None:
-                st["done"] = True
-                return None
-            idx, left, right = fs.containing_and_neighbors(alpha)
-            target = left if d == "left" else right
-            if target is None:
-                st["failed"].add(d)
-                if st["dir"] == d:
-                    st["dir"] = None
-                continue
-            lo, hi = target
-            cand = IntervalSet(((lo, hi),)).pick_in_interval(0)
-            st["pending"] = d
-            return cand
+            step = self.step_size.get(vid, 1.0)
+            anchor, won = alpha, None
+            for delta in self.hill_deltas(step):
+                cand = anchor + delta
+                if cand in fs and (yield cand):
+                    alpha, won = cand, delta
+            if won is None:
+                self.step_size[vid] = max(1.0, step / self.acc)
+                return
+            self.step_size[vid] = float(abs(won))
 
-    def notify(self, var: Variable, alpha, alpha_new, feasible: dict, mode: str,
-               success: bool):
-        st = self._st
-        assert st is not None and st["var"] == var.id
-        if mode == BOOL_FLIPS:
-            return
-        if mode == HILL_CLIMB:
-            st["results"].append((st.get("pending_delta"), success))
-            return
-        # fs-jumps
-        d = st.get("pending")
-        if d is None:
-            # global-phase jump; success simply continues the sweep
-            return
-        if success:
-            st["dir"] = d
-            st["failed"].clear()
-        else:
-            st["failed"].add(d)
-            if st["dir"] == d:
-                st["dir"] = None
+    def _fs_jumps(self, jumps: list, alpha: int, fs: IntervalSet):
+        for cand in jumps:
+            if (yield cand):
+                alpha = cand
+        # Neighbour walk, leftwards first; a failed jump turns it round and
+        # two failures in a row end it.
+        go_left, misses = True, 0
+        while misses < 2:
+            _, left, right = fs.containing_and_neighbors(alpha)
+            target = left if go_left else right
+            if target is not None:
+                cand = IntervalSet((target,)).pick_in_interval(0)
+                if (yield cand):
+                    alpha, misses = cand, 0
+                    continue
+            go_left, misses = not go_left, misses + 1
 
 
 def run(problem: LsProblem, engine: Optional[MoveEngine] = None,
@@ -207,36 +165,37 @@ def run(problem: LsProblem, engine: Optional[MoveEngine] = None,
     """Mode-cycling greedy descent from the initial assignment.
 
     Terminates per mode when every variable has been visited since the last
-    improvement, globally when the cost hits zero or the evaluation budget
-    runs out.
+    improvement, globally when the cost hits zero, the evaluation budget
+    runs out or the deadline passes.
     """
     inc = IncrementalCost(problem.cost, problem.mu0_int, problem.mu0_bool)
     initial_cost = cost_star = inc.value
     engine = engine or MoveEngine()
     vars_list = list(problem.vars)
     activity: dict[int, int] = {}
-    evals = 0
     moves_tried = 0
     moves_accepted = 0
+    deadline = problem.deadline
 
     def current(x: Variable):
         if x.sort is Sort.BOOL:
             return inc.bool_values[x.id]
         return inc.int_values[x.id]
 
+    def stopped() -> bool:
+        return (cost_star == 0 or moves_tried >= problem.budget
+                or (deadline is not None and time.monotonic() > deadline))
+
     for mode in MODES:
-        if cost_star == 0:
-            break
         n_vars = 0
-        while n_vars < len(vars_list) and cost_star != 0 and evals < problem.budget:
+        while n_vars < len(vars_list) and not stopped():
             x = vars_list[n_vars]
             engine.start(x, current(x), problem.feasible, mode)
-            while cost_star != 0 and evals < problem.budget:
+            while not stopped():
                 alpha = current(x)
-                cand = engine.choose(x, alpha, problem.feasible, mode)
+                cand = engine.choose()
                 if cand is None:
                     break
-                evals += 1
                 moves_tried += 1
                 new_cost = inc.probe(x.id, cand)
                 success = new_cost < cost_star
@@ -250,7 +209,7 @@ def run(problem: LsProblem, engine: Optional[MoveEngine] = None,
                     vars_list.insert(0, x)
                 if on_move is not None:
                     on_move(x, alpha, cand, mode, success)
-                engine.notify(x, alpha, cand, problem.feasible, mode, success)
+                engine.notify(success)
             n_vars += 1
 
     int_values = dict(inc.int_values)

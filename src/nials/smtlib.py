@@ -8,6 +8,7 @@ store.  Zero-arity define-fun symbols are inlined as macros, integer-valued
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Optional, Union
 
 from . import formula_ast as fa
@@ -359,11 +360,20 @@ class Compiler:
         return self.term(args[1], new_env)
 
 
+@contextmanager
+def _nesting_limit():
+    """Report input nested beyond Python's recursion limit as unsupported."""
+    try:
+        yield
+    except RecursionError:
+        raise UnsupportedError("expression nested too deeply") from None
+
+
 def parse(text: str) -> Script:
     """Parse and validate a script; raises Parse/Unsupported/Sort errors."""
-    commands = parse_sexprs(text)
-    script = Script(commands)
-    compile_script(script)
+    script = Script(parse_sexprs(text))
+    with _nesting_limit():
+        compile_script(script)
     return script
 
 
@@ -404,12 +414,13 @@ def solve(script: Script, config: Optional[SolverConfig] = None):
     Returns (answer, model or None, solver); the model is a list of
     (name, sort, value) for the script's non-auxiliary variables.
     """
-    comp = compile_script(script)
-    ast = fa.mk_and(comp.assertions + comp.side)
-    formula = clausify(comp.store, ast)
-    solver = Solver(comp.store, formula, config)
-    ans = solver.check_sat()
-    model = _script_model(comp, solver) if ans is Answer.SAT else None
+    with _nesting_limit():
+        comp = compile_script(script)
+        ast = fa.mk_and(comp.assertions + comp.side)
+        formula = clausify(comp.store, ast)
+        solver = Solver(comp.store, formula, config)
+        ans = solver.check_sat()
+        model = _script_model(comp, solver) if ans is Answer.SAT else None
     return ans, model, solver
 
 
@@ -432,7 +443,7 @@ def _script_model(comp: Compiler, solver: Solver):
     model = []
     for var in comp.store.variables:
         if var.sort is Sort.INT:
-            v = solver.model_int.get(var.id, solver.cache.get(var))
+            v = solver.model_int.get(var.id, solver.cache.get(var.id))
             if not isinstance(v, int) or isinstance(v, bool):
                 v = 0
             int_values[var.id] = v

@@ -382,13 +382,3 @@ def normalize_poly(p: Polynomial, rel: Rel) -> tuple[Polynomial, Rel]:
     if rel in (Rel.EQ, Rel.NEQ) and p.leading_coeff() < 0:
         p = -p
     return p, rel
-
-
-def lit_evaluate(lit: Literal, int_values: Mapping[int, int],
-                 bool_values: Mapping[int, bool]) -> bool:
-    """Total evaluation of a literal under a complete assignment."""
-    if lit.bvar is not None:
-        v = bool_values[lit.bvar.id]
-    else:
-        v = lit.atom.evaluate(int_values)
-    return v if lit.positive else not v

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import DuplicateAssignment
 from .terms import Literal, Variable
@@ -45,22 +45,6 @@ class TrailElement:
         return f"{tag}:{self.lit}@{self.level}"
 
 
-class ValueCache:
-    """Last undone value per variable (integer values and Boolean phases)."""
-
-    def __init__(self):
-        self._values: dict[int, object] = {}
-
-    def get(self, var: Variable):
-        return self._values.get(var.id)
-
-    def set(self, var: Variable, value):
-        self._values[var.id] = value
-
-    def __repr__(self):
-        return repr(self._values)
-
-
 class Trail:
     """Ordered assignment trail with O(1) value lookup."""
 
@@ -72,9 +56,6 @@ class Trail:
         self.bool_assign: dict[tuple, tuple] = {}
         self.var_value: dict[int, int] = {}
         self.var_elem: dict[int, TrailElement] = {}
-
-    def __len__(self):
-        return len(self.elements)
 
     # -- queries ------------------------------------------------------------
 
@@ -100,9 +81,6 @@ class Trail:
                 t = lit.atom.evaluate(vals)
                 return t if lit.positive else not t
         return None
-
-    def var_pos(self, x: Variable) -> int:
-        return self.var_elem[x.id].pos
 
     # -- stack operations ---------------------------------------------------
 
@@ -146,8 +124,10 @@ class Trail:
         self.var_elem[var.id] = elem
         return elem
 
-    def backtrack_to(self, level: int, cache: Optional[ValueCache] = None) -> list:
+    def backtrack_to(self, level: int, cache: Optional[dict] = None) -> list:
         """Remove all elements above `level`; cache undone variable values.
+
+        The cache maps a variable id to its last undone value or phase.
 
         Returns the removed elements, most recent first.
         """
@@ -163,12 +143,11 @@ class Trail:
                 del self.var_value[elem.var.id]
                 del self.var_elem[elem.var.id]
                 if cache is not None:
-                    cache.set(elem.var, elem.value)
+                    cache[elem.var.id] = elem.value
             else:
                 del self.bool_assign[elem.lit.key]
                 if cache is not None and elem.lit.bvar is not None:
-                    v = elem.lit.positive
-                    cache.set(elem.lit.bvar, v)
+                    cache[elem.lit.bvar.id] = elem.lit.positive
         del self._level_starts[level + 1:]
         self.level = level
         return removed

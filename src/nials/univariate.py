@@ -1,8 +1,8 @@
 """Exact integer solution sets of univariate polynomial constraints.
 
-``solve_univariate`` maps ``p(x) ⋈ 0`` to a canonical IntervalSet of its
-integer solutions.  All arithmetic is on integers.  The squarefree part of
-``p`` is ``p / gcd(p, p')``, with the gcd taken by a primitive
+``solve_univariate_coeffs`` maps ``p(x) ⋈ 0`` to a canonical IntervalSet of
+its integer solutions.  All arithmetic is on integers.  The squarefree part
+of ``p`` is ``p / gcd(p, p')``, with the gcd taken by a primitive
 pseudo-remainder sequence and the quotient by exact integer division.  Its
 real roots are counted with a Sturm chain of primitive pseudo-remainders
 and bracketed by bisection over integer endpoints, down to unit brackets;
@@ -223,8 +223,3 @@ def _solve_general(cs: list, rel: Rel) -> IntervalSet:
         if rel.holds(_eval_poly(cs, rep))
     ]
     return IntervalSet.from_intervals(good)
-
-
-def solve_univariate(poly, vid: int, rel: Rel) -> IntervalSet:
-    """Integer solution set of a univariate Polynomial constraint."""
-    return solve_univariate_coeffs(tuple(poly.univariate_coeffs(vid)), rel)

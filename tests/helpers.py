@@ -3,8 +3,7 @@
 import itertools
 
 from nials.costfn import IncrementalCost
-from nials.terms import (Clause, Literal, Polynomial, Rel, Sort, TermStore,
-                         lit_evaluate)
+from nials.terms import Clause, Literal, Polynomial, Rel, Sort, TermStore
 
 RELS = (Rel.EQ, Rel.NEQ, Rel.LEQ, Rel.LT)
 
@@ -74,6 +73,15 @@ def assignments(int_vars, lo, hi, bool_vars):
         for bvals in itertools.product((False, True), repeat=len(bool_vars)):
             bv = {v.id: a for v, a in zip(bool_vars, bvals)}
             yield iv, bv
+
+
+def lit_evaluate(lit, int_values, bool_values):
+    """Total evaluation of a literal under a complete assignment."""
+    if lit.bvar is not None:
+        v = bool_values[lit.bvar.id]
+    else:
+        v = lit.atom.evaluate(int_values)
+    return v if lit.positive else not v
 
 
 def clauses_sat(clauses, iv, bv):

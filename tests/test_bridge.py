@@ -3,14 +3,14 @@
 import random
 
 from helpers import assignments, clauses_sat, random_instance
-from nials.bridge import (LsController, LsSchedule, apply_ls_result,
+from nials.bridge import (TOP_K, LsController, LsSchedule, apply_ls_result,
                           build_initial_assignment, build_ls_formula)
 from nials.core import Solver, SolverConfig
 from nials.feasibility import FeasibilityMap
 from nials.localsearch import LsResult
 from nials.terms import (Clause, Formula, Literal, Polynomial, Rel, Sort,
                          TermStore)
-from nials.trail import Trail, ValueCache
+from nials.trail import Trail
 
 P = Polynomial
 
@@ -30,7 +30,7 @@ class TestSchedule:
         sched = LsSchedule(50)
         assert not sched.due(49)
         assert sched.due(50)
-        ls = LsController(base=50)
+        ls = LsController(SolverConfig(ls_threshold_base=50))
         assert not ls.should_run(49)
         assert ls.should_run(50)
 
@@ -54,7 +54,7 @@ class TestInitialAssignment:
         self.y = self.store.new_var("y", Sort.INT)
         self.b = self.store.new_var("b", Sort.BOOL)
         self.trail = Trail()
-        self.cache = ValueCache()
+        self.cache = {}
         self.feas = FeasibilityMap()
 
     def build(self):
@@ -70,7 +70,7 @@ class TestInitialAssignment:
         assert mu_int == {self.y.id: 0}
 
     def test_cached_value_used_when_feasible(self):
-        self.cache.set(self.y, 42)
+        self.cache[self.y.id] = 42
         free, fixed, mu_int, mu_bool = self.build()
         assert mu_int[self.y.id] == 42
 
@@ -79,14 +79,14 @@ class TestInitialAssignment:
             P.const(5) - P.var(self.y.id), Rel.LEQ, P.zero()))  # y >= 5
         self.trail.push_model_assignment(self.x, 0, decision=True)
         self.feas.assert_unit_constraint(self.y, lit, self.trail)
-        self.cache.set(self.y, 2)
+        self.cache[self.y.id] = 2
         free, fixed, mu_int, mu_bool = self.build()
         assert mu_int[self.y.id] == 5
 
     def test_bool_defaults_true(self):
         free, fixed, mu_int, mu_bool = self.build()
         assert mu_bool[self.b.id] is True
-        self.cache.set(self.b, False)
+        self.cache[self.b.id] = False
         assert self.build()[3][self.b.id] is False
 
 
@@ -147,24 +147,26 @@ class TestApplyResult:
         x = store.new_var("x", Sort.INT)
         y = store.new_var("y", Sort.INT)
         b = store.new_var("b", Sort.BOOL)
-        cache = ValueCache()
+        others = [store.new_var(f"w{i}", Sort.INT) for i in range(TOP_K - 1)]
+        cache = {}
+        # y gains the least of TOP_K + 1 variables, so only y is not bumped.
+        activity = {x.id: 4, y.id: 1}
+        activity.update((w.id, 2) for w in others)
         result = LsResult(
             int_values={x.id: 9, y.id: -1},
             bool_values={b.id: False},
             cost=0, initial_cost=5,
-            activity={x.id: 4, y.id: 1},
+            activity=activity,
             moves_tried=6, moves_accepted=3, reached_zero=True)
         bumped = []
-        apply_ls_result(result, [x, y, b], cache, bumped.append, top_k=1)
-        assert cache.get(x) == 9
-        assert cache.get(y) == -1
-        assert cache.get(b) is False
-        assert bumped == [x.id]
+        apply_ls_result(result, [x, y, b], cache, bumped.append)
+        assert cache == {x.id: 9, y.id: -1, b.id: False}
+        assert bumped == [x.id] + [w.id for w in others]
 
     def test_zero_activity_not_bumped(self):
         store = TermStore()
         x = store.new_var("x", Sort.INT)
-        cache = ValueCache()
+        cache = {}
         result = LsResult(
             int_values={x.id: 0}, bool_values={}, cost=2, initial_cost=2,
             activity={}, moves_tried=4, moves_accepted=0, reached_zero=False)

@@ -33,6 +33,10 @@ BAD = """(set-logic QF_NIA)
 (check-sat)
 """
 
+# (+ 1 (+ 1 ... x)) nested far beyond Python's recursion limit.
+DEEP = ("(set-logic QF_NIA)\n(declare-const x Int)\n(assert (> "
+        + "(+ 1 " * 3000 + "x" + ")" * 3000 + " 0))\n(check-sat)\n")
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -95,6 +99,14 @@ class TestSolveFile:
         code, out, err = run_main([files["bad"]])
         assert code == 2
         assert "div" in err
+        assert out == ""
+
+    def test_deep_nesting_exit_2(self, tmp_path):
+        p = tmp_path / "deep.smt2"
+        p.write_text(DEEP)
+        code, out, err = run_main([str(p)])
+        assert code == 2
+        assert "nested too deeply" in err
         assert out == ""
 
     def test_missing_file_exit_2(self, files):
@@ -181,6 +193,15 @@ class TestBenchDir:
         data = {r[0]: r for r in self.read_csv(out_path)[1:]}
         assert data["ex1.smt2"][1] == "error"
         assert data["unsat.smt2"][1] == "unsat"
+
+    def test_deep_nesting_is_error_row(self, tmp_path):
+        (tmp_path / "deep.smt2").write_text(DEEP)
+        (tmp_path / "ex1.smt2").write_text(EXAMPLE)
+        out_path = str(tmp_path / "results.csv")
+        assert run_main([str(tmp_path), "--csv", out_path])[0] == 0
+        rows = self.read_csv(out_path)
+        assert [(r[0], r[1]) for r in rows[1:]] == [
+            ("deep.smt2", "error"), ("ex1.smt2", "sat")]
 
     def test_stdout_when_no_csv_flag(self, files):
         code, out, _ = run_main([files["dir"]])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from nials.feasibility import EmptyConflict, FeasibilityMap, Singleton, UPDATED
+from nials.feasibility import EmptyConflict, FeasibilityMap, Singleton
 from nials.intervals import IntervalSet
 from nials.terms import Literal, Polynomial, Rel, Sort, TermStore
 from nials.trail import Trail
@@ -32,7 +32,7 @@ class TestRestriction:
         trail.push_model_assignment(x, 1, decision=True)  # open level 1
         lit = unit(store, P.const(1) - P.var(z.id) * P.var(z.id), Rel.LT)
         res = feas.assert_unit_constraint(z, lit, trail)
-        assert res is UPDATED
+        assert res is None
         assert feas.get(z) == IntervalSet.from_intervals(
             [(None, -2), (2, None)])
 
@@ -65,7 +65,7 @@ class TestRestriction:
         trail.push_model_assignment(x, 0, decision=True)
         l1 = unit(store, P.var(y.id) - P.const(5), Rel.LEQ)   # y <= 5
         l2 = unit(store, P.const(7) - P.var(y.id), Rel.LEQ)   # y >= 7
-        assert feas.assert_unit_constraint(y, l1, trail) is UPDATED
+        assert feas.assert_unit_constraint(y, l1, trail) is None
         res = feas.assert_unit_constraint(y, l2, trail)
         assert isinstance(res, EmptyConflict)
         assert res.var == y
@@ -88,7 +88,7 @@ class TestRestriction:
         trail = Trail()
         feas = FeasibilityMap()
         lit = unit(store, P.var(y.id) - P.const(5), Rel.LEQ)
-        assert feas.assert_unit_constraint(y, lit, trail) is UPDATED
+        assert feas.assert_unit_constraint(y, lit, trail) is None
         assert feas.contributions(y.id) == ()
         assert feas.get(y) == IntervalSet.range(None, 5)
 
@@ -126,16 +126,4 @@ class TestBacktracking:
             feas.assert_unit_constraint(y, lit, trail)
         assert feas.get(y) == IntervalSet.range(None, 5)
         feas.backtrack_to(0)
-        assert feas.get(y).is_full()
-
-    def test_snapshot_is_copy(self, setup):
-        store, x, y, z = setup
-        trail = Trail()
-        feas = FeasibilityMap()
-        trail.push_model_assignment(x, 0, decision=True)
-        lit = unit(store, P.var(y.id), Rel.LEQ)
-        feas.assert_unit_constraint(y, lit, trail)
-        snap = feas.snapshot()
-        assert snap[y.id] == IntervalSet.range(None, 0)
-        snap[y.id] = IntervalSet.empty()
-        assert not feas.get(y).is_empty()
+        assert feas.get(y) == IntervalSet.full()

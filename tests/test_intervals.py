@@ -35,7 +35,7 @@ class TestCanonicalForm:
     def test_point_and_range(self):
         assert IntervalSet.point(3).singleton_value() == 3
         assert IntervalSet.range(2, 1).is_empty()
-        assert IntervalSet.range(None, None).is_full()
+        assert IntervalSet.range(None, None) == IntervalSet.full()
 
     @given(raw_intervals)
     def test_canonical_invariants(self, ivs):
@@ -53,11 +53,6 @@ class TestSetAlgebra:
         got = members_in_window(a.intersect(b))
         assert got == members_in_window(a) & members_in_window(b)
 
-    @given(interval_sets, interval_sets)
-    def test_union_matches_membership(self, a, b):
-        got = members_in_window(a.union(b))
-        assert got == members_in_window(a) | members_in_window(b)
-
     @given(interval_sets)
     def test_complement_matches_membership(self, a):
         got = members_in_window(a.complement())
@@ -66,11 +61,6 @@ class TestSetAlgebra:
     @given(interval_sets)
     def test_complement_involution(self, a):
         assert a.complement().complement() == a
-
-    @given(interval_sets, st.integers(-18, 18))
-    def test_remove_point(self, a, v):
-        got = members_in_window(a.remove_point(v))
-        assert got == members_in_window(a) - {v}
 
 
 class TestPickValue:
@@ -121,16 +111,6 @@ class TestNavigation:
         assert idx < 0
         assert left == (-5, 5)
         assert right == (40, 60)
-
-    def test_count_up_to_saturates(self):
-        s = IntervalSet.from_intervals([(0, 2), (10, 12)])
-        assert s.count_up_to(100) == 6
-        assert s.count_up_to(4) == 4
-        assert IntervalSet.range(0, None).count_up_to(5) == 5
-
-    def test_members(self):
-        s = IntervalSet.from_intervals([(0, 2), (5, 5)])
-        assert list(s.members()) == [0, 1, 2, 5]
 
     @given(interval_sets, st.integers(-18, 18))
     def test_find_agrees_with_contains(self, s, v):

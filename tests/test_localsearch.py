@@ -1,9 +1,11 @@
 """Local-search move engine and the mode-cycling descent loop."""
 
 import random
+import time
 
 import pytest
 
+from helpers import random_instance
 from nials.costfn import compile_clauses
 from nials.intervals import IntervalSet
 from nials.localsearch import (BOOL_FLIPS, FS_JUMPS, HILL_CLIMB, LsProblem,
@@ -48,18 +50,16 @@ class TestHillDeltas:
 class TestStepSizeRules:
     def drive(self, engine, var, feasible, outcomes):
         """One hill-climb visit; outcomes maps candidate -> success."""
-        alpha = 0
-        engine.start(var, alpha, feasible, HILL_CLIMB)
+        engine.start(var, 0, feasible, HILL_CLIMB)
         accepted = []
         while True:
-            cand = engine.choose(var, alpha, feasible, HILL_CLIMB)
+            cand = engine.choose()
             if cand is None:
                 break
             ok = outcomes(cand)
             if ok:
                 accepted.append(cand)
-                alpha = cand
-            engine.notify(var, alpha, cand, feasible, HILL_CLIMB, ok)
+            engine.notify(ok)
         return accepted
 
     def setup_method(self):
@@ -121,11 +121,11 @@ class TestFsJumps:
             engine.start(self.v, 0, feasible, FS_JUMPS)
             offered = []
             while len(offered) <= 10:
-                cand = engine.choose(self.v, 0, feasible, FS_JUMPS)
+                cand = engine.choose()
                 if cand is None:
                     break
                 offered.append(cand)
-                engine.notify(self.v, 0, cand, feasible, FS_JUMPS, False)
+                engine.notify(False)
             return offered
 
         # Global sweep over the two other intervals, then the local
@@ -143,18 +143,15 @@ class TestFsJumps:
         engine.start(self.v, alpha, feasible, FS_JUMPS)
         path = []
         while len(path) < 6:
-            cand = engine.choose(self.v, alpha, feasible, FS_JUMPS)
+            cand = engine.choose()
             if cand is None:
                 break
             path.append(cand)
             # Accept rightward jumps only.
             ok = cand > alpha
             if ok:
-                new_alpha = cand
-            else:
-                new_alpha = alpha
-            engine.notify(self.v, alpha, cand, feasible, FS_JUMPS, ok)
-            alpha = new_alpha
+                alpha = cand
+            engine.notify(ok)
         # First neighbor tried is one direction; after a rightward success
         # the walk keeps going right until intervals run out.
         assert 100 in path
@@ -283,7 +280,6 @@ class TestRunLoop:
 
     def test_accepted_moves_strictly_decrease(self):
         rng = random.Random(21)
-        from helpers import random_instance
         for _ in range(25):
             store, clauses, ints, bools = random_instance(
                 rng, n_int=2, n_bool=2, n_clauses=3, max_deg=2, coeff=3)
@@ -314,3 +310,145 @@ class TestRunLoop:
         result = run(problem)
         assert result.reached_zero
         assert result.activity == {x.id: 3}
+
+    def test_past_deadline_tries_no_move(self):
+        store, ints, _ = self.make_vars(1, 0)
+        (x,) = ints
+        clauses = [Clause([Literal(True, atom=store.mk_atom(
+            P.var(x.id), Rel.EQ, P.const(10 ** 6)))])]
+        problem = int_problem(store, clauses, [x], {x.id: 0},
+                              feasible={x.id: IntervalSet.full()},
+                              budget=10 ** 6)
+        problem.deadline = time.monotonic() - 1.0
+        result = run(problem)
+        assert result.moves_tried == 0
+        assert result.cost == result.initial_cost == 10 ** 6
+
+
+def far_problem(budget):
+    """u = 47, v = -33 and (b or u + v <= 0) from u = 0, v = 3, b false;
+    v ranges over four intervals."""
+    store = TermStore()
+    u = store.new_var("u", Sort.INT)
+    v = store.new_var("v", Sort.INT)
+    b = store.new_var("b", Sort.BOOL)
+    pu, pv = P.var(u.id), P.var(v.id)
+    clauses = [
+        Clause([Literal(True, atom=store.mk_atom(pu, Rel.EQ, P.const(47)))]),
+        Clause([Literal(True, atom=store.mk_atom(pv, Rel.EQ, P.const(-33)))]),
+        Clause([Literal(True, bvar=b), Literal(True, atom=store.mk_atom(
+            pu + pv, Rel.LEQ, P.zero()))]),
+    ]
+    feasible = {u.id: IntervalSet.full(),
+                v.id: IntervalSet.from_intervals(
+                    [(-60, -30), (-20, -10), (-4, 4), (12, 20)])}
+    return LsProblem(vars=[u, v, b], fixed={}, feasible=feasible,
+                     mu0_int={u.id: 0, v.id: 3}, mu0_bool={b.id: False},
+                     cost=compile_clauses(clauses), budget=budget)
+
+
+def random_problem(seed, budget):
+    """Three random clauses over x0, x1, b0; each integer variable ranges
+    over three random intervals."""
+    rng = random.Random(seed)
+    store, clauses, ints, bools = random_instance(
+        rng, n_int=2, n_bool=1, n_clauses=3, max_deg=2, coeff=5)
+    feasible = {}
+    for x in ints:
+        cuts = sorted(rng.sample(range(-40, 41), 6))
+        feasible[x.id] = IntervalSet.from_intervals(
+            [(cuts[0], cuts[1]), (cuts[2], cuts[3]), (cuts[4], cuts[5])])
+    return LsProblem(
+        vars=ints + bools, fixed={}, feasible=feasible,
+        mu0_int={x.id: feasible[x.id].pick_value() for x in ints},
+        mu0_bool={b.id: False for b in bools},
+        cost=compile_clauses(clauses), budget=budget)
+
+
+def record(problem, acc):
+    """(on_move sequence, LsResult fields, final step sizes), by name."""
+    names = {x.id: x.name for x in problem.vars}
+    engine = MoveEngine(acc)
+    moves = []
+    r = run(problem, engine, lambda x, alpha, cand, mode, ok:
+            moves.append((x.name, alpha, cand, mode, ok)))
+
+    def named(d):
+        return {names[k]: v for k, v in d.items()}
+
+    result = (r.cost, r.initial_cost, r.moves_tried, r.moves_accepted,
+              r.reached_zero, named(r.int_values), named(r.bool_values),
+              named(r.activity))
+    return moves, result, named(engine.step_size)
+
+
+B, J, H = BOOL_FLIPS, FS_JUMPS, HILL_CLIMB
+
+# (builder, arguments, acc, on_move sequence, (cost, initial cost, moves
+# tried, moves accepted, reached zero, int values, bool values, activity),
+# final step sizes).  Between them the cases accept and reject moves in
+# every mode, jump between intervals and stop at a budget; any difference
+# here is a change of the search, not of its implementation.
+PINNED = [
+    (far_problem, (1000,), 3.0, [
+        ('b', False, True, B, True), ('v', 3, -30, J, True),
+        ('v', -30, -10, J, False), ('v', -30, 12, J, False),
+        ('v', -30, -10, J, False), ('v', -30, -31, H, True),
+        ('v', -31, -33, H, True), ('v', -33, -32, H, False),
+        ('v', -33, -34, H, False), ('v', -33, -42, H, False),
+        ('u', 0, 3, H, True), ('u', 3, 1, H, False), ('u', 3, -1, H, False),
+        ('u', 3, -3, H, False), ('u', 3, 12, H, True), ('u', 12, 4, H, False),
+        ('u', 12, 2, H, False), ('u', 12, -6, H, False),
+        ('u', 12, 39, H, True), ('u', 39, 15, H, False),
+        ('u', 39, 9, H, False), ('u', 39, -15, H, False),
+        ('u', 39, 120, H, False), ('u', 39, 48, H, True),
+        ('u', 48, 30, H, False), ('u', 48, -42, H, False),
+        ('u', 48, 75, H, False), ('u', 48, 51, H, False),
+        ('u', 48, 45, H, False), ('u', 48, 21, H, False),
+        ('v', -33, -30, H, False), ('v', -33, -32, H, False),
+        ('v', -33, -34, H, False), ('v', -33, -36, H, False),
+     ], (1, 86, 34, 8, False,
+      {'u': 48, 'v': -33}, {'b': True},
+      {'b': 3, 'v': 36, 'u': 46}),
+     {'v': 1.0, 'u': 3.0}),
+    (far_problem, (15,), 1.2, [
+        ('b', False, True, B, True), ('v', 3, -30, J, True),
+        ('v', -30, -10, J, False), ('v', -30, 12, J, False),
+        ('v', -30, -10, J, False), ('v', -30, -31, H, True),
+        ('v', -31, -30, H, False), ('v', -31, -32, H, True),
+        ('v', -32, -31, H, False), ('v', -32, -33, H, True),
+        ('v', -33, -32, H, False), ('v', -33, -34, H, False),
+        ('u', 0, 1, H, True), ('u', 1, -1, H, False), ('u', 1, 2, H, True),
+     ], (45, 86, 15, 7, False,
+      {'u': 2, 'v': -33}, {'b': True},
+      {'b': 3, 'v': 36, 'u': 2}),
+     {'v': 1.0, 'u': 1.0}),
+    (random_problem, (5, 1000), 1.2, [
+        ('b0', False, True, B, True), ('x0', 0, -3, J, False),
+        ('x0', 0, -3, J, False), ('x1', -2, -17, J, False),
+        ('x1', -2, 6, J, False), ('x1', -2, -17, J, False),
+        ('x1', -2, 6, J, False), ('x0', 0, 1, H, True), ('x0', 1, 2, H, True),
+        ('x0', 2, 0, H, False), ('x0', 2, 3, H, True), ('x0', 3, 1, H, False),
+        ('x0', 3, 4, H, True),
+     ], (0, 5, 13, 5, True,
+      {'x0': 4, 'x1': -2}, {'b0': True},
+      {'b0': 1, 'x0': 4}),
+     {'x0': 1.0}),
+    (random_problem, (21, 12), 1.2, [
+        ('b0', False, True, B, False), ('x0', 0, -25, J, False),
+        ('x0', 0, 31, J, False), ('x0', 0, -25, J, False),
+        ('x0', 0, 31, J, False), ('x1', 3, -15, J, False),
+        ('x1', 3, 28, J, False), ('x1', 3, -15, J, False),
+        ('x1', 3, 28, J, False), ('x0', 0, 1, H, True),
+        ('x0', 1, -1, H, False), ('x0', 1, 2, H, True),
+     ], (12, 24, 12, 2, False,
+      {'x0': 2, 'x1': 3}, {'b0': False},
+      {'x0': 12}),
+     {'x0': 1.0}),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED)))
+def test_pinned_move_sequence(case):
+    build, args, acc, moves, result, steps = PINNED[case]
+    assert record(build(*args), acc) == (moves, result, steps)

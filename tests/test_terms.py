@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import lit_evaluate
 from nials.terms import (Atom, Clause, Literal, Polynomial, Rel, Sort,
-                         TermStore, lit_evaluate, normalize_poly)
+                         TermStore, normalize_poly)
 
 P = Polynomial
 

@@ -4,7 +4,7 @@ import pytest
 
 from nials.errors import DuplicateAssignment
 from nials.terms import Literal, Polynomial, Rel, Sort, TermStore
-from nials.trail import Kind, Reason, Trail, ValueCache
+from nials.trail import Kind, Reason, Trail
 
 P = Polynomial
 
@@ -88,7 +88,7 @@ class TestBacktracking:
         store, x, y, z = setup
         b = store.new_var("b", Sort.BOOL)
         trail = Trail()
-        cache = ValueCache()
+        cache = {}
         trail.push_model_assignment(x, 5, decision=True)
         trail.push_decision(Literal(False, bvar=b))
         trail.push_model_assignment(y, -2, decision=False)
@@ -100,9 +100,7 @@ class TestBacktracking:
         assert trail.level == 1
         assert trail.elements == snapshot
         assert trail.value_of_var(y) is None
-        assert cache.get(y) == -2
-        assert cache.get(b) is False
-        assert cache.get(x) is None
+        assert cache == {y.id: -2, b.id: False}
 
     def test_backtrack_to_current_level_is_noop(self, setup):
         store, x, y, z = setup
@@ -117,7 +115,7 @@ class TestBacktracking:
         e1 = trail.push_model_assignment(x, 1, decision=True)
         e2 = trail.push_model_assignment(y, 2, decision=True)
         assert e1.pos == 0 and e2.pos == 1
-        assert trail.var_pos(y) == 1
+        assert trail.var_elem[y.id].pos == 1
         trail.backtrack_to(1)
         e3 = trail.push_model_assignment(z, 3, decision=True)
         assert e3.pos == 1
@@ -126,7 +124,9 @@ class TestBacktracking:
 class TestValueCache:
     def test_overwrite_keeps_latest(self, setup):
         store, x, y, z = setup
-        cache = ValueCache()
-        cache.set(x, 4)
-        cache.set(x, 9)
-        assert cache.get(x) == 9
+        trail = Trail()
+        cache = {}
+        for v in (4, 9):
+            trail.push_model_assignment(x, v, decision=True)
+            trail.backtrack_to(0, cache)
+        assert cache == {x.id: 9}

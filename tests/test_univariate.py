@@ -8,9 +8,14 @@ import pytest
 
 from nials.intervals import IntervalSet
 from nials.terms import Polynomial, Rel
-from nials.univariate import solve_univariate, solve_univariate_coeffs
+from nials.univariate import solve_univariate_coeffs
 
 RELS = (Rel.EQ, Rel.NEQ, Rel.LEQ, Rel.LT)
+
+
+def members(s):
+    """Sorted members of a fully bounded set."""
+    return [v for lo, hi in s.intervals for v in range(lo, hi + 1)]
 
 
 def cauchy_window(coeffs):
@@ -58,7 +63,7 @@ def poly_mul(a, b):
 def check_roots(coeffs, roots, probes=()):
     """EQ members are exactly the distinct roots; every relation agrees
     with direct evaluation at r - 1, r, r + 1, the probes and far out."""
-    assert sorted(solve_univariate_coeffs(tuple(coeffs), Rel.EQ).members()) \
+    assert members(solve_univariate_coeffs(tuple(coeffs), Rel.EQ)) \
         == sorted(set(roots)), coeffs
     window = cauchy_window(coeffs)
     points = {v for r in roots for v in (r - 1, r, r + 1)}
@@ -72,9 +77,9 @@ def check_roots(coeffs, roots, probes=()):
 
 class TestConstantAndLinear:
     def test_constant(self):
-        assert solve_univariate_coeffs((0,), Rel.EQ).is_full()
+        assert solve_univariate_coeffs((0,), Rel.EQ) == IntervalSet.full()
         assert solve_univariate_coeffs((3,), Rel.EQ).is_empty()
-        assert solve_univariate_coeffs((-1,), Rel.LT).is_full()
+        assert solve_univariate_coeffs((-1,), Rel.LT) == IntervalSet.full()
 
     def test_linear_equality(self):
         assert solve_univariate_coeffs((-6, 2), Rel.EQ) == IntervalSet.point(3)
@@ -105,7 +110,8 @@ class TestHigherDegree:
 
     def test_no_real_roots(self):
         assert solve_univariate_coeffs((1, 0, 1), Rel.LEQ).is_empty()
-        assert solve_univariate_coeffs((1, 0, 1), Rel.NEQ).is_full()
+        assert solve_univariate_coeffs((1, 0, 1), Rel.NEQ) == \
+            IntervalSet.full()
 
     def test_repeated_roots(self):
         # (x - 2)^2 <= 0 only at x = 2
@@ -116,12 +122,12 @@ class TestHigherDegree:
     def test_cubic(self):
         # x^3 - x = x(x-1)(x+1)
         s = solve_univariate_coeffs((0, -1, 0, 1), Rel.EQ)
-        assert sorted(s.members()) == [-1, 0, 1]
+        assert members(s) == [-1, 0, 1]
 
     def test_irrational_roots(self):
         # x^2 - 2 < 0 holds at -1, 0, 1 only
         s = solve_univariate_coeffs((-2, 0, 1), Rel.LT)
-        assert sorted(s.members()) == [-1, 0, 1]
+        assert members(s) == [-1, 0, 1]
 
 
 class TestRandomizedOracle:
@@ -170,5 +176,6 @@ class TestRandomizedOracle:
 
 def test_polynomial_wrapper():
     x = Polynomial.var(3)
-    s = solve_univariate(x * x - Polynomial.const(4), 3, Rel.EQ)
-    assert sorted(s.members()) == [-2, 2]
+    p = x * x - Polynomial.const(4)
+    s = solve_univariate_coeffs(tuple(p.univariate_coeffs(3)), Rel.EQ)
+    assert members(s) == [-2, 2]
