@@ -23,7 +23,7 @@ class LsSchedule:
     threshold grows by floor(base * k * log10(k + 9)^3).
     """
 
-    def __init__(self, base: int = 50):
+    def __init__(self, base: int):
         self.base = base
         self.ls_calls = 0
         self.next_threshold = base
@@ -54,7 +54,7 @@ def build_initial_assignment(variables, trail, cache, feas):
             if v is not None:
                 fixed[x.id] = v
                 continue
-            fs = feas.get(x)
+            fs = feas.get(x.id)
             c = cache.get(x.id)
             if isinstance(c, int) and not isinstance(c, bool) and c in fs:
                 mu_int[x.id] = c
@@ -140,7 +140,7 @@ class LsController:
         clauses = build_ls_formula(solver.formula.clauses, solver.trail)
         cost = compile_clauses(clauses, fixed=fixed)
         feasible = {
-            x.id: solver.feas.get(x) for x in free if x.sort is Sort.INT
+            x.id: solver.feas.get(x.id) for x in free if x.sort is Sort.INT
         }
         problem = localsearch.LsProblem(
             vars=free,

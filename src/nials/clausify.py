@@ -8,8 +8,7 @@ is already in clause form passes through unchanged.
 
 from __future__ import annotations
 
-from .formula_ast import (And, AtomRef, BConst, BoolExpr, BVar, Ite, Not, Or,
-                          to_nnf)
+from .formula_ast import And, BConst, BoolExpr, Ite, Or, to_nnf
 from .terms import Clause, Formula, Literal, Sort, TermStore
 
 
@@ -33,17 +32,10 @@ class _Clausifier:
 
         Returns a Literal, or True/False for constants.
         """
+        if isinstance(node, Literal):
+            return node
         if isinstance(node, BConst):
             return node.value
-        if isinstance(node, BVar):
-            return Literal(True, bvar=node.var)
-        if isinstance(node, AtomRef):
-            return Literal(True, atom=node.atom)
-        if isinstance(node, Not):
-            inner = self.literal_of(node.arg)
-            if isinstance(inner, bool):
-                return not inner
-            return inner.negate()
         cached = self.defs.get(node)
         if cached is not None:
             return cached
@@ -161,8 +153,5 @@ def clausify(store: TermStore, ast: BoolExpr) -> Formula:
     vids: set[int] = set()
     for c in cl.clauses:
         vids |= c.variables()
-        for lit in c:
-            if lit.bvar is not None:
-                vids.add(lit.bvar.id)
     variables = [store.var_by_id(v) for v in sorted(vids)]
     return Formula(cl.clauses, variables)

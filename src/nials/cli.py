@@ -30,11 +30,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help=".smt2 file, or a directory to benchmark")
     p.add_argument("--no-ls", action="store_true",
                    help="disable the local-search component")
-    p.add_argument("--ls-threshold-base", type=int, default=50, metavar="N",
+    p.add_argument("--ls-threshold-base", type=int,
+                   default=SolverConfig.ls_threshold_base, metavar="N",
                    help="conflicts before the first local-search call")
-    p.add_argument("--ls-budget", type=int, default=100, metavar="N",
+    p.add_argument("--ls-budget", type=int,
+                   default=SolverConfig.ls_budget_per_var, metavar="N",
                    help="local-search move budget per free variable")
-    p.add_argument("--acc", type=float, default=1.2, metavar="F",
+    p.add_argument("--acc", type=float, default=SolverConfig.acc, metavar="F",
                    help="hill-climbing acceleration constant")
     p.add_argument("--max-conflicts", type=int, default=None, metavar="N",
                    help="give up with unknown after this many conflicts")
@@ -61,11 +63,21 @@ def config_from_args(args) -> SolverConfig:
 
 
 def _stats_lines(stats: Stats, answer: str, wall_ms: float) -> list[str]:
-    d = stats.as_dict()
-    lines = [f"; {k}={d[k]}" for k in Stats.KEYS]
+    lines = [f"; {k}={v}" for k, v in stats.as_dict().items()]
     lines.append(f"; answer={answer}")
     lines.append(f"; wall_ms={wall_ms:.1f}")
     return lines
+
+
+def _solve_path(config: SolverConfig, path: str):
+    """Read, parse and solve one file: (answer, model, solver).
+
+    Raises OSError for an unreadable file and NialsError for bad input or
+    a failed model check (InternalError).
+    """
+    with open(path, "r") as f:
+        script = smtlib.parse(f.read())
+    return smtlib.solve(script, config)
 
 
 def solve_file(config: SolverConfig, path: str, out=None, err=None,
@@ -73,22 +85,18 @@ def solve_file(config: SolverConfig, path: str, out=None, err=None,
     """Solve one file; returns the process exit status."""
     out = out or sys.stdout
     err = err or sys.stderr
+    t0 = time.monotonic()
     try:
-        with open(path, "r") as f:
-            text = f.read()
-        script = smtlib.parse(text)
+        answer, model, solver = _solve_path(config, path)
     except OSError as e:
         print(f"error: {e}", file=err)
         return 2
-    except NialsError as e:
-        print(f"{path}: error: {e}", file=err)
-        return 2
-    t0 = time.monotonic()
-    try:
-        answer, model, solver = smtlib.solve(script, config)
     except InternalError as e:
         print(f"{path}: internal error: {e}", file=err)
         return 3
+    except NialsError as e:
+        print(f"{path}: error: {e}", file=err)
+        return 2
     wall_ms = (time.monotonic() - t0) * 1000.0
     print(answer.value, file=out)
     if print_model and model is not None:
@@ -100,30 +108,16 @@ def solve_file(config: SolverConfig, path: str, out=None, err=None,
 
 
 def _bench_one(config: SolverConfig, path: str) -> dict:
-    name = os.path.basename(path)
+    """One CSV row; it holds every `Stats` key, the writer picks columns."""
     t0 = time.monotonic()
-    stats = Stats()
     try:
-        with open(path, "r") as f:
-            text = f.read()
-        script = smtlib.parse(text)
-        answer, _, solver = smtlib.solve(script, config)
-        ans = answer.value
-        stats = solver.stats
+        answer, _, solver = _solve_path(config, path)
+        ans, stats = answer.value, solver.stats
     except (OSError, NialsError):
-        ans = "error"
+        ans, stats = "error", Stats()
     wall_ms = (time.monotonic() - t0) * 1000.0
-    d = stats.as_dict()
-    return {
-        "name": name,
-        "answer": ans,
-        "wall_ms": f"{wall_ms:.1f}",
-        "conflicts": d["conflicts"],
-        "decisions": d["decisions"],
-        "theory_assignments": d["theory_assignments"],
-        "ls_calls": d["ls_calls"],
-        "ls_moves_accepted": d["ls_moves_accepted"],
-    }
+    return {"name": os.path.basename(path), "answer": ans,
+            "wall_ms": f"{wall_ms:.1f}", **stats.as_dict()}
 
 
 def bench_dir(config: SolverConfig, directory: str, out=None, err=None,
@@ -138,7 +132,8 @@ def bench_dir(config: SolverConfig, directory: str, out=None, err=None,
         return 2
     rows = [_bench_one(config, os.path.join(directory, n)) for n in names]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n",
+                            extrasaction="ignore")
     writer.writeheader()
     for row in rows:
         writer.writerow(row)

@@ -13,14 +13,15 @@ from __future__ import annotations
 import enum
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .bridge import LsController
 from .errors import InternalError
 from .feasibility import EmptyConflict, FeasibilityMap, Singleton
-from .terms import (Clause, Formula, Literal, Polynomial, Rel, Sort,
-                    TermStore, Variable)
+from .localsearch import DEFAULT_ACC
+from .terms import (Clause, Formula, Literal, Sort, TermStore, Variable,
+                    atom_key, bool_key)
 from .trail import Kind, Reason, Trail
 
 
@@ -39,11 +40,11 @@ class Stats:
     ls_calls: int = 0
     ls_moves_accepted: int = 0
 
-    KEYS = ("conflicts", "decisions", "propagations", "theory_assignments",
-            "ls_calls", "ls_moves_accepted")
-
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.KEYS}
+        return asdict(self)
+
+
+Stats.KEYS = tuple(f.name for f in fields(Stats))
 
 
 @dataclass
@@ -51,7 +52,7 @@ class SolverConfig:
     ls_enabled: bool = True
     ls_threshold_base: int = 50
     ls_budget_per_var: int = 100
-    acc: float = 1.2
+    acc: float = DEFAULT_ACC
     max_conflicts: Optional[int] = None
     timeout_ms: Optional[int] = None
 
@@ -134,22 +135,8 @@ class Solver:
 
     def _excl_neg(self, vid: int) -> Literal:
         """¬(x = α) for the variable's current trail value."""
-        v = self.trail.var_value[vid]
-        atom = self.store.mk_atom(Polynomial.var(vid), Rel.EQ,
-                                  Polynomial.const(v))
+        atom = self.store.eq_atom(vid, self.trail.var_value[vid])
         return Literal(False, atom=atom)
-
-    def _excl_pattern(self, atom):
-        """(vid, c) if the atom is literally ``x − c = 0``, else None."""
-        if atom.rel is not Rel.EQ:
-            return None
-        p = atom.poly
-        if len(p.variables) != 1 or p.degree() != 1:
-            return None
-        vid = next(iter(p.variables))
-        if p.terms.get(((vid, 1),)) != 1:
-            return None
-        return vid, -p.terms.get((), 0)
 
     # -- propagation --------------------------------------------------------
 
@@ -207,7 +194,7 @@ class Solver:
         trail = self.trail
         vals = trail.var_value
         unassigned = [v for v in atom.poly.variables if v not in vals]
-        entry = trail.bool_assign.get(("a", atom.id))
+        entry = trail.bool_assign.get(atom_key(atom.id))
         if entry is None:
             if not unassigned:
                 t = atom.evaluate(vals)
@@ -232,7 +219,7 @@ class Solver:
             if trail.level == 0:
                 self._settled.add(atom.id)
             if isinstance(res, EmptyConflict):
-                return self._empty_conflict_lits(res)
+                return self._explain(res.contributions)
             if isinstance(res, Singleton):
                 contribs = self.feas.contributions(var.id)
                 trail.push_model_assignment(
@@ -242,9 +229,11 @@ class Solver:
                 self.stats.propagations += 1
         return None
 
-    def _empty_conflict_lits(self, res: EmptyConflict):
+    def _explain(self, contributions):
+        """Literals explaining a feasibility set: its contributions negated
+        and the exclusion literals of the values they substituted."""
         lits = []
-        for con in res.contributions:
+        for con in contributions:
             lits.append(con.lit.negate())
             for u in con.used_vars:
                 lits.append(self._excl_neg(u))
@@ -315,17 +304,11 @@ class Solver:
             return [l for l in reason.literals if l.skey != asserted.skey]
         # Falsified by model assignments.
         if elem.kind is Kind.MODEL_ASSIGNMENT and lit.atom is not None:
-            info = self._excl_pattern(lit.atom)
+            info = lit.atom.var_eq
             if info is not None and info[0] == elem.var.id and not lit.positive:
                 if elem.decision:
                     return None
-                _, contribs = elem.reason
-                out = []
-                for con in contribs:
-                    out.append(con.lit.negate())
-                    for u in con.used_vars:
-                        out.append(self._excl_neg(u))
-                return out
+                return self._explain(elem.reason[1])
         return [self._excl_neg(v) for v in lit.atom.poly.variables]
 
     def _analyze(self, conflict_lits):
@@ -335,7 +318,7 @@ class Solver:
         None when the conflict is at level 0 (unsatisfiable).
         """
         trail = self.trail
-        cur: dict[tuple, tuple] = {}
+        cur: dict[int, tuple] = {}
         level_of = lambda pos: trail.elements[pos].level
 
         def add(lit):
@@ -391,13 +374,7 @@ class Solver:
         learned, uip, backjump = res
         clause = Clause(learned, learned=True)
         self._attach_clause(clause)
-        seen = set()
-        for lit in learned:
-            for vid in lit.variables():
-                seen.add(vid)
-            if lit.bvar is not None:
-                seen.add(lit.bvar.id)
-        for vid in sorted(seen):
+        for vid in sorted(clause.variables()):
             self.bump_var(vid)
         self._decay_activity()
         removed = self.trail.backtrack_to(backjump, self.cache)
@@ -423,7 +400,7 @@ class Solver:
             if var.sort is Sort.INT:
                 if vid in trail.var_value:
                     continue
-            elif ("b", vid) in trail.bool_assign:
+            elif bool_key(vid) in trail.bool_assign:
                 continue
             cur = self.activity.get(vid, 0.0)
             if -negact < cur:
@@ -442,7 +419,7 @@ class Solver:
             phase = c if isinstance(c, bool) else True
             self.trail.push_decision(Literal(phase, bvar=var))
         else:
-            fs = self.feas.get(var)
+            fs = self.feas.get(var.id)
             hint = self.cache.get(var.id)
             if not isinstance(hint, int) or isinstance(hint, bool):
                 hint = None
@@ -505,8 +482,4 @@ class Solver:
                 raise InternalError(f"model does not satisfy {clause}")
 
     def _model_lit(self, lit: Literal) -> bool:
-        if lit.bvar is not None:
-            v = self.model_bool[lit.bvar.id]
-        else:
-            v = lit.atom.evaluate(self.model_int)
-        return v if lit.positive else not v
+        return lit.holds(self.model_int, self.model_bool)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
-from .terms import Formula, Literal, Rel
+from .terms import Literal, Rel
 
 
 def _violation(value: int, rel: Rel) -> int:
@@ -98,13 +98,11 @@ def _compile_clause(lits, fixed) -> Optional[CostClause]:
 
 def compile_clauses(clauses,
                     fixed: Optional[Mapping[int, int]] = None) -> CostFunction:
-    """Cost function of a clause conjunction (Formula or clause list).
+    """Cost function of a clause conjunction (a list of literal lists).
 
     Variables in ``fixed`` are replaced by their values; a clause they make
     true is dropped, and literals they make false become constant factors.
     """
-    if isinstance(clauses, Formula):
-        clauses = clauses.clauses
     fixed = fixed or {}
     out: list[CostClause] = []
     occurs: dict[int, list] = {}

@@ -56,8 +56,7 @@ class FeasibilityMap:
         self._undo: list[tuple] = []
         self._last_saved_level: dict[int, int] = {}
 
-    def get(self, var_or_id) -> IntervalSet:
-        vid = var_or_id if isinstance(var_or_id, int) else var_or_id.id
+    def get(self, vid: int) -> IntervalSet:
         return self._sets.get(vid, IntervalSet.full())
 
     def contributions(self, vid: int) -> tuple:

@@ -1,11 +1,15 @@
-"""Boolean structure of parsed input, prior to clausification."""
+"""Boolean structure of parsed input, prior to clausification.
+
+The leaves are `terms.Literal`s (a Boolean variable or an atom, with a
+polarity); the inner nodes are constants, `Not`, `And`, `Or` and `Ite`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
 
-from .terms import Atom, Variable
+from .terms import Literal
 
 
 class BoolExpr:
@@ -15,16 +19,6 @@ class BoolExpr:
 @dataclass(frozen=True)
 class BConst(BoolExpr):
     value: bool
-
-
-@dataclass(frozen=True)
-class BVar(BoolExpr):
-    var: Variable
-
-
-@dataclass(frozen=True)
-class AtomRef(BoolExpr):
-    atom: Atom
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,9 @@ def mk_or(args) -> BoolExpr:
     return Or(args)
 
 
-def mk_not(arg: BoolExpr) -> BoolExpr:
+def mk_not(arg) -> BoolExpr:
+    if isinstance(arg, Literal):
+        return arg.negate()
     if isinstance(arg, Not):
         return arg.arg
     if isinstance(arg, BConst):
@@ -79,12 +75,12 @@ def mk_not(arg: BoolExpr) -> BoolExpr:
     return Not(arg)
 
 
-def to_nnf(node: BoolExpr, negated: bool = False) -> BoolExpr:
-    """Push negations down to BVar/AtomRef leaves."""
+def to_nnf(node, negated: bool = False):
+    """Push negations down into the literal leaves."""
     if isinstance(node, BConst):
         return BConst(node.value != negated)
-    if isinstance(node, (BVar, AtomRef)):
-        return Not(node) if negated else node
+    if isinstance(node, Literal):
+        return node.negate() if negated else node
     if isinstance(node, Not):
         return to_nnf(node.arg, not negated)
     if isinstance(node, And):
@@ -98,14 +94,12 @@ def to_nnf(node: BoolExpr, negated: bool = False) -> BoolExpr:
     raise TypeError(f"not a BoolExpr: {node!r}")
 
 
-def evaluate(node: BoolExpr, int_values: Mapping[int, int],
+def evaluate(node, int_values: Mapping[int, int],
              bool_values: Mapping[int, bool]) -> bool:
+    if isinstance(node, Literal):
+        return node.holds(int_values, bool_values)
     if isinstance(node, BConst):
         return node.value
-    if isinstance(node, BVar):
-        return bool_values[node.var.id]
-    if isinstance(node, AtomRef):
-        return node.atom.evaluate(int_values)
     if isinstance(node, Not):
         return not evaluate(node.arg, int_values, bool_values)
     if isinstance(node, And):

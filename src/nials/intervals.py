@@ -168,11 +168,9 @@ class IntervalSet:
                 candidates.append(lo)
         return min(candidates, key=lambda v: (abs(v), v < 0))
 
-    def pick_in_interval(self, index: int, hint: Optional[int] = None) -> int:
-        """pick_value restricted to one member interval."""
+    def pick_in_interval(self, index: int) -> int:
+        """pick_value restricted to one member interval, without a hint."""
         lo, hi = self.intervals[index]
-        if hint is not None and _lo_le(lo, hint) and _hi_ge(hi, hint):
-            return hint
         if _lo_le(lo, 0) and _hi_ge(hi, 0):
             return 0
         if lo is not None and lo > 0:

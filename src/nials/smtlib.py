@@ -8,6 +8,7 @@ store.  Zero-arity define-fun symbols are inlined as macros, integer-valued
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from typing import Optional, Union
 
@@ -15,7 +16,7 @@ from . import formula_ast as fa
 from .clausify import clausify
 from .core import Answer, Solver, SolverConfig
 from .errors import InternalError, ParseError, SortError, UnsupportedError
-from .terms import Polynomial, Rel, Sort, TermStore
+from .terms import Literal, Polynomial, Rel, Sort, TermStore
 
 Sexpr = Union[str, list]
 
@@ -107,12 +108,6 @@ class Script:
 
     def __init__(self, commands: list):
         self.commands = commands
-
-    def print(self) -> str:
-        return "\n".join(print_sexpr(c) for c in self.commands) + "\n"
-
-    def __eq__(self, other):
-        return isinstance(other, Script) and self.commands == other.commands
 
     def __repr__(self):
         return f"Script({len(self.commands)} commands)"
@@ -234,6 +229,11 @@ class Compiler:
         if head in ("and", "or"):
             parts = [self.bool_term(a, env) for a in args]
             return "bool", (fa.mk_and(parts) if head == "and" else fa.mk_or(parts))
+        if head == "xor":
+            if len(args) < 2:
+                raise ParseError("xor needs two arguments", 0, 0)
+            parts = [self.bool_term(a, env) for a in args]
+            return "bool", functools.reduce(_xor, parts)
         if head == "not":
             if len(args) != 1:
                 raise ParseError("not takes one argument", 0, 0)
@@ -267,12 +267,12 @@ class Compiler:
         if var is not None:
             if var.sort is Sort.INT:
                 return "int", Polynomial.var(var.id)
-            return "bool", fa.BVar(var)
+            return "bool", Literal(True, bvar=var)
         if name in self.macros:
             return self.macros[name]
         raise ParseError(f"undeclared identifier {name}", 0, 0)
 
-    def _rel_atom(self, op: str, lhs: Polynomial, rhs: Polynomial) -> fa.BoolExpr:
+    def _rel_atom(self, op: str, lhs: Polynomial, rhs: Polynomial) -> Literal:
         if op == "<":
             atom = self.store.mk_atom(lhs, Rel.LT, rhs)
         elif op == "<=":
@@ -285,7 +285,7 @@ class Compiler:
             atom = self.store.mk_atom(lhs, Rel.EQ, rhs)
         else:
             atom = self.store.mk_atom(lhs, Rel.NEQ, rhs)
-        return fa.AtomRef(atom)
+        return Literal(True, atom=atom)
 
     def _chain(self, op: str, args: list, env: dict) -> fa.BoolExpr:
         if len(args) < 2:
@@ -324,9 +324,7 @@ class Compiler:
                     parts.append(self._rel_atom("!=", vals[i][1], vals[j][1]))
             return fa.mk_and(parts)
         if kinds == {"bool"} and len(vals) == 2:
-            a, b = vals[0][1], vals[1][1]
-            return fa.mk_or([fa.mk_and([a, fa.mk_not(b)]),
-                             fa.mk_and([fa.mk_not(a), b])])
+            return _xor(vals[0][1], vals[1][1])
         raise UnsupportedError("distinct over these operands")
 
     def _ite(self, args: list, env: dict):
@@ -358,6 +356,12 @@ class Compiler:
                 raise ParseError("malformed let binding", 0, 0)
             new_env[binding[0]] = self.term(binding[1], env)
         return self.term(args[1], new_env)
+
+
+def _xor(a, b) -> fa.BoolExpr:
+    """Exactly one of ``a`` and ``b``."""
+    return fa.mk_or([fa.mk_and([a, fa.mk_not(b)]),
+                     fa.mk_and([fa.mk_not(a), b])])
 
 
 @contextmanager

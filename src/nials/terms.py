@@ -1,7 +1,9 @@
 """Variables, polynomials, atoms, literals, clauses and their interning store.
 
 Atoms are normalized to ``p ⋈ 0`` with ``⋈ ∈ {EQ, NEQ, LEQ, LT}``.  Negative
-polarity lives on the literal, never inside the atom.
+polarity lives on the literal, never inside the atom.  `Literal` is the one
+literal type from the SMT-LIB frontend to conflict analysis; its integer
+keys are spelled only in this module (`atom_key`, `bool_key`).
 """
 
 from __future__ import annotations
@@ -218,11 +220,16 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class Atom:
-    """Normalized arithmetic atom ``poly ⋈ 0``."""
+    """Normalized arithmetic atom ``poly ⋈ 0``.
+
+    ``var_eq`` is ``(var id, c)`` when the atom reads ``x − c = 0``, else
+    None; exclusion literals and conflict analysis rely on it.
+    """
 
     id: int
     poly: Polynomial = field(compare=False)
     rel: Rel = field(compare=False)
+    var_eq: Optional[tuple] = field(default=None, compare=False)
 
     def evaluate(self, values: Mapping[int, int]) -> bool:
         return self.rel.holds(self.poly.evaluate(values))
@@ -231,36 +238,58 @@ class Atom:
         return f"({self.poly} {self.rel.value} 0)"
 
 
-@dataclass(frozen=True)
+def atom_key(atom_id: int) -> int:
+    """`Literal.key` of the literals over an atom."""
+    return 2 * atom_id
+
+
+def bool_key(var_id: int) -> int:
+    """`Literal.key` of the literals over a Boolean variable."""
+    return 2 * var_id + 1
+
+
 class Literal:
-    """Boolean-variable or atom literal with a polarity."""
+    """Boolean-variable or atom literal with a polarity.
 
-    positive: bool
-    bvar: Optional[Variable] = None
-    atom: Optional[Atom] = None
+    ``key`` names the atom or variable (``2·atom id`` or ``2·var id + 1``)
+    and ``skey`` the literal (``2·key + negated``); both are fixed at
+    construction, and equality and hash follow ``skey``.
+    """
 
-    def __post_init__(self):
-        assert (self.bvar is None) != (self.atom is None)
+    __slots__ = ("positive", "bvar", "atom", "key", "skey")
+
+    def __init__(self, positive: bool, bvar: Optional[Variable] = None,
+                 atom: Optional[Atom] = None):
+        assert (bvar is None) != (atom is None)
+        self.positive = positive
+        self.bvar = bvar
+        self.atom = atom
+        self.key = atom_key(atom.id) if atom is not None else bool_key(bvar.id)
+        self.skey = 2 * self.key + (not positive)
 
     def negate(self) -> "Literal":
         return Literal(not self.positive, self.bvar, self.atom)
 
-    @property
-    def key(self):
-        """Polarity-free identity of the underlying atom/variable."""
+    def holds(self, int_values: Mapping[int, int],
+              bool_values: Mapping[int, bool]) -> bool:
+        """Truth under a complete assignment."""
         if self.bvar is not None:
-            return ("b", self.bvar.id)
-        return ("a", self.atom.id)
-
-    @property
-    def skey(self):
-        """Signed identity, unique per literal."""
-        return (*self.key, self.positive)
+            v = bool_values[self.bvar.id]
+        else:
+            v = self.atom.evaluate(int_values)
+        return v if self.positive else not v
 
     def variables(self) -> frozenset:
+        """Ids of the variables the literal mentions, Boolean or integer."""
         if self.bvar is not None:
-            return frozenset()
+            return frozenset((self.bvar.id,))
         return self.atom.poly.variables
+
+    def __eq__(self, other):
+        return isinstance(other, Literal) and self.skey == other.skey
+
+    def __hash__(self):
+        return hash(self.skey)
 
     def __repr__(self):
         body = repr(self.bvar) if self.bvar is not None else repr(self.atom)
@@ -273,23 +302,12 @@ class Clause:
     __slots__ = ("literals", "learned")
 
     def __init__(self, literals: Iterable[Literal], learned: bool = False):
-        seen = set()
-        out = []
-        for lit in literals:
-            if lit.skey in seen:
-                continue
-            seen.add(lit.skey)
-            out.append(lit)
-        self.literals = tuple(out)
+        self.literals = tuple(dict.fromkeys(literals))   # first of each kept
         self.learned = learned
 
     def is_tautology(self) -> bool:
-        keys = {}
-        for lit in self.literals:
-            if lit.key in keys and keys[lit.key] != lit.positive:
-                return True
-            keys[lit.key] = lit.positive
-        return False
+        skeys = {lit.skey for lit in self.literals}
+        return any(s ^ 1 in skeys for s in skeys)
 
     def variables(self) -> set:
         vs: set[int] = set()
@@ -328,6 +346,7 @@ class TermStore:
         self.variables: list[Variable] = []
         self._var_by_name: dict[str, Variable] = {}
         self._atoms: dict[tuple, Atom] = {}
+        self._eq_atoms: dict[tuple, Atom] = {}     # Atom.var_eq -> atom
         self.atoms: list[Atom] = []
 
     def new_var(self, name: str, sort: Sort, is_aux: bool = False) -> Variable:
@@ -350,17 +369,37 @@ class TermStore:
     def var_by_id(self, vid: int) -> Variable:
         return self.variables[vid]
 
-    def intern_atom(self, poly: Polynomial, rel: Rel) -> Atom:
+    def mk_atom(self, lhs: Polynomial, rel: Rel, rhs: Polynomial) -> Atom:
+        """The interned atom of ``lhs ⋈ rhs`` in normal form."""
+        poly, rel = normalize_poly(lhs - rhs, rel)
         key = (poly, rel)
         atom = self._atoms.get(key)
         if atom is None:
-            atom = Atom(len(self.atoms), poly, rel)
+            var_eq = _var_eq(poly) if rel is Rel.EQ else None
+            atom = Atom(len(self.atoms), poly, rel, var_eq)
             self._atoms[key] = atom
             self.atoms.append(atom)
+            if var_eq is not None:
+                self._eq_atoms[var_eq] = atom
         return atom
 
-    def mk_atom(self, lhs: Polynomial, rel: Rel, rhs: Polynomial) -> Atom:
-        return self.intern_atom(*normalize_poly(lhs - rhs, rel))
+    def eq_atom(self, vid: int, value: int) -> Atom:
+        """The atom ``x = value``: the one `mk_atom` gives for it."""
+        atom = self._eq_atoms.get((vid, value))
+        if atom is None:
+            atom = self.mk_atom(Polynomial.var(vid), Rel.EQ,
+                                Polynomial.const(value))
+        return atom
+
+
+def _var_eq(poly: Polynomial) -> Optional[tuple]:
+    """(vid, c) if ``poly`` is ``x − c``, else None."""
+    monos = [m for m in poly.terms if m]
+    if len(monos) == 1 and len(monos[0]) == 1 and poly.terms[monos[0]] == 1:
+        (vid, exponent), = monos[0]
+        if exponent == 1:
+            return vid, -poly.terms.get((), 0)
+    return None
 
 
 def normalize_poly(p: Polynomial, rel: Rel) -> tuple[Polynomial, Rel]:

@@ -52,8 +52,8 @@ class Trail:
         self.elements: list[TrailElement] = []
         self.level = 0
         self._level_starts = [0]
-        # key ('a', atom_id) / ('b', var_id) -> (value of positive form, pos)
-        self.bool_assign: dict[tuple, tuple] = {}
+        # Literal.key -> (value of the positive literal, trail position)
+        self.bool_assign: dict[int, tuple] = {}
         self.var_value: dict[int, int] = {}
         self.var_elem: dict[int, TrailElement] = {}
 

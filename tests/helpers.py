@@ -84,6 +84,23 @@ def lit_evaluate(lit, int_values, bool_values):
     return v if lit.positive else not v
 
 
+def excl_pattern(atom):
+    """(vid, c) if the atom is literally ``x − c = 0``, else None.
+
+    Reference for `Atom.var_eq`, computed from the polynomial's variable
+    set and degree instead of its monomials.
+    """
+    if atom.rel is not Rel.EQ:
+        return None
+    p = atom.poly
+    if len(p.variables) != 1 or p.degree() != 1:
+        return None
+    vid = next(iter(p.variables))
+    if p.terms.get(((vid, 1),)) != 1:
+        return None
+    return vid, -p.terms.get((), 0)
+
+
 def clauses_sat(clauses, iv, bv):
     return all(any(lit_evaluate(lit, iv, bv) for lit in c) for c in clauses)
 

@@ -202,7 +202,7 @@ def test_criterion_3_example_formula_regression(capsys):
     ]
     solver = Solver(store, Formula(clauses, [xv, yv, zv]), SolverConfig())
     assert solver.propagate() is None
-    fz_ok = solver.feas.get(zv).intervals == ((None, -2), (2, None))
+    fz_ok = solver.feas.get(zv.id).intervals == ((None, -2), (2, None))
     solver.trail.push_model_assignment(xv, 1, decision=True)
     assert solver.propagate() is None
     elem = solver.trail.var_elem.get(yv.id)

@@ -5,7 +5,7 @@ import random
 from helpers import assignments, clauses_sat
 from nials import formula_ast as fa
 from nials.clausify import clausify
-from nials.terms import Polynomial, Rel, Sort, TermStore
+from nials.terms import Literal, Polynomial, Rel, Sort, TermStore
 
 P = Polynomial
 
@@ -19,7 +19,7 @@ def setup_vars(store, n_int=2, n_bool=2):
 def random_expr(rng, store, ints, bools, depth):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
-            leaf = fa.BVar(rng.choice(bools))
+            leaf = Literal(True, bvar=rng.choice(bools))
         else:
             terms = {}
             for _ in range(rng.randint(1, 2)):
@@ -30,7 +30,7 @@ def random_expr(rng, store, ints, bools, depth):
             atom = store.mk_atom(Polynomial(terms),
                                  rng.choice((Rel.EQ, Rel.NEQ, Rel.LEQ, Rel.LT)),
                                  P.zero())
-            leaf = fa.AtomRef(atom)
+            leaf = Literal(True, atom=atom)
         return fa.mk_not(leaf) if rng.random() < 0.5 else leaf
     kind = rng.random()
     args = [random_expr(rng, store, ints, bools, depth - 1)
@@ -64,8 +64,8 @@ class TestStructure:
     def test_clause_form_passes_through(self):
         store = TermStore()
         ints, bools = setup_vars(store)
-        a = fa.AtomRef(store.mk_atom(P.var(ints[0].id), Rel.LEQ, P.zero()))
-        b = fa.BVar(bools[0])
+        a = Literal(True, atom=store.mk_atom(P.var(ints[0].id), Rel.LEQ, P.zero()))
+        b = Literal(True, bvar=bools[0])
         ast = fa.mk_and([fa.mk_or([a, fa.mk_not(b)]), b])
         formula = clausify(store, ast)
         assert len(formula.clauses) == 2
@@ -74,7 +74,7 @@ class TestStructure:
     def test_nested_structure_gets_definitions(self):
         store = TermStore()
         ints, bools = setup_vars(store)
-        b0, b1 = (fa.BVar(v) for v in bools)
+        b0, b1 = (Literal(True, bvar=v) for v in bools)
         inner = fa.mk_and([b0, b1])
         ast = fa.mk_or([inner, fa.mk_not(b0)])
         formula = clausify(store, ast)
@@ -89,7 +89,7 @@ class TestStructure:
     def test_tautology_dropped(self):
         store = TermStore()
         _, bools = setup_vars(store, 0, 1)
-        b = fa.BVar(bools[0])
+        b = Literal(True, bvar=bools[0])
         formula = clausify(store, fa.mk_or([b, fa.mk_not(b)]))
         assert formula.clauses == []
 

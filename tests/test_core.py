@@ -55,7 +55,7 @@ class TestExampleFormula:
         solver = Solver(store, formula, SolverConfig())
         assert solver.propagate() is None
         # F(z) from the unit z^2 > 1 clause, restricted to the integers.
-        assert solver.feas.get(z).intervals == ((None, -2), (2, None))
+        assert solver.feas.get(z.id).intervals == ((None, -2), (2, None))
         solver.trail.push_model_assignment(x, 1, decision=True)
         assert solver.propagate() is None
         elem = solver.trail.var_elem[y.id]
@@ -219,3 +219,58 @@ class TestLearnedLemmas:
                 assert entailed(clauses, list(lemma), ints, -4, 4, bools)
                 checked += 1
         assert checked > 0
+
+
+class TestPinnedSearch:
+    """Answers, `Stats` and models recorded on fixed inputs.
+
+    Any change to the search, move for move, shows up here first.
+    """
+
+    def stats(self, conflicts, decisions, propagations, theory, ls_calls,
+              ls_moves):
+        return dict(zip(Stats.KEYS, (conflicts, decisions, propagations,
+                                     theory, ls_calls, ls_moves)))
+
+    def test_smtlib_example(self):
+        from test_smtlib import EXAMPLE
+        from nials import smtlib
+        ans, model, solver = smtlib.solve(smtlib.parse(EXAMPLE))
+        assert ans is Answer.SAT
+        assert model == [("x", Sort.INT, 0), ("y", Sort.INT, 0),
+                         ("z", Sort.INT, 2)]
+        assert solver.stats.as_dict() == self.stats(0, 3, 4, 3, 0, 0)
+
+    def test_guidance_40_30(self):
+        from test_acceptance import guidance_instance
+        store, clauses, variables = guidance_instance(40, 30)
+        ans, solver = solve(store, clauses, variables)
+        assert ans is Answer.SAT
+        assert solver.model_int == {0: 10 ** 6, 1: 10 ** 6}
+        assert solver.stats.as_dict() == self.stats(50, 51, 59, 52, 1, 3)
+
+    def test_capped_product_probe(self):
+        from nials import smtlib
+        script = smtlib.parse(
+            "(set-logic QF_NIA)(declare-const x Int)(declare-const y Int)"
+            "(assert (= (* x y) 6))(assert (> x 6))(assert (> y 6))"
+            "(check-sat)")
+        ans, model, solver = smtlib.solve(script,
+                                          SolverConfig(max_conflicts=300))
+        assert ans is Answer.UNKNOWN and model is None
+        assert solver.stats.as_dict() == self.stats(300, 300, 303, 300, 3, 0)
+
+    @pytest.mark.parametrize("seed, answer, ints, bools, stats", [
+        (23, Answer.SAT, {0: 1, 1: -8, 2: 2, 3: 1},
+         {4: True, 5: False, 6: True}, (26, 31, 238, 33, 0, 0)),
+        (17, Answer.UNSAT, {}, {}, (2056, 2055, 31283, 2184, 7, 5)),
+    ])
+    def test_seeded_random_cnf(self, seed, answer, ints, bools, stats):
+        store, clauses, int_vars, bool_vars = random_instance(
+            random.Random(seed), n_int=4, n_bool=3, n_clauses=14,
+            max_deg=2, coeff=4)
+        clauses = clauses + box_clauses(store, int_vars, -8, 8)
+        ans, solver = solve(store, clauses, int_vars + bool_vars)
+        assert ans is answer
+        assert solver.model_int == ints and solver.model_bool == bools
+        assert solver.stats.as_dict() == self.stats(*stats)

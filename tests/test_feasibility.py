@@ -33,7 +33,7 @@ class TestRestriction:
         lit = unit(store, P.const(1) - P.var(z.id) * P.var(z.id), Rel.LT)
         res = feas.assert_unit_constraint(z, lit, trail)
         assert res is None
-        assert feas.get(z) == IntervalSet.from_intervals(
+        assert feas.get(z.id) == IntervalSet.from_intervals(
             [(None, -2), (2, None)])
 
     def test_example_singleton_propagation(self, setup):
@@ -46,7 +46,7 @@ class TestRestriction:
         res = feas.assert_unit_constraint(y, lit, trail)
         assert isinstance(res, Singleton)
         assert res.value == 1
-        assert feas.get(y).singleton_value() == 1
+        assert feas.get(y.id).singleton_value() == 1
 
     def test_negative_polarity_complements(self, setup):
         store, x, y, z = setup
@@ -55,8 +55,8 @@ class TestRestriction:
         trail.push_model_assignment(x, 0, decision=True)
         lit = unit(store, P.var(y.id) - P.const(3), Rel.EQ, positive=False)
         feas.assert_unit_constraint(y, lit, trail)
-        assert 3 not in feas.get(y)
-        assert 2 in feas.get(y)
+        assert 3 not in feas.get(y.id)
+        assert 2 in feas.get(y.id)
 
     def test_empty_conflict_carries_contributions(self, setup):
         store, x, y, z = setup
@@ -90,7 +90,7 @@ class TestRestriction:
         lit = unit(store, P.var(y.id) - P.const(5), Rel.LEQ)
         assert feas.assert_unit_constraint(y, lit, trail) is None
         assert feas.contributions(y.id) == ()
-        assert feas.get(y) == IntervalSet.range(None, 5)
+        assert feas.get(y.id) == IntervalSet.range(None, 5)
 
 
 class TestBacktracking:
@@ -100,20 +100,20 @@ class TestBacktracking:
         feas = FeasibilityMap()
         l0 = unit(store, P.var(y.id) * P.var(y.id) - P.const(100), Rel.LEQ)
         feas.assert_unit_constraint(y, l0, trail)       # level 0
-        before = feas.get(y)
+        before = feas.get(y.id)
         trail.push_model_assignment(x, 3, decision=True)
         l1 = unit(store, P.var(y.id) - P.var(x.id), Rel.LEQ)
         feas.assert_unit_constraint(y, l1, trail)       # level 1
         trail.push_model_assignment(z, 0, decision=True)
         l2 = unit(store, P.const(1) - P.var(y.id), Rel.LEQ)
         feas.assert_unit_constraint(y, l2, trail)       # level 2
-        assert feas.get(y) == IntervalSet.range(1, 3)
+        assert feas.get(y.id) == IntervalSet.range(1, 3)
 
         feas.backtrack_to(1)
-        assert feas.get(y) == IntervalSet.range(-10, 3)
+        assert feas.get(y.id) == IntervalSet.range(-10, 3)
         assert len(feas.contributions(y.id)) == 1
         feas.backtrack_to(0)
-        assert feas.get(y) == before
+        assert feas.get(y.id) == before
         assert feas.contributions(y.id) == ()
 
     def test_one_snapshot_per_level(self, setup):
@@ -124,6 +124,6 @@ class TestBacktracking:
         for c in (9, 7, 5):
             lit = unit(store, P.var(y.id) - P.const(c), Rel.LEQ)
             feas.assert_unit_constraint(y, lit, trail)
-        assert feas.get(y) == IntervalSet.range(None, 5)
+        assert feas.get(y.id) == IntervalSet.range(None, 5)
         feas.backtrack_to(0)
-        assert feas.get(y) == IntervalSet.full()
+        assert feas.get(y.id) == IntervalSet.full()

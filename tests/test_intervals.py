@@ -94,7 +94,6 @@ class TestPickValue:
         s = IntervalSet.from_intervals([(-5, 5), (40, 60)])
         assert s.pick_in_interval(1) == 40
         assert s.pick_in_interval(0) == 0
-        assert s.pick_in_interval(1, hint=50) == 50
 
 
 class TestNavigation:

@@ -40,7 +40,8 @@ class TestTokenizer:
 class TestRoundTrip:
     def test_parse_print_reparse_identical(self):
         script = smtlib.parse(EXAMPLE)
-        assert smtlib.parse(script.print()) == script
+        text = "\n".join(smtlib.print_sexpr(c) for c in script.commands)
+        assert smtlib.parse(text).commands == script.commands
 
     def test_whitespace_and_comments_do_not_matter(self):
         a = smtlib.parse("(set-logic QF_NIA)(declare-const v Int)"
@@ -51,7 +52,7 @@ class TestRoundTrip:
             (assert (= v   3))
             (check-sat)
         """)
-        assert a == b
+        assert a.commands == b.commands
 
 
 class TestErrors:
@@ -168,6 +169,27 @@ class TestTermConstructs:
             "(assert (<= 0 a))(assert (<= a 1))(assert (<= 0 b))"
             "(assert (<= b 1))(assert (<= 0 c))(assert (<= c 1))(check-sat)"))
         assert out == ["unsat"]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_xor_matches_parity(self, n):
+        # (xor a1 ... an) associates to the left, so it holds iff an odd
+        # number of its arguments do; the last argument is an atom.
+        import itertools
+        decls = "".join(f"(declare-const p{i} Bool)" for i in range(n - 1))
+        args = " ".join(f"p{i}" for i in range(n - 1)) + " (> a 0)"
+        for values in itertools.product((False, True), repeat=n):
+            fix = "".join(f"(assert p{i})" if v else f"(assert (not p{i}))"
+                          for i, v in enumerate(values[:-1]))
+            fix += f"(assert (= a {1 if values[-1] else 0}))"
+            out = self.run_sat(
+                f"(set-logic QF_NIA)(declare-const a Int){decls}"
+                f"(assert (xor {args})){fix}(check-sat)")
+            assert out == ("sat" if sum(values) % 2 else "unsat"), values
+
+    def test_xor_needs_two_arguments(self):
+        with pytest.raises(ParseError):
+            smtlib.parse("(set-logic QF_NIA)(declare-const p Bool)"
+                         "(assert (xor p))")
 
     def test_chained_comparison(self):
         assert self.run_sat(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import lit_evaluate
+from helpers import RELS, excl_pattern, lit_evaluate, random_poly
 from nials.terms import (Atom, Clause, Literal, Polynomial, Rel, Sort,
                          TermStore, normalize_poly)
 
@@ -161,6 +161,33 @@ class TestLiteralsAndClauses:
         blit = Literal(False, bvar=self.b)
         assert lit_evaluate(blit, {}, {self.b.id: False})
 
+    def test_equality_and_hash_follow_polarity_and_kind(self):
+        store = TermStore()
+        p = store.new_var("p", Sort.BOOL)
+        y = store.new_var("y", Sort.INT)
+        a = store.mk_atom(P.var(y.id), Rel.LEQ, P.zero())
+        assert a.id == p.id == 0     # same id, different kind
+        pos = Literal(True, atom=a)
+        assert pos == Literal(True, atom=a)
+        assert hash(pos) == hash(Literal(True, atom=a))
+        assert pos != pos.negate() == Literal(False, atom=a)
+        lits = [Literal(s, atom=a) for s in (True, False)] + \
+            [Literal(s, bvar=p) for s in (True, False)]
+        assert len(set(lits)) == len({lit.skey for lit in lits}) == 4
+        assert [lit.key for lit in lits] == [0, 0, 1, 1]
+        assert [lit.skey for lit in lits] == [0, 1, 2, 3]
+        assert Literal(True, bvar=p) != Literal(True, atom=a)
+
+    def test_holds_matches_reference(self):
+        lits = [Literal(s, atom=self.atom(P.var(self.x.id) - P.const(2), r))
+                for s in (True, False) for r in RELS]
+        lits += [Literal(s, bvar=self.b) for s in (True, False)]
+        for lit in lits:
+            for v in range(-1, 5):
+                for bv in (True, False):
+                    iv, bvs = {self.x.id: v}, {self.b.id: bv}
+                    assert lit.holds(iv, bvs) == lit_evaluate(lit, iv, bvs)
+
     def test_clause_dedup(self):
         lit = Literal(True, bvar=self.b)
         c = Clause([lit, lit, lit.negate()])
@@ -179,6 +206,45 @@ class TestTermStore:
         a = store.mk_atom(P.var(x.id), Rel.EQ, P.const(1))
         b = store.mk_atom(P.var(x.id).scale(2), Rel.EQ, P.const(2))
         assert a is b
+
+    def test_eq_atom_is_mk_atom_atom(self):
+        for eq_first in (True, False):
+            store = TermStore()
+            x = store.new_var("x", Sort.INT)
+            if eq_first:
+                a = store.eq_atom(x.id, 5)
+                b = store.mk_atom(P.const(5), Rel.EQ, P.var(x.id))
+            else:
+                b = store.mk_atom(P.const(5), Rel.EQ, P.var(x.id))
+                a = store.eq_atom(x.id, 5)
+            assert a is b
+            assert store.eq_atom(x.id, 5) is a
+            assert store.atoms == [a]
+
+    @pytest.mark.parametrize("lhs, var_eq", [
+        (P.var(0).scale(2) - P.const(4), (0, 2)),       # 2x - 4 = 0
+        (P.var(0).scale(2) - P.const(3), None),         # 2x - 3 = 0
+        (P.var(0) * P.var(0) - P.const(4), None),       # x^2 - 4 = 0
+        (P.const(-7) - P.var(0), (0, -7)),
+        (P.var(0), (0, 0)),
+    ])
+    def test_var_eq_matches_reference(self, lhs, var_eq):
+        store = TermStore()
+        store.new_var("x", Sort.INT)
+        atom = store.mk_atom(lhs, Rel.EQ, P.zero())
+        assert atom.var_eq == excl_pattern(atom) == var_eq
+
+    def test_var_eq_matches_reference_randomized(self):
+        rng = random.Random(17)
+        store = TermStore()
+        for i in range(3):
+            store.new_var(f"x{i}", Sort.INT)
+        for _ in range(500):
+            p = random_poly(rng, [0, 1, 2], max_terms=2, max_deg=2, coeff=4)
+            atom = store.mk_atom(p, rng.choice(RELS), P.zero())
+            assert atom.var_eq == excl_pattern(atom)
+            if atom.var_eq is not None:
+                assert store.eq_atom(*atom.var_eq) is atom
 
     def test_fresh_var_names_unique(self):
         store = TermStore()
