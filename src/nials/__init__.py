@@ -2,13 +2,13 @@
 
 from .core import Answer, Solver, SolverConfig, Stats
 from .errors import NialsError, ParseError, SortError, UnsupportedError
-from .smtlib import Script, execute, parse, solve
+from .smtlib import Script, parse, solve
 from .terms import Atom, Clause, Formula, Literal, Polynomial, Rel, Sort, TermStore
 
 __all__ = [
     "Answer", "Solver", "SolverConfig", "Stats",
     "NialsError", "ParseError", "SortError", "UnsupportedError",
-    "Script", "execute", "parse", "solve",
+    "Script", "parse", "solve",
     "Atom", "Clause", "Formula", "Literal", "Polynomial", "Rel", "Sort",
     "TermStore",
 ]

@@ -1,97 +1,109 @@
 """Boolean structure of parsed input, prior to clausification.
 
-The leaves are `terms.Literal`s (a Boolean variable or an atom, with a
-polarity); the inner nodes are constants, `Not`, `And`, `Or` and `Ite`.
+Structures are kept in negation normal form with constants folded: the
+leaves are `terms.Literal`s (a Boolean variable or an atom, with a
+polarity) and the inner nodes are `And`, `Or` and `Ite`.  `TRUE` and
+`FALSE` only ever stand for a whole structure.  Build nodes with the
+`mk_*` functions, which keep both properties; `mk_not` returns the dual
+node, remembered on both nodes so that `mk_not(mk_not(x)) is x`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 from .terms import Literal
 
 
+@dataclass(frozen=True, slots=True)
 class BoolExpr:
-    __slots__ = ()
+    # The node's negation once `mk_not` has built it; outside equality.
+    neg: Optional[BoolExpr] = field(
+        default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BConst(BoolExpr):
     value: bool
 
 
-@dataclass(frozen=True)
-class Not(BoolExpr):
-    arg: BoolExpr
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(BoolExpr):
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(BoolExpr):
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ite(BoolExpr):
     cond: BoolExpr
     then: BoolExpr
     els: BoolExpr
 
 
+def _pair(node: BoolExpr, dual: BoolExpr) -> BoolExpr:
+    """Record ``node`` and ``dual`` as each other's negation; returns dual."""
+    # `neg` is a cache outside equality and hashing: setting it keeps the
+    # nodes immutable as values.
+    object.__setattr__(node, "neg", dual)
+    object.__setattr__(dual, "neg", node)
+    return dual
+
+
 TRUE = BConst(True)
-FALSE = BConst(False)
+FALSE = _pair(TRUE, BConst(False))
+
+
+def _mk_nary(cls, args, unit: BConst, zero: BConst) -> BoolExpr:
+    kept = []
+    for a in args:
+        if a is zero:
+            return zero
+        if a is not unit:
+            kept.append(a)
+    if not kept:
+        return unit
+    if len(kept) == 1:
+        return kept[0]
+    return cls(tuple(kept))
 
 
 def mk_and(args) -> BoolExpr:
-    args = tuple(args)
-    if not args:
-        return TRUE
-    if len(args) == 1:
-        return args[0]
-    return And(args)
+    return _mk_nary(And, args, TRUE, FALSE)
 
 
 def mk_or(args) -> BoolExpr:
-    args = tuple(args)
-    if not args:
-        return FALSE
-    if len(args) == 1:
-        return args[0]
-    return Or(args)
+    return _mk_nary(Or, args, FALSE, TRUE)
+
+
+def mk_ite(cond, then, els) -> BoolExpr:
+    if cond is TRUE:
+        return then
+    if cond is FALSE:
+        return els
+    if isinstance(then, BConst):
+        return mk_or([cond, els]) if then.value else mk_and([mk_not(cond), els])
+    if isinstance(els, BConst):
+        return mk_or([mk_not(cond), then]) if els.value else mk_and([cond, then])
+    return Ite(cond, then, els)
 
 
 def mk_not(arg) -> BoolExpr:
     if isinstance(arg, Literal):
         return arg.negate()
-    if isinstance(arg, Not):
-        return arg.arg
-    if isinstance(arg, BConst):
-        return BConst(not arg.value)
-    return Not(arg)
-
-
-def to_nnf(node, negated: bool = False):
-    """Push negations down into the literal leaves."""
-    if isinstance(node, BConst):
-        return BConst(node.value != negated)
-    if isinstance(node, Literal):
-        return node.negate() if negated else node
-    if isinstance(node, Not):
-        return to_nnf(node.arg, not negated)
-    if isinstance(node, And):
-        args = tuple(to_nnf(a, negated) for a in node.args)
-        return mk_or(args) if negated else mk_and(args)
-    if isinstance(node, Or):
-        args = tuple(to_nnf(a, negated) for a in node.args)
-        return mk_and(args) if negated else mk_or(args)
-    if isinstance(node, Ite):
-        return Ite(to_nnf(node.cond), to_nnf(node.then, negated), to_nnf(node.els, negated))
-    raise TypeError(f"not a BoolExpr: {node!r}")
+    if arg.neg is not None:
+        return arg.neg
+    if isinstance(arg, And):
+        return _pair(arg, Or(tuple(mk_not(a) for a in arg.args)))
+    if isinstance(arg, Or):
+        return _pair(arg, And(tuple(mk_not(a) for a in arg.args)))
+    if isinstance(arg, Ite):
+        return _pair(arg, Ite(arg.cond, mk_not(arg.then), mk_not(arg.els)))
+    raise TypeError(f"not a BoolExpr: {arg!r}")
 
 
 def evaluate(node, int_values: Mapping[int, int],
@@ -100,8 +112,6 @@ def evaluate(node, int_values: Mapping[int, int],
         return node.holds(int_values, bool_values)
     if isinstance(node, BConst):
         return node.value
-    if isinstance(node, Not):
-        return not evaluate(node.arg, int_values, bool_values)
     if isinstance(node, And):
         return all(evaluate(a, int_values, bool_values) for a in node.args)
     if isinstance(node, Or):

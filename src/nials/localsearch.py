@@ -1,7 +1,8 @@
 """Greedy local search over complete assignments.
 
-Three move modes cycle in order: Boolean flips, feasible-set jumps, and
-accelerated hill-climbing.  Every accepted move strictly decreases the cost;
+A call runs three move modes once each, in order: Boolean flips,
+feasible-set jumps, and accelerated hill-climbing.  It does not return to
+an earlier mode.  Every accepted move strictly decreases the cost;
 integer candidates always stay inside the variable's feasibility snapshot.
 
 Each mode is one generator over a single variable visit: it yields candidate
@@ -162,11 +163,12 @@ class MoveEngine:
 
 def run(problem: LsProblem, engine: Optional[MoveEngine] = None,
         on_move=None) -> LsResult:
-    """Mode-cycling greedy descent from the initial assignment.
+    """Greedy descent from the initial assignment, one pass over the modes.
 
-    Terminates per mode when every variable has been visited since the last
-    improvement, globally when the cost hits zero, the evaluation budget
-    runs out or the deadline passes.
+    Each mode ends when every variable has been visited since the last
+    improvement, and the next mode starts from there; after the last mode
+    the call returns.  The whole call stops early when the cost hits zero,
+    the evaluation budget runs out or the deadline passes.
     """
     inc = IncrementalCost(problem.cost, problem.mu0_int, problem.mu0_bool)
     initial_cost = cost_star = inc.value

@@ -2,8 +2,11 @@
 
 Scripts are kept as parsed s-expressions for faithful round-trip printing;
 a compilation pass turns assertions into Boolean structures over the term
-store.  Zero-arity define-fun symbols are inlined as macros, integer-valued
-`ite` terms become fresh variables with defining constraints.
+store, in negation normal form with constants folded.  A compiled term's
+sort is its type: a `Polynomial` is an Int term, anything else a Bool one.
+Zero-arity define-fun symbols are inlined as macros, integer-valued `ite`
+terms become fresh variables with defining constraints.  `parse` validates
+a script and `solve` answers its check-sat; that is the one solve path.
 """
 
 from __future__ import annotations
@@ -117,11 +120,15 @@ _SUPPORTED_LOGICS = {"QF_NIA", "QF_LIA", "QF_NIRA"}
 
 
 class Compiler:
-    """Turns a script's declarations and assertions into solver input."""
+    """Turns a script's declarations and assertions into solver input.
+
+    A term compiles to a `Polynomial` if it has sort Int and to a Boolean
+    structure (`terms.Literal` or `formula_ast` node) if it has sort Bool.
+    """
 
     def __init__(self):
         self.store = TermStore()
-        self.macros: dict[str, tuple] = {}
+        self.macros: dict[str, Union[Polynomial, fa.BoolExpr, Literal]] = {}
         self.assertions: list[fa.BoolExpr] = []
         self.side: list[fa.BoolExpr] = []
         self.logic: Optional[str] = None
@@ -146,10 +153,12 @@ class Compiler:
             if args != []:
                 raise UnsupportedError(
                     f"declare-fun with arity > 0: {name}")
+            self._check_new_symbol(name)
             self.store.new_var(name, self._sort(sort))
         elif head == "declare-const":
             if len(cmd) != 3:
                 raise ParseError(f"malformed declare-const {print_sexpr(cmd)}", 0, 0)
+            self._check_new_symbol(cmd[1])
             self.store.new_var(cmd[1], self._sort(cmd[2]))
         elif head == "define-fun":
             if len(cmd) != 5:
@@ -157,9 +166,9 @@ class Compiler:
             name, args, sort, body = cmd[1], cmd[2], cmd[3], cmd[4]
             if args != []:
                 raise UnsupportedError(f"define-fun with arity > 0: {name}")
+            self._check_new_symbol(name)
             value = self.term(body, {})
-            want = self._sort(sort)
-            if (want is Sort.INT) != (value[0] == "int"):
+            if (self._sort(sort) is Sort.INT) != isinstance(value, Polynomial):
                 raise SortError(f"define-fun {name}: body sort mismatch")
             self.macros[name] = value
         elif head == "assert":
@@ -177,6 +186,11 @@ class Compiler:
         else:
             raise UnsupportedError(f"unsupported command {head}")
 
+    def _check_new_symbol(self, name: str):
+        """Variables and macros share one namespace; each name once."""
+        if name in self.macros or self.store.lookup_var(name) is not None:
+            raise SortError(f"symbol {name!r} already declared")
+
     def _sort(self, s: Sexpr) -> Sort:
         if s == "Int":
             return Sort.INT
@@ -186,27 +200,27 @@ class Compiler:
 
     # -- term level ---------------------------------------------------------
 
-    def bool_term(self, e: Sexpr, env: dict) -> fa.BoolExpr:
-        kind, value = self.term(e, env)
-        if kind != "bool":
+    def bool_term(self, e: Sexpr, env: dict):
+        value = self.term(e, env)
+        if isinstance(value, Polynomial):
             raise SortError(f"expected Bool term, got {print_sexpr(e)}")
         return value
 
     def int_term(self, e: Sexpr, env: dict) -> Polynomial:
-        kind, value = self.term(e, env)
-        if kind != "int":
+        value = self.term(e, env)
+        if not isinstance(value, Polynomial):
             raise SortError(f"expected Int term, got {print_sexpr(e)}")
         return value
 
     def term(self, e: Sexpr, env: dict):
-        """Returns ("int", Polynomial) or ("bool", BoolExpr)."""
+        """A `Polynomial` for an Int term, a Boolean structure for a Bool one."""
         if isinstance(e, str):
             return self._atom_term(e, env)
         if not e or not isinstance(e[0], str):
             raise ParseError(f"malformed term {print_sexpr(e)}", 0, 0)
         head, args = e[0], e[1:]
         if head == "-" and len(args) == 1:
-            return "int", -self.int_term(args[0], env)
+            return -self.int_term(args[0], env)
         if head in ("+", "-", "*"):
             if not args:
                 raise ParseError(f"operator {head} needs arguments", 0, 0)
@@ -219,25 +233,25 @@ class Compiler:
                     acc = acc - p
                 else:
                     acc = acc * p
-            return "int", acc
+            return acc
         if head in ("<", "<=", ">", ">="):
-            return "bool", self._chain(head, args, env)
+            return self._chain(head, args, env)
         if head == "=":
-            return "bool", self._equality(args, env)
+            return self._equality(args, env)
         if head == "distinct":
-            return "bool", self._distinct(args, env)
+            return self._distinct(args, env)
         if head in ("and", "or"):
             parts = [self.bool_term(a, env) for a in args]
-            return "bool", (fa.mk_and(parts) if head == "and" else fa.mk_or(parts))
+            return fa.mk_and(parts) if head == "and" else fa.mk_or(parts)
         if head == "xor":
             if len(args) < 2:
                 raise ParseError("xor needs two arguments", 0, 0)
             parts = [self.bool_term(a, env) for a in args]
-            return "bool", functools.reduce(_xor, parts)
+            return functools.reduce(_xor, parts)
         if head == "not":
             if len(args) != 1:
                 raise ParseError("not takes one argument", 0, 0)
-            return "bool", fa.mk_not(self.bool_term(args[0], env))
+            return fa.mk_not(self.bool_term(args[0], env))
         if head == "=>":
             if len(args) < 2:
                 raise ParseError("=> takes at least two arguments", 0, 0)
@@ -245,29 +259,27 @@ class Compiler:
             acc = parts[-1]
             for p in reversed(parts[:-1]):
                 acc = fa.mk_or([fa.mk_not(p), acc])
-            return "bool", acc
+            return acc
         if head == "ite":
             return self._ite(args, env)
         if head == "let":
             return self._let(args, env)
-        if head in ("div", "mod", "abs", "forall", "exists"):
-            raise UnsupportedError(f"unsupported operator {head}")
         raise UnsupportedError(f"unsupported operator {head}")
 
     def _atom_term(self, name: str, env: dict):
         if name == "true":
-            return "bool", fa.TRUE
+            return fa.TRUE
         if name == "false":
-            return "bool", fa.FALSE
+            return fa.FALSE
         if name.isdigit():
-            return "int", Polynomial.const(int(name))
+            return Polynomial.const(int(name))
         if name in env:
             return env[name]
         var = self.store.lookup_var(name)
         if var is not None:
             if var.sort is Sort.INT:
-                return "int", Polynomial.var(var.id)
-            return "bool", Literal(True, bvar=var)
+                return Polynomial.var(var.id)
+            return Literal(True, bvar=var)
         if name in self.macros:
             return self.macros[name]
         raise ParseError(f"undeclared identifier {name}", 0, 0)
@@ -294,57 +306,51 @@ class Compiler:
         parts = [self._rel_atom(op, a, b) for a, b in zip(polys, polys[1:])]
         return fa.mk_and(parts)
 
-    def _equality(self, args: list, env: dict) -> fa.BoolExpr:
+    def _operands(self, op: str, args: list, env: dict):
+        """(values, whether all are Int) for operands of one sort."""
         if len(args) < 2:
-            raise ParseError("= needs two arguments", 0, 0)
+            raise ParseError(f"{op} needs two arguments", 0, 0)
         vals = [self.term(a, env) for a in args]
-        kinds = {k for k, _ in vals}
+        kinds = {isinstance(v, Polynomial) for v in vals}
         if len(kinds) != 1:
-            raise SortError("= applied to mixed sorts")
-        if kinds == {"int"}:
-            return fa.mk_and([
-                self._rel_atom("=", a[1], b[1])
-                for a, b in zip(vals, vals[1:])])
-        parts = []
-        for (_, a), (_, b) in zip(vals, vals[1:]):
-            parts.append(fa.mk_or([
-                fa.mk_and([a, b]),
-                fa.mk_and([fa.mk_not(a), fa.mk_not(b)])]))
-        return fa.mk_and(parts)
+            raise SortError(f"{op} applied to mixed sorts")
+        return vals, kinds.pop()
+
+    def _equality(self, args: list, env: dict) -> fa.BoolExpr:
+        vals, ints = self._operands("=", args, env)
+        if ints:
+            return fa.mk_and([self._rel_atom("=", a, b)
+                              for a, b in zip(vals, vals[1:])])
+        return fa.mk_and([
+            fa.mk_or([fa.mk_and([a, b]),
+                      fa.mk_and([fa.mk_not(a), fa.mk_not(b)])])
+            for a, b in zip(vals, vals[1:])])
 
     def _distinct(self, args: list, env: dict) -> fa.BoolExpr:
-        if len(args) < 2:
-            raise ParseError("distinct needs two arguments", 0, 0)
-        vals = [self.term(a, env) for a in args]
-        kinds = {k for k, _ in vals}
-        if kinds == {"int"}:
-            parts = []
-            for i in range(len(vals)):
-                for j in range(i + 1, len(vals)):
-                    parts.append(self._rel_atom("!=", vals[i][1], vals[j][1]))
-            return fa.mk_and(parts)
-        if kinds == {"bool"} and len(vals) == 2:
-            return _xor(vals[0][1], vals[1][1])
-        raise UnsupportedError("distinct over these operands")
+        vals, ints = self._operands("distinct", args, env)
+        if ints:
+            return fa.mk_and([self._rel_atom("!=", vals[i], vals[j])
+                              for i in range(len(vals))
+                              for j in range(i + 1, len(vals))])
+        if len(vals) == 2:
+            return _xor(vals[0], vals[1])
+        raise UnsupportedError("distinct over more than two Bool operands")
 
     def _ite(self, args: list, env: dict):
         if len(args) != 3:
             raise ParseError("ite takes three arguments", 0, 0)
         cond = self.bool_term(args[0], env)
-        t_kind, t_val = self.term(args[1], env)
-        e_kind, e_val = self.term(args[2], env)
-        if t_kind != e_kind:
-            raise SortError("ite branches have different sorts")
-        if t_kind == "bool":
-            return "bool", fa.Ite(cond, t_val, e_val)
+        (then, els), ints = self._operands("ite", args[1:], env)
+        if not ints:
+            return fa.mk_ite(cond, then, els)
         # Integer ite: fresh variable constrained to the chosen branch.
         v = self.store.fresh_var("ite", Sort.INT)
         vp = Polynomial.var(v.id)
         self.side.append(fa.mk_or([
-            fa.mk_not(cond), self._rel_atom("=", vp, t_val)]))
+            fa.mk_not(cond), self._rel_atom("=", vp, then)]))
         self.side.append(fa.mk_or([
-            cond, self._rel_atom("=", vp, e_val)]))
-        return "int", vp
+            cond, self._rel_atom("=", vp, els)]))
+        return vp
 
     def _let(self, args: list, env: dict):
         if len(args) != 2 or not isinstance(args[0], list):
@@ -390,26 +396,6 @@ def compile_script(script: Script) -> Compiler:
 
 def _format_int(v: int) -> str:
     return str(v) if v >= 0 else f"(- {-v})"
-
-
-def execute(script: Script, config: Optional[SolverConfig] = None):
-    """Run the script's commands; returns (output lines, last Solver)."""
-    out: list[str] = []
-    solver = None
-    model = None
-    for cmd in script.commands:
-        head = cmd[0] if isinstance(cmd, list) and cmd else None
-        if head == "check-sat":
-            ans, model, solver = solve(script, config)
-            out.append(ans.value)
-        elif head == "get-model":
-            if model is None:
-                out.append("(error \"no model available\")")
-            else:
-                out.append("\n".join(format_model(model)))
-        elif head == "exit":
-            break
-    return out, solver
 
 
 def solve(script: Script, config: Optional[SolverConfig] = None):

@@ -101,6 +101,15 @@ class TestSolveFile:
         assert "div" in err
         assert out == ""
 
+    def test_symbol_declared_twice_exit_2(self, tmp_path):
+        p = tmp_path / "twice.smt2"
+        p.write_text("(set-logic QF_NIA)(define-fun a () Int 5)"
+                     "(declare-const a Int)(assert (= a 3))(check-sat)")
+        code, out, err = run_main([str(p)])
+        assert code == 2
+        assert "already declared" in err
+        assert out == ""
+
     def test_deep_nesting_exit_2(self, tmp_path):
         p = tmp_path / "deep.smt2"
         p.write_text(DEEP)

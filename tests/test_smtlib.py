@@ -1,4 +1,7 @@
-"""SMT-LIB v2 frontend: tokenizing, parsing, round-trips, execution."""
+"""SMT-LIB v2 frontend: tokenizing, parsing, round-trips, solving."""
+
+import itertools
+import random
 
 import pytest
 
@@ -86,49 +89,65 @@ class TestErrors:
                          "(assert (> x 0))(check-sat)"
                          "(assert (< x 0))(check-sat)")
 
+    @pytest.mark.parametrize("text", [
+        # A variable must not shadow a macro, nor a macro a variable.
+        "(define-fun a () Int 5)(declare-const a Int)(assert (= a 3))",
+        "(declare-const a Int)(define-fun a () Int 5)",
+        "(define-fun a () Int 5)(define-fun a () Int 6)",
+        "(declare-const a Int)(declare-fun a () Bool)",
+    ])
+    def test_symbol_declared_twice(self, text):
+        with pytest.raises(SortError, match="already declared"):
+            smtlib.parse("(set-logic QF_NIA)" + text)
+
+    @pytest.mark.parametrize("term", [
+        "(= x p)", "(distinct x p)", "(ite (> x 0) x p)"])
+    def test_mixed_sort_operands(self, term):
+        with pytest.raises(SortError, match="mixed sorts"):
+            smtlib.parse("(set-logic QF_NIA)(declare-const x Int)"
+                         f"(declare-const p Bool)(assert {term})")
+
+    def test_bool_distinct_over_three_unsupported(self):
+        with pytest.raises(UnsupportedError):
+            smtlib.parse("(set-logic QF_NIA)(declare-const p Bool)"
+                         "(declare-const q Bool)(assert (distinct p q true))")
+
+
+def run(text):
+    """Answer and printed model (None unless sat) of a script via `solve`."""
+    ans, model, _ = smtlib.solve(smtlib.parse(text))
+    printed = None if model is None else "\n".join(smtlib.format_model(model))
+    return ans.value, printed
+
 
 class TestExecution:
     def test_example_is_sat_with_model(self):
-        out, solver = smtlib.execute(smtlib.parse(EXAMPLE))
-        assert out[0] == "sat"
-        assert out[1].startswith("(")
-        assert "(define-fun x () Int" in out[1]
-        assert solver.answer is Answer.SAT
+        ans, model, solver = smtlib.solve(smtlib.parse(EXAMPLE))
+        assert ans is solver.answer is Answer.SAT
+        printed = "\n".join(smtlib.format_model(model))
+        assert printed.startswith("(")
+        assert "(define-fun x () Int" in printed
 
     def test_unsat(self):
-        out, _ = smtlib.execute(smtlib.parse(
-            "(set-logic QF_NIA)(declare-const u Int)"
-            "(assert (= (* u u) 2))(check-sat)"))
-        assert out == ["unsat"]
+        assert run("(set-logic QF_NIA)(declare-const u Int)"
+                   "(assert (= (* u u) 2))(check-sat)") == ("unsat", None)
 
     def test_negative_model_values_use_minus_form(self):
-        out, _ = smtlib.execute(smtlib.parse(
+        ans, model = run(
             "(set-logic QF_NIA)(declare-const u Int)"
-            "(assert (= (* u u u) (- 27)))(check-sat)(get-model)"))
-        assert out[0] == "sat"
-        assert "(- 3)" in out[1]
-
-    def test_get_model_without_sat_is_error(self):
-        out, _ = smtlib.execute(smtlib.parse(
-            "(set-logic QF_NIA)(declare-const u Int)(get-model)"))
-        assert "error" in out[0]
-
-    def test_exit_stops_execution(self):
-        out, _ = smtlib.execute(smtlib.parse(
-            "(set-logic QF_NIA)(exit)(check-sat)"))
-        assert out == []
+            "(assert (= (* u u u) (- 27)))(check-sat)(get-model)")
+        assert ans == "sat"
+        assert "(- 3)" in model
 
     def test_bool_variables_in_model(self):
-        out, _ = smtlib.execute(smtlib.parse(
-            "(set-logic QF_NIA)(declare-const p Bool)"
-            "(assert (not p))(check-sat)(get-model)"))
-        assert "(define-fun p () Bool false)" in out[1]
+        _, model = run("(set-logic QF_NIA)(declare-const p Bool)"
+                       "(assert (not p))(check-sat)(get-model)")
+        assert "(define-fun p () Bool false)" in model
 
 
 class TestTermConstructs:
     def run_sat(self, text):
-        out, _ = smtlib.execute(smtlib.parse(text))
-        return out[0]
+        return run(text)[0]
 
     def test_let(self):
         assert self.run_sat(
@@ -143,38 +162,35 @@ class TestTermConstructs:
             "(check-sat)") == "sat"
 
     def test_int_ite_becomes_constraint(self):
-        script = smtlib.parse(
+        ans, model = run(
             "(set-logic QF_NIA)(declare-const c Int)(declare-const r Int)"
             "(assert (= r (ite (> c 0) 1 (- 1))))"
             "(assert (= c 5))(check-sat)(get-model)")
-        out, solver = smtlib.execute(script)
-        assert out[0] == "sat"
-        assert "(define-fun r () Int 1)" in out[1]
+        assert ans == "sat"
+        assert "(define-fun r () Int 1)" in model
         # The auxiliary ite variable stays out of the printed model.
-        assert "ite!" not in out[1]
+        assert "ite!" not in model
 
     def test_bool_equality_is_iff(self):
         assert self.run_sat(
             "(set-logic QF_NIA)(declare-const p Bool)(declare-const q Bool)"
             "(assert (= p q))(assert p)(assert q)(check-sat)") == "sat"
-        out, _ = smtlib.execute(smtlib.parse(
+        assert self.run_sat(
             "(set-logic QF_NIA)(declare-const p Bool)(declare-const q Bool)"
-            "(assert (= p q))(assert p)(assert (not q))(check-sat)"))
-        assert out == ["unsat"]
+            "(assert (= p q))(assert p)(assert (not q))(check-sat)") == "unsat"
 
     def test_distinct_pairwise(self):
-        out, _ = smtlib.execute(smtlib.parse(
+        assert self.run_sat(
             "(set-logic QF_NIA)(declare-const a Int)(declare-const b Int)"
             "(declare-const c Int)(assert (distinct a b c))"
             "(assert (<= 0 a))(assert (<= a 1))(assert (<= 0 b))"
-            "(assert (<= b 1))(assert (<= 0 c))(assert (<= c 1))(check-sat)"))
-        assert out == ["unsat"]
+            "(assert (<= b 1))(assert (<= 0 c))(assert (<= c 1))(check-sat)"
+        ) == "unsat"
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_xor_matches_parity(self, n):
         # (xor a1 ... an) associates to the left, so it holds iff an odd
         # number of its arguments do; the last argument is an atom.
-        import itertools
         decls = "".join(f"(declare-const p{i} Bool)" for i in range(n - 1))
         args = " ".join(f"p{i}" for i in range(n - 1)) + " (> a 0)"
         for values in itertools.product((False, True), repeat=n):
@@ -197,11 +213,11 @@ class TestTermConstructs:
             "(assert (< 1 a b 4))(assert (= (+ a b) 5))(check-sat)") == "sat"
 
     def test_implication(self):
-        out, _ = smtlib.execute(smtlib.parse(
+        assert self.run_sat(
             "(set-logic QF_NIA)(declare-const p Bool)"
             "(declare-const a Int)"
-            "(assert (=> p (= a 3)))(assert p)(assert (= a 4))(check-sat)"))
-        assert out == ["unsat"]
+            "(assert (=> p (= a 3)))(assert p)(assert (= a 4))(check-sat)"
+        ) == "unsat"
 
     def test_define_fun_macro(self):
         assert self.run_sat(
@@ -233,3 +249,84 @@ class TestSolveHelper:
         assert first[0] is second[0] is Answer.SAT
         assert first[1] == second[1]
         assert first[2].stats.as_dict() == second[2].stats.as_dict()
+
+
+# Boolean leaves over two Booleans and an atom, with constants: SMT-LIB text
+# and truth under (p, q, a).
+LEAVES = (("p", lambda p, q, a: p), ("q", lambda p, q, a: q),
+          ("(> a 0)", lambda p, q, a: a > 0),
+          ("true", lambda p, q, a: True), ("false", lambda p, q, a: False))
+
+
+def _implies(values):
+    acc = values[-1]
+    for v in reversed(values[:-1]):
+        acc = (not v) or acc
+    return acc
+
+
+COMBINE = {
+    "and": all,
+    "or": any,
+    "=>": _implies,
+    "=": lambda vs: all(x == y for x, y in zip(vs, vs[1:])),
+    "xor": lambda vs: sum(vs) % 2 == 1,
+}
+
+
+def random_bool(rng, depth):
+    """(text, truth function) of a random Bool term with constant leaves."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(LEAVES)
+    op = rng.choice(("and", "or", "not", "=>", "ite", "=", "xor"))
+    if op == "not":
+        text, f = random_bool(rng, depth - 1)
+        return f"(not {text})", lambda *v: not f(*v)
+    if op == "ite":
+        (ct, cf), (tt, tf), (et, ef) = (random_bool(rng, depth - 1)
+                                        for _ in range(3))
+        return (f"(ite {ct} {tt} {et})",
+                lambda *v: tf(*v) if cf(*v) else ef(*v))
+    subs = [random_bool(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    text = f"({op} {' '.join(t for t, _ in subs)})"
+    fs = [f for _, f in subs]
+    return text, lambda *v: COMBINE[op]([f(*v) for f in fs])
+
+
+class TestConstantsBelowRoot:
+    DECLS = ("(set-logic QF_NIA)(declare-const p Bool)(declare-const q Bool)"
+             "(declare-const a Int)")
+
+    def answer(self, term, fix=""):
+        return run(f"{self.DECLS}(assert {term}){fix}(check-sat)")[0]
+
+    @pytest.mark.parametrize("term, expected", [
+        ("(and p (or false (> a 0)))", "sat"),
+        ("(and p (not true))", "unsat"),
+        ("(or false (and q false))", "unsat"),
+        ("(=> false p)", "sat"),
+        ("(not (=> p false))", "sat"),
+        ("(and (= p true) (= q false) (= (> a 0) p))", "sat"),
+        ("(and (xor p true) p)", "unsat"),
+        ("(ite true (> a 0) false)", "sat"),
+        ("(ite p false (not p))", "sat"),
+        ("(and (ite q true false) (not q))", "unsat"),
+    ])
+    def test_fixed_terms(self, term, expected):
+        assert self.answer(term) == expected
+
+    def test_random_terms_match_enumeration(self):
+        rng = random.Random(5)
+        points = list(itertools.product((False, True), (False, True), (0, 1)))
+        with_constants = 0
+        for _ in range(40):
+            term, truth = random_bool(rng, 3)
+            with_constants += ("true" in term or "false" in term)
+            assert self.answer(term) == (
+                "sat" if any(truth(*pt) for pt in points) else "unsat"), term
+            for p, q, a in points:
+                fix = (f"(assert {'p' if p else '(not p)'})"
+                       f"(assert {'q' if q else '(not q)'})(assert (= a {a}))")
+                assert self.answer(term, fix) == (
+                    "sat" if truth(p, q, a) else "unsat"), (term, p, q, a)
+        assert with_constants > 20
