@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import smtlib
 from .core import SolverConfig, Stats
-from .errors import InternalError, NialsError
+from .errors import InternalError, NialsError, ParseError
 
 CSV_COLUMNS = ("name", "answer", "wall_ms", "conflicts", "decisions",
                "theory_assignments", "ls_calls", "ls_moves_accepted")
@@ -72,12 +72,17 @@ def _stats_lines(stats: Stats, answer: str, wall_ms: float) -> list[str]:
 def _solve_path(config: SolverConfig, path: str):
     """Read, parse and solve one file: (answer, model, solver).
 
-    Raises OSError for an unreadable file and NialsError for bad input or
-    a failed model check (InternalError).
+    Raises OSError for an unreadable file and NialsError for bad input
+    (a file that is not UTF-8 is a ParseError) or a failed model check
+    (InternalError).
     """
-    with open(path, "r") as f:
-        script = smtlib.parse(f.read())
-    return smtlib.solve(script, config)
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(
+                f"not UTF-8 text: byte {e.start}: {e.reason}") from None
+    return smtlib.solve(smtlib.parse(text), config)
 
 
 def solve_file(config: SolverConfig, path: str, out=None, err=None,

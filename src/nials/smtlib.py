@@ -12,8 +12,9 @@ a script and `solve` answers its check-sat; that is the one solve path.
 from __future__ import annotations
 
 import functools
+import re
 from contextlib import contextmanager
-from typing import Optional, Union
+from typing import NoReturn, Optional, Union
 
 from . import formula_ast as fa
 from .clausify import clausify
@@ -23,81 +24,75 @@ from .terms import Literal, Polynomial, Rel, Sort, TermStore
 
 Sexpr = Union[str, list]
 
-_SYMBOL_EXTRA = "~!@$%^&*_-+=<>.?/"
+# Text between tokens: whitespace and `;` comments.  It always ends a
+# pattern, so the engine never backtracks into a comment.
+_SKIP = r'[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*'
+# A parenthesis, a symbol (`\w` is `str.isalnum` plus `_`), a
+# `|quoted symbol|` or a string literal.
+_TOKEN = re.compile(r'[()]|[\w~!@$%^&*\-+=<>.?/:]+|\|[^|]*\||"[^"]*"')
+_LEADING_SKIP = re.compile(_SKIP)
+# One token and the text skipped after it.  Where no token starts, the
+# match takes the rest of the text, so a malformed text's last "token" is
+# the only one `_TOKEN` does not match in full.
+_TOKENS = re.compile(f'({_TOKEN.pattern}|[\\s\\S]+){_SKIP}')
 
 
 def tokenize(text: str):
     """Yields (token, line, col) with 1-based positions."""
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch, line, col
-            i += 1
-            col += 1
-        elif ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
+    line, line_start, seen = 1, 0, 0
+    for m in _TOKENS.finditer(text, _LEADING_SKIP.match(text).end()):
+        tok, offset = m.group(1), m.start()
+        newlines = text.count("\n", seen, offset)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", seen, offset) + 1
+        seen = offset
+        col = offset - line_start + 1
+        if _TOKEN.fullmatch(tok) is None:
+            if tok[0] == "|":
                 raise ParseError("unterminated quoted symbol", line, col)
-            tok = text[i:j + 1]
-            yield tok, line, col
-            col += j + 1 - i
-            i = j + 1
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
+            if tok[0] == '"':
                 raise ParseError("unterminated string literal", line, col)
-            yield text[i:j + 1], line, col
-            col += j + 1 - i
-            i = j + 1
-        elif ch.isalnum() or ch in _SYMBOL_EXTRA or ch == ":":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in _SYMBOL_EXTRA
-                             or text[j] == ":"):
-                j += 1
-            yield text[i:j], line, col
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+            raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+        yield tok, line, col
 
 
 def parse_sexprs(text: str) -> list:
     """All top-level s-expressions as nested lists of token strings."""
-    stack: list[list] = []
-    top: list = []
-    opens: list[tuple] = []
-    for tok, line, col in tokenize(text):
+    tokens = _TOKENS.findall(text, _LEADING_SKIP.match(text).end())
+    if tokens and _TOKEN.fullmatch(tokens[-1]) is None:
+        _raise_syntax_error(text)
+    top = current = []
+    stack = []
+    for tok in tokens:
         if tok == "(":
-            stack.append([])
-            opens.append((line, col))
+            inner = []
+            current.append(inner)
+            stack.append(current)
+            current = inner
         elif tok == ")":
             if not stack:
-                raise ParseError("unbalanced ')'", line, col)
-            done = stack.pop()
-            opens.pop()
-            (stack[-1] if stack else top).append(done)
+                _raise_syntax_error(text)
+            current = stack.pop()
         else:
-            (stack[-1] if stack else top).append(tok)
+            current.append(tok)
     if stack:
-        line, col = opens[-1]
-        raise ParseError("unbalanced '('", line, col)
+        _raise_syntax_error(text)
     return top
+
+
+def _raise_syntax_error(text: str) -> NoReturn:
+    """Raise the first error of a malformed text, with its position."""
+    opens = []
+    for tok, line, col in tokenize(text):
+        if tok == "(":
+            opens.append((line, col))
+        elif tok == ")":
+            if not opens:
+                raise ParseError("unbalanced ')'", line, col)
+            opens.pop()
+    line, col = opens[-1]
+    raise ParseError("unbalanced '('", line, col)
 
 
 def print_sexpr(e: Sexpr) -> str:
@@ -133,6 +128,9 @@ class Compiler:
         self.side: list[fa.BoolExpr] = []
         self.logic: Optional[str] = None
         self.checked = False            # a check-sat has been seen
+        # Memoised leaves: true/false and numerals, then variables by name.
+        self._constants: dict = {"true": fa.TRUE, "false": fa.FALSE}
+        self._variables: dict = {}
 
     # -- command level ------------------------------------------------------
 
@@ -224,15 +222,16 @@ class Compiler:
         if head in ("+", "-", "*"):
             if not args:
                 raise ParseError(f"operator {head} needs arguments", 0, 0)
-            acc = self.int_term(args[0], env)
-            for a in args[1:]:
-                p = self.int_term(a, env)
-                if head == "+":
-                    acc = acc + p
-                elif head == "-":
-                    acc = acc - p
-                else:
-                    acc = acc * p
+            # A loop, not a comprehension: one frame less per nesting level.
+            polys = []
+            for a in args:
+                polys.append(self.int_term(a, env))
+            if head != "*":
+                return Polynomial.sum(polys[0], polys[1:],
+                                      1 if head == "+" else -1)
+            acc = polys[0]
+            for p in polys[1:]:
+                acc = acc * p
             return acc
         if head in ("<", "<=", ">", ">="):
             return self._chain(head, args, env)
@@ -267,19 +266,30 @@ class Compiler:
         raise UnsupportedError(f"unsupported operator {head}")
 
     def _atom_term(self, name: str, env: dict):
-        if name == "true":
-            return fa.TRUE
-        if name == "false":
-            return fa.FALSE
-        if name.isdigit():
-            return Polynomial.const(int(name))
+        # Lookup order: true/false, numerals, let-bound names, variables,
+        # macros; so no let binding shadows a constant.
+        value = self._constants.get(name)
+        if value is not None:
+            return value
+        if name.isascii() and name.isdigit():
+            try:
+                n = int(name)
+            except ValueError:      # beyond Python's int-from-text limit
+                raise UnsupportedError(
+                    f"numeral of {len(name)} digits") from None
+            value = self._constants[name] = Polynomial.const(n)
+            return value
         if name in env:
             return env[name]
+        value = self._variables.get(name)
+        if value is not None:
+            return value
         var = self.store.lookup_var(name)
         if var is not None:
-            if var.sort is Sort.INT:
-                return Polynomial.var(var.id)
-            return Literal(True, bvar=var)
+            value = self._variables[name] = (
+                Polynomial.var(var.id) if var.sort is Sort.INT
+                else Literal(True, bvar=var))
+            return value
         if name in self.macros:
             return self.macros[name]
         raise ParseError(f"undeclared identifier {name}", 0, 0)

@@ -54,6 +54,10 @@ Monomial = tuple
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a:
+        return b
+    if not b:
+        return a
     exps: dict[int, int] = dict(a)
     for vid, e in b:
         exps[vid] = exps.get(vid, 0) + e
@@ -86,16 +90,45 @@ class Polynomial:
         self._vars = None
 
     @staticmethod
+    def _of(terms: dict) -> "Polynomial":
+        """The polynomial that takes over ``terms``, a fresh dict with no
+        zero coefficient (the caller keeps no reference to it)."""
+        p = object.__new__(Polynomial)
+        p._terms = terms
+        p._hash = None
+        p._vars = None
+        return p
+
+    @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial({})
+        return Polynomial._of({})
 
     @staticmethod
     def const(c: int) -> "Polynomial":
-        return Polynomial({(): c})
+        return Polynomial._of({(): c} if c else {})
 
     @staticmethod
     def var(vid: int) -> "Polynomial":
-        return Polynomial({((vid, 1),): 1})
+        return Polynomial._of({((vid, 1),): 1})
+
+    @staticmethod
+    def sum(first: "Polynomial", rest: Iterable["Polynomial"],
+            sign: int = 1) -> "Polynomial":
+        """``first + sign·r`` for each ``r`` of ``rest``, in one term dict.
+
+        A coefficient that cancels is deleted at once, so a monomial that
+        comes back is appended at the end: the term order is that of the
+        pairwise sums, which code downstream iterates.
+        """
+        terms = dict(first._terms)
+        for p in rest:
+            for m, c in p._terms.items():
+                c = terms.get(m, 0) + sign * c
+                if c:
+                    terms[m] = c
+                else:
+                    del terms[m]
+        return Polynomial._of(terms)
 
     @property
     def terms(self) -> Mapping[Monomial, int]:
@@ -120,18 +153,19 @@ class Polynomial:
         return self._hash
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Polynomial(terms)
+        return Polynomial.sum(self, (other,))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return Polynomial._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return Polynomial.sum(self, (other,), -1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if len(self._terms) == 1 == len(other._terms):
+            (m1, c1), = self._terms.items()
+            (m2, c2), = other._terms.items()
+            return Polynomial._of({_mono_mul(m1, m2): c1 * c2})
         terms: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -177,10 +211,7 @@ class Polynomial:
 
     def content(self) -> int:
         """GCD of coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self._terms.values():
-            g = math.gcd(g, abs(c))
-        return g
+        return math.gcd(*self._terms.values())
 
     def leading_coeff(self) -> int:
         """Coefficient of the leading monomial under graded lex order."""
@@ -348,6 +379,7 @@ class TermStore:
         self._atoms: dict[tuple, Atom] = {}
         self._eq_atoms: dict[tuple, Atom] = {}     # Atom.var_eq -> atom
         self.atoms: list[Atom] = []
+        self._fresh: dict[str, int] = {}           # prefix -> next n to try
 
     def new_var(self, name: str, sort: Sort, is_aux: bool = False) -> Variable:
         if name in self._var_by_name:
@@ -358,9 +390,15 @@ class TermStore:
         return v
 
     def fresh_var(self, prefix: str, sort: Sort) -> Variable:
-        n = 0
+        """A new auxiliary variable ``prefix!n`` with the least free n.
+
+        Names are never removed, so every n below the last one given out
+        is still taken and the search resumes there.
+        """
+        n = self._fresh.get(prefix, 0)
         while f"{prefix}!{n}" in self._var_by_name:
             n += 1
+        self._fresh[prefix] = n + 1
         return self.new_var(f"{prefix}!{n}", sort, is_aux=True)
 
     def lookup_var(self, name: str) -> Optional[Variable]:
@@ -371,24 +409,34 @@ class TermStore:
 
     def mk_atom(self, lhs: Polynomial, rel: Rel, rhs: Polynomial) -> Atom:
         """The interned atom of ``lhs ⋈ rhs`` in normal form."""
-        poly, rel = normalize_poly(lhs - rhs, rel)
-        key = (poly, rel)
-        atom = self._atoms.get(key)
+        poly, rel = normalize_poly(lhs - rhs if rhs._terms else lhs, rel)
+        atom = self._atoms.get((poly, rel))
         if atom is None:
-            var_eq = _var_eq(poly) if rel is Rel.EQ else None
-            atom = Atom(len(self.atoms), poly, rel, var_eq)
-            self._atoms[key] = atom
-            self.atoms.append(atom)
-            if var_eq is not None:
-                self._eq_atoms[var_eq] = atom
+            atom = self._new_atom(poly, rel,
+                                  _var_eq(poly) if rel is Rel.EQ else None)
         return atom
 
     def eq_atom(self, vid: int, value: int) -> Atom:
-        """The atom ``x = value``: the one `mk_atom` gives for it."""
+        """The atom ``x = value``: the one `mk_atom` gives for it.
+
+        Every atom of that form is registered by its ``var_eq``, so a miss
+        is a new atom, built in the normal form `mk_atom` would give it.
+        """
         atom = self._eq_atoms.get((vid, value))
         if atom is None:
-            atom = self.mk_atom(Polynomial.var(vid), Rel.EQ,
-                                Polynomial.const(value))
+            terms = {((vid, 1),): 1}
+            if value:
+                terms[()] = -value
+            atom = self._new_atom(Polynomial._of(terms), Rel.EQ, (vid, value))
+        return atom
+
+    def _new_atom(self, poly: Polynomial, rel: Rel,
+                  var_eq: Optional[tuple]) -> Atom:
+        atom = Atom(len(self.atoms), poly, rel, var_eq)
+        self._atoms[(poly, rel)] = atom
+        self.atoms.append(atom)
+        if var_eq is not None:
+            self._eq_atoms[var_eq] = atom
         return atom
 
 
@@ -413,11 +461,11 @@ def normalize_poly(p: Polynomial, rel: Rel) -> tuple[Polynomial, Rel]:
     g = p.content()
     if g > 1:
         if rel in (Rel.EQ, Rel.NEQ):
-            p = Polynomial({m: c // g for m, c in p.terms.items()})
+            p = Polynomial._of({m: c // g for m, c in p.terms.items()})
         else:
             # Keep the constant term's remainder: only divide if exact.
             if all(c % g == 0 for c in p.terms.values()):
-                p = Polynomial({m: c // g for m, c in p.terms.items()})
+                p = Polynomial._of({m: c // g for m, c in p.terms.items()})
     if rel in (Rel.EQ, Rel.NEQ) and p.leading_coeff() < 0:
         p = -p
     return p, rel

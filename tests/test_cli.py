@@ -37,6 +37,14 @@ BAD = """(set-logic QF_NIA)
 DEEP = ("(set-logic QF_NIA)\n(declare-const x Int)\n(assert (> "
         + "(+ 1 " * 3000 + "x" + ")" * 3000 + " 0))\n(check-sat)\n")
 
+# Latin-1 bytes in a comment, a superscript two in numeral position, and
+# a numeral longer than Python reads into an int.
+NOT_UTF8 = b"(set-logic QF_NIA) ; caf\xe9\n(check-sat)\n"
+NON_ASCII_NUMERAL = ("(set-logic QF_NIA)(declare-const x Int)"
+                     "(assert (= x \u00b2))(check-sat)").encode()
+LONG_NUMERAL = ("(set-logic QF_NIA)(declare-const x Int)"
+                f"(assert (= x {'7' * 5000}))(check-sat)").encode()
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -117,6 +125,13 @@ class TestSolveFile:
         assert code == 2
         assert "nested too deeply" in err
         assert out == ""
+
+    def test_non_utf8_file_exit_2(self, tmp_path):
+        path = tmp_path / "latin1.smt2"
+        path.write_bytes(NOT_UTF8)
+        code, out, err = run_main([str(path)])
+        assert (code, out) == (2, "")
+        assert "not UTF-8" in err
 
     def test_missing_file_exit_2(self, files):
         code, _, err = run_main([os.path.join(files["dir"], "nope.smt2")])
@@ -211,6 +226,17 @@ class TestBenchDir:
         rows = self.read_csv(out_path)
         assert [(r[0], r[1]) for r in rows[1:]] == [
             ("deep.smt2", "error"), ("ex1.smt2", "sat")]
+
+    @pytest.mark.parametrize("data", [NOT_UTF8, NON_ASCII_NUMERAL,
+                                      LONG_NUMERAL])
+    def test_bad_text_is_error_row(self, tmp_path, data):
+        (tmp_path / "bad.smt2").write_bytes(data)
+        (tmp_path / "ex1.smt2").write_text(EXAMPLE)
+        out_path = str(tmp_path / "results.csv")
+        assert run_main([str(tmp_path), "--csv", out_path])[0] == 0
+        rows = self.read_csv(out_path)
+        assert [(r[0], r[1]) for r in rows[1:]] == [
+            ("bad.smt2", "error"), ("ex1.smt2", "sat")]
 
     def test_stdout_when_no_csv_flag(self, files):
         code, out, _ = run_main([files["dir"]])

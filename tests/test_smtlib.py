@@ -2,8 +2,11 @@
 
 import itertools
 import random
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nials import smtlib
 from nials.core import Answer
@@ -33,11 +36,109 @@ class TestTokenizer:
         toks = [t for t, _, _ in smtlib.tokenize("a ; comment\nb")]
         assert toks == ["a", "b"]
 
+    def test_positions_after_multiline_quoted_tokens(self):
+        for quote in "|\"":
+            text = f"(a {quote}x\ny{quote} b)\n(c)"
+            toks = list(smtlib.tokenize(text))
+            assert toks[3:6] == [("b", 2, 4), (")", 2, 5), ("(", 3, 1)]
+
     def test_unbalanced(self):
         with pytest.raises(ParseError):
             smtlib.parse_sexprs("(a (b)")
         with pytest.raises(ParseError):
             smtlib.parse_sexprs("a))")
+
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("(a |x y)", "unterminated quoted symbol", 1, 4),
+        ('(a\n  "x y)', "unterminated string literal", 2, 3),
+        ("(a #)", "unexpected character '#'", 1, 4),
+        ("(a\x0c)", "unexpected character '\\x0c'", 1, 3),
+        ("(a)\n b))", "unbalanced ')'", 2, 3),
+        ("(a\n(b)", "unbalanced '('", 1, 1),
+        # The first error in the text is the one reported.
+        ("a) #", "unbalanced ')'", 1, 2),
+        ("(a #", "unexpected character '#'", 1, 4),
+    ])
+    def test_error_positions(self, text, message, line, col):
+        with pytest.raises(ParseError) as info:
+            smtlib.parse_sexprs(text)
+        assert (info.value.line, info.value.column) == (line, col)
+        assert str(info.value) == f"{line}:{col}: {message}"
+
+
+# Random s-expressions and a printing of them with random layout.
+_SYMBOL_CHARS = string.ascii_letters + string.digits + "~!@$%^&*_-+=<>.?/:"
+_ATOMS = st.one_of(
+    st.text(_SYMBOL_CHARS, min_size=1, max_size=5),
+    st.text(st.characters(blacklist_characters="|"), max_size=5)
+    .map(lambda s: f"|{s}|"),
+    st.text(st.characters(blacklist_characters='"'), max_size=5)
+    .map(lambda s: f'"{s}"'))
+_SEXPRS = st.lists(st.recursive(_ATOMS, lambda e: st.lists(e, max_size=4),
+                                max_leaves=12), max_size=4)
+_LAYOUT = st.one_of(
+    st.sampled_from([" ", "\t", "\r", "\n"]),
+    st.text(st.characters(blacklist_characters="\n"), max_size=8)
+    .map(lambda s: f";{s}\n"))
+
+
+def _print_with_layout(exprs, data) -> str:
+    def gap(min_size):
+        return "".join(data.draw(st.lists(_LAYOUT, min_size=min_size,
+                                          max_size=3)))
+
+    def items(es):
+        text = gap(0)
+        for i, e in enumerate(es):
+            text += (gap(1) if i else "") + show(e)
+        return text + gap(0)
+
+    def show(e):
+        return e if isinstance(e, str) else "(" + items(e) + ")"
+
+    return items(exprs)
+
+
+def _position(text: str, offset: int) -> tuple:
+    line = text.count("\n", 0, offset) + 1
+    return line, offset - (text.rfind("\n", 0, offset) + 1) + 1
+
+
+class TestLexerProperties:
+    @settings(deadline=None)
+    @given(_SEXPRS, st.data())
+    def test_printed_sexprs_parse_back(self, exprs, data):
+        text = _print_with_layout(exprs, data)
+        assert smtlib.parse_sexprs(text) == exprs
+        flat = []
+
+        def flatten(es):
+            for e in es:
+                if isinstance(e, str):
+                    flat.append(e)
+                else:
+                    flat.append("(")
+                    flatten(e)
+                    flat.append(")")
+
+        flatten(exprs)
+        toks = list(smtlib.tokenize(text))
+        assert [t for t, _, _ in toks] == flat
+        # Each token is found at its position.
+        lines = text.split("\n")
+        for tok, line, col in toks:
+            start = sum(len(l) + 1 for l in lines[:line - 1]) + col - 1
+            assert text.startswith(tok, start)
+
+    @settings(deadline=None)
+    @given(_SEXPRS, st.data(),
+           st.sampled_from(["|ab", '"ab', ")", "#", "\f"]))
+    def test_malformed_text_raises_at_its_position(self, exprs, data, bad):
+        text = _print_with_layout(exprs, data) + " "
+        with pytest.raises(ParseError) as info:
+            smtlib.parse_sexprs(text + bad + " x")
+        line, col = _position(text, len(text))
+        assert (info.value.line, info.value.column) == (line, col)
 
 
 class TestRoundTrip:
@@ -75,6 +176,17 @@ class TestErrors:
     def test_undeclared_identifier(self):
         with pytest.raises(ParseError):
             smtlib.parse("(set-logic QF_NIA)(assert (= q 1))")
+
+    @pytest.mark.parametrize("digits", ["²", "٣", "1²"])
+    def test_only_ascii_digits_are_numerals(self, digits):
+        with pytest.raises(ParseError, match="undeclared identifier"):
+            smtlib.parse("(set-logic QF_NIA)(declare-const x Int)"
+                         f"(assert (= x {digits}))")
+
+    def test_numeral_too_long_unsupported(self):
+        with pytest.raises(UnsupportedError, match="5000 digits"):
+            smtlib.parse("(set-logic QF_NIA)(declare-const x Int)"
+                         f"(assert (= x {'7' * 5000}))")
 
     def test_sort_mismatch(self):
         with pytest.raises(SortError):

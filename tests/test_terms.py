@@ -1,5 +1,6 @@
 """Polynomials, atoms, literals, clauses, and the interning store."""
 
+import itertools
 import random
 
 import pytest
@@ -208,18 +209,23 @@ class TestTermStore:
         assert a is b
 
     def test_eq_atom_is_mk_atom_atom(self):
-        for eq_first in (True, False):
+        for value, eq_first in itertools.product((5, 0, -3), (True, False)):
             store = TermStore()
             x = store.new_var("x", Sort.INT)
             if eq_first:
-                a = store.eq_atom(x.id, 5)
-                b = store.mk_atom(P.const(5), Rel.EQ, P.var(x.id))
+                a = store.eq_atom(x.id, value)
+                b = store.mk_atom(P.const(value), Rel.EQ, P.var(x.id))
             else:
-                b = store.mk_atom(P.const(5), Rel.EQ, P.var(x.id))
-                a = store.eq_atom(x.id, 5)
+                b = store.mk_atom(P.const(value), Rel.EQ, P.var(x.id))
+                a = store.eq_atom(x.id, value)
             assert a is b
-            assert store.eq_atom(x.id, 5) is a
+            assert store.eq_atom(x.id, value) is a
             assert store.atoms == [a]
+            # A new `x = value` atom has the term order of x - value.
+            c = TermStore().eq_atom(x.id, value)
+            d = TermStore().mk_atom(P.var(x.id), Rel.EQ, P.const(value))
+            assert list(c.poly.terms.items()) == list(d.poly.terms.items())
+            assert c.var_eq == d.var_eq == (x.id, value)
 
     @pytest.mark.parametrize("lhs, var_eq", [
         (P.var(0).scale(2) - P.const(4), (0, 2)),       # 2x - 4 = 0
@@ -252,6 +258,15 @@ class TestTermStore:
         v2 = store.fresh_var("def", Sort.BOOL)
         assert v1.name != v2.name
         assert v1.is_aux and v2.is_aux
+
+    def test_fresh_var_takes_least_free_index(self):
+        store = TermStore()
+        store.new_var("ite!1", Sort.INT)
+        names = [store.fresh_var("ite", Sort.INT).name for _ in range(2)]
+        store.new_var("ite!3", Sort.INT)
+        names.append(store.fresh_var("ite", Sort.INT).name)
+        names.append(store.fresh_var("def", Sort.BOOL).name)
+        assert names == ["ite!0", "ite!2", "ite!4", "def!0"]
 
     def test_duplicate_name_rejected(self):
         store = TermStore()
