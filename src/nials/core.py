@@ -21,7 +21,7 @@ from .errors import InternalError
 from .feasibility import EmptyConflict, FeasibilityMap, Singleton
 from .localsearch import DEFAULT_ACC
 from .terms import (Clause, Formula, Literal, Sort, TermStore, Variable,
-                    atom_key, bool_key)
+                    bool_key)
 from .trail import Kind, Reason, Trail
 
 
@@ -114,7 +114,7 @@ class Solver:
         if atom.poly.is_constant():
             self._pending_atoms.append(atom)
             return
-        for vid in atom.poly.variables:
+        for vid in atom.vars:
             self.occurs.setdefault(vid, []).append(atom)
 
     def bump_var(self, vid: int):
@@ -193,8 +193,8 @@ class Solver:
         """
         trail = self.trail
         vals = trail.var_value
-        unassigned = [v for v in atom.poly.variables if v not in vals]
-        entry = trail.bool_assign.get(atom_key(atom.id))
+        unassigned = [v for v in atom.vars if v not in vals]
+        entry = trail.bool_assign.get(atom.key)
         if entry is None:
             if not unassigned:
                 t = atom.evaluate(vals)
@@ -208,7 +208,7 @@ class Solver:
             if trail.level == 0:
                 self._settled.add(atom.id)
             if t != entry[0]:
-                lits = [self._excl_neg(v) for v in atom.poly.variables]
+                lits = [self._excl_neg(v) for v in atom.vars]
                 lits.append(Literal(t, atom=atom))
                 return lits
             return None
@@ -274,20 +274,26 @@ class Solver:
     # -- conflict analysis --------------------------------------------------
 
     def _falsify_pos(self, lit: Literal) -> int:
-        """Trail position at which the (false) literal became false."""
+        """Trail position at which the (false) literal became false: the
+        earlier of its own assignment and, for an atom whose variables are
+        all assigned, the latest of their assignments."""
         trail = self.trail
-        cand = []
         entry = trail.bool_assign.get(lit.key)
-        if entry is not None:
-            cand.append(entry[1])
+        pos = entry[1] if entry is not None else None
         if lit.atom is not None:
-            vals = trail.var_value
-            if all(v in vals for v in lit.atom.poly.variables):
-                cand.append(max(
-                    (trail.var_elem[v].pos for v in lit.atom.poly.variables),
-                    default=0))
-        assert cand, f"literal {lit} is not false on the trail"
-        return min(cand)
+            var_elem = trail.var_elem
+            latest = 0
+            for v in lit.atom.vars:
+                elem = var_elem.get(v)
+                if elem is None:
+                    break
+                if elem.pos > latest:
+                    latest = elem.pos
+            else:
+                if pos is None or latest < pos:
+                    pos = latest
+        assert pos is not None, f"literal {lit} is not false on the trail"
+        return pos
 
     def _resolve_lit(self, lit: Literal, pos: int):
         """Replacement literals, or None if the literal is irreducible."""
@@ -299,7 +305,7 @@ class Solver:
                 return None
             reason = elem.reason
             if reason is Reason.SEMANTIC:
-                return [self._excl_neg(v) for v in lit.atom.poly.variables]
+                return [self._excl_neg(v) for v in lit.atom.vars]
             asserted = elem.lit
             return [l for l in reason.literals if l.skey != asserted.skey]
         # Falsified by model assignments.
@@ -309,7 +315,7 @@ class Solver:
                 if elem.decision:
                     return None
                 return self._explain(elem.reason[1])
-        return [self._excl_neg(v) for v in lit.atom.poly.variables]
+        return [self._excl_neg(v) for v in lit.atom.vars]
 
     def _analyze(self, conflict_lits):
         """Reduce to a single literal at the conflict level.

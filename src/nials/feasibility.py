@@ -35,11 +35,29 @@ class EmptyConflict:
 
 
 def unit_solution_set(lit: Literal, vid: int, var_values) -> IntervalSet:
-    """Integer solutions for the one unassigned variable of a unit literal."""
-    poly = lit.atom.poly
-    others = {v: var_values[v] for v in poly.variables if v != vid}
-    uni = poly.substitute(others) if others else poly
-    s = solve_univariate_coeffs(tuple(uni.univariate_coeffs(vid)), lit.atom.rel)
+    """Integer solutions for the one unassigned variable of a unit literal.
+
+    The dense coefficients ``(c0, c1, …)`` in ``vid`` come from one pass
+    over the atom's terms: each coefficient times the trail values of its
+    other variables, added at its exponent of ``vid``.  Trailing zeros are
+    trimmed, so the zero polynomial gives ``(0,)``.
+    """
+    coeffs = [0]
+    top = 0
+    for m, c in lit.atom.poly.terms.items():
+        e = 0
+        for v, k in m:
+            if v == vid:
+                e = k
+            else:
+                c *= var_values[v] ** k
+        if e > top:
+            coeffs += [0] * (e - top)
+            top = e
+        coeffs[e] += c
+    while top and not coeffs[top]:
+        top -= 1
+    s = solve_univariate_coeffs(tuple(coeffs[:top + 1]), lit.atom.rel)
     if not lit.positive:
         s = s.complement()
     return s
@@ -97,7 +115,7 @@ class FeasibilityMap:
                                trail: Trail):
         """Fold a unit (single-unassigned-variable) literal into F(var)."""
         sol = unit_solution_set(lit, var.id, trail.var_value)
-        used = tuple(v for v in lit.atom.poly.variables if v != var.id)
+        used = tuple(v for v in lit.atom.vars if v != var.id)
         return self.restrict(var, sol, Contribution(lit, used), trail.level)
 
     def backtrack_to(self, level: int):

@@ -21,6 +21,29 @@ class BoolExpr:
     # The node's negation once `mk_not` has built it; outside equality.
     neg: Optional[BoolExpr] = field(
         default=None, compare=False, repr=False, kw_only=True)
+    # The structural hash once computed; outside equality.
+    hash_: Optional[int] = field(
+        default=None, init=False, compare=False, repr=False)
+
+
+def _hash_once(cls):
+    """Keep the structural hash of each ``cls`` node in its ``hash_`` slot.
+
+    A frozen dataclass hashes its fields, and so the whole subtree, on
+    every call; with the hash kept, a node's first hash costs its own
+    fields and each later one nothing.
+    """
+    structural = cls.__hash__
+
+    def __hash__(self):
+        h = self.hash_
+        if h is None:
+            h = structural(self)
+            object.__setattr__(self, "hash_", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,16 +51,19 @@ class BConst(BoolExpr):
     value: bool
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class And(BoolExpr):
     args: tuple
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class Or(BoolExpr):
     args: tuple
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class Ite(BoolExpr):
     cond: BoolExpr

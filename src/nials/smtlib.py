@@ -28,8 +28,10 @@ Sexpr = Union[str, list]
 # pattern, so the engine never backtracks into a comment.
 _SKIP = r'[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*'
 # A parenthesis, a symbol (`\w` is `str.isalnum` plus `_`), a
-# `|quoted symbol|` or a string literal.
-_TOKEN = re.compile(r'[()]|[\w~!@$%^&*\-+=<>.?/:]+|\|[^|]*\||"[^"]*"')
+# `|quoted symbol|` or a string literal, in which `""` stands for `"`.  A
+# string ends at a `"` that no `"` follows, so an unterminated one is
+# reported where it starts, not at its last `""`.
+_TOKEN = re.compile(r'[()]|[\w~!@$%^&*\-+=<>.?/:]+|\|[^|]*\||"(?:[^"]|"")*"(?!")')
 _LEADING_SKIP = re.compile(_SKIP)
 # One token and the text skipped after it.  Where no token starts, the
 # match takes the rest of the text, so a malformed text's last "token" is

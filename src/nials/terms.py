@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import SortError
@@ -173,18 +173,12 @@ class Polynomial:
                 terms[m] = terms.get(m, 0) + c1 * c2
         return Polynomial(terms)
 
-    def scale(self, k: int) -> "Polynomial":
-        return Polynomial({m: c * k for m, c in self._terms.items()})
-
     def is_constant(self) -> bool:
         return not any(self._terms)  # only the unit monomial () is falsy
 
     def constant_value(self) -> int:
         assert self.is_constant()
         return self._terms.get((), 0)
-
-    def degree(self) -> int:
-        return max((_mono_degree(m) for m in self._terms), default=0)
 
     def evaluate(self, values: Mapping[int, int]) -> int:
         total = 0
@@ -220,20 +214,6 @@ class Polynomial:
         m = max(self._terms, key=_mono_key)
         return self._terms[m]
 
-    def univariate_coeffs(self, vid: int) -> list[int]:
-        """Dense coefficient list [c0, c1, ...] for a (semi-)univariate poly.
-
-        Requires that ``vid`` is the only variable occurring.
-        """
-        if self.variables - {vid}:
-            raise ValueError("polynomial is not univariate in the given variable")
-        deg = self.degree()
-        coeffs = [0] * (deg + 1)
-        for m, c in self._terms.items():
-            e = m[0][1] if m else 0
-            coeffs[e] += c
-        return coeffs
-
     def __repr__(self):
         if not self._terms:
             return "0"
@@ -249,21 +229,37 @@ class Polynomial:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
 class Atom:
     """Normalized arithmetic atom ``poly ⋈ 0``.
 
     ``var_eq`` is ``(var id, c)`` when the atom reads ``x − c = 0``, else
-    None; exclusion literals and conflict analysis rely on it.
+    None; exclusion literals and conflict analysis rely on it.  Search
+    reads ``vars`` (the variable ids, in the iteration order of
+    ``poly.variables``) and ``key`` (`atom_key` of the id) straight from
+    the atom.  Equality and hash follow ``id``.
     """
 
-    id: int
-    poly: Polynomial = field(compare=False)
-    rel: Rel = field(compare=False)
-    var_eq: Optional[tuple] = field(default=None, compare=False)
+    __slots__ = ("id", "poly", "rel", "var_eq", "vars", "key")
+
+    def __init__(self, id: int, poly: Polynomial, rel: Rel,
+                 var_eq: Optional[tuple] = None):
+        self.id = id
+        self.poly = poly
+        self.rel = rel
+        self.var_eq = var_eq
+        self.vars = tuple(poly.variables)
+        self.key = atom_key(id)
 
     def evaluate(self, values: Mapping[int, int]) -> bool:
         return self.rel.holds(self.poly.evaluate(values))
+
+    def __eq__(self, other):
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return self.id == other.id
+
+    def __hash__(self):
+        return hash(self.id)
 
     def __repr__(self):
         return f"({self.poly} {self.rel.value} 0)"
@@ -295,7 +291,7 @@ class Literal:
         self.positive = positive
         self.bvar = bvar
         self.atom = atom
-        self.key = atom_key(atom.id) if atom is not None else bool_key(bvar.id)
+        self.key = atom.key if atom is not None else bool_key(bvar.id)
         self.skey = 2 * self.key + (not positive)
 
     def negate(self) -> "Literal":

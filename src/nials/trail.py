@@ -26,7 +26,7 @@ class Reason(enum.Enum):
     FEASIBILITY_SINGLETON = "feasibility-singleton"
 
 
-@dataclass
+@dataclass(slots=True)
 class TrailElement:
     kind: Kind
     level: int
@@ -77,7 +77,7 @@ class Trail:
             return v
         if lit.atom is not None:
             vals = self.var_value
-            if all(vid in vals for vid in lit.atom.poly.variables):
+            if all(vid in vals for vid in lit.atom.vars):
                 t = lit.atom.evaluate(vals)
                 return t if lit.positive else not t
         return None

@@ -2,8 +2,14 @@
 
 import itertools
 
+import pytest
+
+from nials import feasibility
 from nials.costfn import IncrementalCost
-from nials.terms import Clause, Literal, Polynomial, Rel, Sort, TermStore
+from nials.feasibility import unit_solution_set
+from nials.intervals import IntervalSet
+from nials.terms import (Atom, Clause, Literal, Polynomial, Rel, Sort,
+                         TermStore)
 
 RELS = (Rel.EQ, Rel.NEQ, Rel.LEQ, Rel.LT)
 
@@ -93,7 +99,8 @@ def excl_pattern(atom):
     if atom.rel is not Rel.EQ:
         return None
     p = atom.poly
-    if len(p.variables) != 1 or p.degree() != 1:
+    degree = max((sum(e for _, e in m) for m in p.terms), default=0)
+    if len(p.variables) != 1 or degree != 1:
         return None
     vid = next(iter(p.variables))
     if p.terms.get(((vid, 1),)) != 1:
@@ -125,3 +132,49 @@ def entailed(clauses, lemma, int_vars, lo, hi, bool_vars):
                 lit_evaluate(lit, iv, bv) for lit in lemma):
             return False
     return True
+
+
+def planted_instance(rng, n_int=3, n_bool=2, n_clauses=8, lo=-5, hi=5,
+                     **poly_kwargs):
+    """`random_instance` made satisfiable by a planted model in [lo, hi]:
+    a clause the model falsifies has its first literal negated."""
+    store, clauses, int_vars, bool_vars = random_instance(
+        rng, n_int, n_bool, n_clauses, **poly_kwargs)
+    iv = {v.id: rng.randint(lo, hi) for v in int_vars}
+    bv = {v.id: rng.random() < 0.5 for v in bool_vars}
+    planted = []
+    for c in clauses:
+        if not any(lit.holds(iv, bv) for lit in c):
+            c = Clause((c.literals[0].negate(),) + c.literals[1:])
+        planted.append(c)
+    return store, planted, int_vars, bool_vars
+
+
+def product_probe(c, lo):
+    """x·y = c with x, y >= lo, over a fresh store: unsatisfiable when
+    c < lo², and unbounded, so each conflict excludes one value."""
+    store = TermStore()
+    x = store.new_var("x", Sort.INT)
+    y = store.new_var("y", Sort.INT)
+    px, py = Polynomial.var(x.id), Polynomial.var(y.id)
+    atoms = [store.mk_atom(px * py, Rel.EQ, Polynomial.const(c)),
+             store.mk_atom(Polynomial.const(lo), Rel.LEQ, px),
+             store.mk_atom(Polynomial.const(lo), Rel.LEQ, py)]
+    return store, [Clause([Literal(True, atom=a)]) for a in atoms], [x, y]
+
+
+def narrowed_coeffs(terms, vid, values):
+    """The coefficient tuple `unit_solution_set` passes to the univariate
+    solver for ``terms`` narrowed in ``vid`` under ``values``."""
+    seen = []
+
+    def record(coeffs, rel):
+        seen.append(coeffs)
+        return IntervalSet.full()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "solve_univariate_coeffs", record)
+        atom = Atom(0, Polynomial(terms), Rel.EQ)
+        unit_solution_set(Literal(True, atom=atom), vid, values)
+    (coeffs,) = seen
+    return coeffs

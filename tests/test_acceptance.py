@@ -193,7 +193,7 @@ def test_criterion_3_example_formula_regression(capsys):
     px, py, pz = (P.var(v.id) for v in (xv, yv, zv))
     a_ge = store.mk_atom(P.const(1) - px, Rel.LEQ, P.zero())
     a_xy = store.mk_atom(px * py - P.const(1), Rel.EQ, P.zero())
-    a_sum = store.mk_atom(-(px + py * pz.scale(2)), Rel.LT, P.zero())
+    a_sum = store.mk_atom(-(px + py * pz * P.const(2)), Rel.LT, P.zero())
     a_z = store.mk_atom(P.const(1) - pz * pz, Rel.LT, P.zero())
     clauses = [
         Clause([Literal(False, atom=a_ge), Literal(True, atom=a_xy)]),

@@ -85,6 +85,30 @@ class TestStructure:
         formula = clausify(store, ast)
         assert any(v.is_aux for v in formula.variables)
 
+    def test_equal_nodes_share_one_definition(self):
+        def clausified(separately):
+            store = TermStore()
+            _, bools = setup_vars(store, 0, 3)
+            b0, b1, b2 = (Literal(True, bvar=v) for v in bools)
+
+            def build():
+                return fa.mk_and([b0, fa.mk_or([b1, fa.mk_and([b2, b0])])])
+
+            first = build()
+            second = build() if separately else first
+            assert first == second
+            assert (first is second) != separately
+            hash(first)     # kept on `first`, not yet on `second`
+            assert hash(first) == hash(second)
+            return clausify(store, fa.mk_and([fa.mk_or([first, b2]),
+                                              fa.mk_or([second, b1])]))
+
+        shared, separate = clausified(False), clausified(True)
+        skeys = lambda f: [[lit.skey for lit in c] for c in f.clauses]
+        assert skeys(separate) == skeys(shared)
+        # One definition each for the node, its inner Or and that Or's And.
+        assert sum(v.is_aux for v in separate.variables) == 3
+
     def test_constants(self):
         store = TermStore()
         assert clausify(store, fa.TRUE).clauses == []

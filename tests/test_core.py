@@ -1,10 +1,12 @@
 """The search loop: soundness against enumeration, conflicts, regressions."""
 
+import hashlib
 import random
 
 import pytest
 
-from helpers import box_clauses, brute_force, clauses_sat, random_instance
+from helpers import (box_clauses, brute_force, clauses_sat, planted_instance,
+                     product_probe, random_instance)
 from nials.core import Answer, Solver, SolverConfig, Stats
 from nials.terms import (Clause, Formula, Literal, Polynomial, Rel, Sort,
                          TermStore)
@@ -28,7 +30,7 @@ def example_formula():
     px, py, pz = (P.var(v.id) for v in (x, y, z))
     a_ge = store.mk_atom(P.const(1) - px, Rel.LEQ, P.zero())    # x >= 1
     a_xy = store.mk_atom(px * py - P.const(1), Rel.EQ, P.zero())
-    a_sum = store.mk_atom(-(px + py * pz.scale(2)), Rel.LT, P.zero())
+    a_sum = store.mk_atom(-(px + py * pz * P.const(2)), Rel.LT, P.zero())
     a_z = store.mk_atom(P.const(1) - pz * pz, Rel.LT, P.zero())
     clauses = [
         Clause([Literal(False, atom=a_ge), Literal(True, atom=a_xy)]),
@@ -274,3 +276,35 @@ class TestPinnedSearch:
         assert ans is answer
         assert solver.model_int == ints and solver.model_bool == bools
         assert solver.stats.as_dict() == self.stats(*stats)
+
+    def test_search_digest(self):
+        """SHA-256 over the answer, every `Stats` field, the learned-clause
+        skeys in order and the model of seeded boxed-like and planted-like
+        instances and a product probe, with LS on (called early and often)
+        and off.  Recorded before narrowing read coefficients straight
+        from the atom; a faster core must reproduce it move for move."""
+        def instances():
+            rng = random.Random(2024)
+            for _ in range(10):
+                store, clauses, ints, bools = random_instance(
+                    rng, n_int=4, n_bool=3, n_clauses=14, max_deg=2, coeff=4)
+                clauses += box_clauses(store, ints, -8, 8)
+                yield store, clauses, ints + bools, 300
+            for _ in range(10):
+                store, clauses, ints, bools = planted_instance(
+                    rng, n_int=4, n_bool=2, n_clauses=40, max_deg=2, coeff=5)
+                yield store, clauses, ints + bools, 300
+            yield product_probe(6, 7) + (150,)
+
+        h = hashlib.sha256()
+        for ls in (True, False):
+            for store, clauses, variables, cap in instances():
+                ans, solver = solve(store, clauses, variables, max_conflicts=cap,
+                                    ls_enabled=ls, ls_threshold_base=5)
+                learned = [[lit.skey for lit in c]
+                           for c in solver.clauses if c.learned]
+                h.update(repr((ans.value, solver.stats.as_dict(), learned,
+                               sorted(solver.model_int.items()),
+                               sorted(solver.model_bool.items()))).encode())
+        assert h.hexdigest() == (
+            "7fa169bc357b43d4b2eb8479afebe998fe47cf7b2df1b3dda56134ba2c79ba7f")

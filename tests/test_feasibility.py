@@ -1,10 +1,15 @@
 """Feasibility sets from unit constraints, with exact undo on backtracking."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nials.feasibility import EmptyConflict, FeasibilityMap, Singleton
+from helpers import narrowed_coeffs
+from nials.feasibility import (EmptyConflict, FeasibilityMap, Singleton,
+                               unit_solution_set)
 from nials.intervals import IntervalSet
-from nials.terms import Literal, Polynomial, Rel, Sort, TermStore
+from nials.terms import Atom, Literal, Polynomial, Rel, Sort, TermStore
 from nials.trail import Trail
 
 P = Polynomial
@@ -127,3 +132,104 @@ class TestBacktracking:
         assert feas.get(y.id) == IntervalSet.range(None, 5)
         feas.backtrack_to(0)
         assert feas.get(y.id) == IntervalSet.full()
+
+
+class TestDirectCoefficients:
+    """Dense coefficients read straight from the atom's terms."""
+
+    X3 = ((0, 3),)
+    XY, X, Y = ((0, 1), (1, 1)), ((0, 1),), ((1, 1),)
+
+    @pytest.mark.parametrize("terms, values, coeffs", [
+        ({X3: 1, X: -2, (): 5}, {}, (5, -2, 0, 1)),     # x^3 - 2x + 5
+        ({X: 1, Y: 1}, {1: 3}, (3, 1)),                 # x + y at y = 3
+        ({XY: 1, X3: 4, Y: -1}, {1: -2}, (2, -2, 0, 4)),
+        # The narrowed variable's top terms cancel: x^3 y - 2x^3 + x at y = 2.
+        ({((0, 3), (1, 1)): 1, X3: -2, X: 1}, {1: 2}, (0, 1)),
+        # Everything cancels: the zero polynomial.
+        ({XY: 1, X: -2}, {1: 2}, (0,)),
+        ({}, {}, (0,)),
+        ({(): -7}, {}, (-7,)),
+        ({Y: 3, (): 1}, {1: -1}, (-2,)),
+    ])
+    def test_coefficients(self, terms, values, coeffs):
+        assert narrowed_coeffs(terms, 0, values) == coeffs
+
+    def test_matches_substitution(self):
+        """The tuple the `Polynomial.substitute` path gave, term for term."""
+        import random
+        from helpers import random_poly
+        rng = random.Random(5)
+        for _ in range(300):
+            p = random_poly(rng, [0, 1, 2], max_terms=5, max_deg=3, coeff=9)
+            vid = rng.randrange(3)
+            values = {v: rng.randint(-4, 4) for v in (0, 1, 2) if v != vid}
+            uni = p.substitute(values)
+            dense = [0] * 4
+            for m, c in uni.terms.items():
+                dense[m[0][1] if m else 0] += c
+            while len(dense) > 1 and not dense[-1]:
+                dense.pop()
+            assert narrowed_coeffs(p.terms, vid, values) == tuple(dense)
+
+
+@st.composite
+def unit_cases(draw):
+    """(terms, narrowed vid, trail values, rel, polarity) with 1-3
+    variables, degree <= 3 and coefficients up to 10^6, sometimes with
+    pairs of terms that cancel once the trail values are substituted."""
+    n = draw(st.integers(1, 3))
+    vid = draw(st.integers(0, n - 1))
+    values = {v: draw(st.integers(-20, 20)) for v in range(n) if v != vid}
+    mono = st.dictionaries(st.integers(0, n - 1), st.integers(1, 3),
+                           max_size=3).filter(
+        lambda d: sum(d.values()) <= 3).map(
+        lambda d: tuple(sorted(d.items())))
+    coeff = st.integers(-10 ** 6, 10 ** 6)
+    terms = draw(st.dictionaries(mono, coeff, max_size=5))
+    others = [v for v in range(n) if v != vid]
+    if others and draw(st.booleans()):
+        if draw(st.booleans()):
+            terms = {}          # only cancelling pairs: the zero polynomial
+        for _ in range(draw(st.integers(1, 3))):
+            # c·x^e·y^k and −c·val(y)^k·x^e have the sum 0 at y = val(y).
+            e = draw(st.integers(0, 2))
+            y = draw(st.sampled_from(others))
+            k = draw(st.integers(1, 3 - e))
+            c = draw(coeff)
+            x_e = ((vid, e),) if e else ()
+            for m, cm in ((tuple(sorted(x_e + ((y, k),))), c),
+                          (x_e, -c * values[y] ** k)):
+                terms[m] = terms.get(m, 0) + cm
+    rel = draw(st.sampled_from(list(Rel)))
+    return terms, vid, values, rel, draw(st.booleans())
+
+
+def probe_points(terms, vid, values) -> set:
+    """Integers around the real roots of the substituted polynomial, around
+    0, and beyond the Cauchy bound on both sides."""
+    coeffs = [0] * 4
+    for m, c in P(terms).substitute(values).terms.items():
+        coeffs[m[0][1] if m else 0] += c
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    centres = [0]
+    if len(coeffs) > 1:
+        centres += [round(r.real) for r in np.roots(coeffs[::-1])]
+        bound = 2 + max(abs(c) // abs(coeffs[-1]) for c in coeffs)
+        centres += [-bound, bound]
+    return {c + d for c in centres for d in range(-3, 4)}
+
+
+class TestNarrowingProperties:
+    @settings(deadline=None, max_examples=300)
+    @given(unit_cases())
+    @example(({((0, 1), (1, 1)): 1, ((0, 1),): -2}, 0, {1: 2}, Rel.EQ, True))
+    @example(({((0, 2), (1, 1)): 3, ((0, 2),): 3, ((0, 1),): 1}, 0, {1: -1},
+              Rel.LT, False))
+    def test_solutions_are_the_integers_where_the_literal_holds(self, case):
+        terms, vid, values, rel, positive = case
+        lit = Literal(positive, atom=Atom(0, P(terms), rel))
+        s = unit_solution_set(lit, vid, values)
+        for v in probe_points(terms, vid, values):
+            assert (v in s) == lit.holds({**values, vid: v}, {}), v

@@ -42,6 +42,13 @@ class TestTokenizer:
             toks = list(smtlib.tokenize(text))
             assert toks[3:6] == [("b", 2, 4), (")", 2, 5), ("(", 3, 1)]
 
+    def test_doubled_quote_in_string(self):
+        # SMT-LIB 2.6: `""` inside a string literal stands for one `"`.
+        assert smtlib.parse_sexprs('(set-info :source "say ""hi""")') == [
+            ["set-info", ":source", '"say ""hi"""']]
+        assert smtlib.parse_sexprs('("" """" "a""" "b")') == [
+            ['""', '""""', '"a"""', '"b"']]
+
     def test_unbalanced(self):
         with pytest.raises(ParseError):
             smtlib.parse_sexprs("(a (b)")
@@ -51,6 +58,8 @@ class TestTokenizer:
     @pytest.mark.parametrize("text, message, line, col", [
         ("(a |x y)", "unterminated quoted symbol", 1, 4),
         ('(a\n  "x y)', "unterminated string literal", 2, 3),
+        ('(a "x""y)', "unterminated string literal", 1, 4),
+        ('(a "x"" "" y)', "unterminated string literal", 1, 4),
         ("(a #)", "unexpected character '#'", 1, 4),
         ("(a\x0c)", "unexpected character '\\x0c'", 1, 3),
         ("(a)\n b))", "unbalanced ')'", 2, 3),
@@ -72,8 +81,9 @@ _ATOMS = st.one_of(
     st.text(_SYMBOL_CHARS, min_size=1, max_size=5),
     st.text(st.characters(blacklist_characters="|"), max_size=5)
     .map(lambda s: f"|{s}|"),
-    st.text(st.characters(blacklist_characters='"'), max_size=5)
-    .map(lambda s: f'"{s}"'))
+    st.lists(st.one_of(st.characters(blacklist_characters='"'),
+                       st.just('""')), max_size=5)
+    .map(lambda cs: '"' + "".join(cs) + '"'))
 _SEXPRS = st.lists(st.recursive(_ATOMS, lambda e: st.lists(e, max_size=4),
                                 max_leaves=12), max_size=4)
 _LAYOUT = st.one_of(
@@ -132,7 +142,7 @@ class TestLexerProperties:
 
     @settings(deadline=None)
     @given(_SEXPRS, st.data(),
-           st.sampled_from(["|ab", '"ab', ")", "#", "\f"]))
+           st.sampled_from(["|ab", '"ab', '"a""b', ")", "#", "\f"]))
     def test_malformed_text_raises_at_its_position(self, exprs, data, bad):
         text = _print_with_layout(exprs, data) + " "
         with pytest.raises(ParseError) as info:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import RELS, excl_pattern, lit_evaluate, random_poly
+from helpers import (RELS, excl_pattern, lit_evaluate, narrowed_coeffs,
+                     random_poly)
 from nials.terms import (Atom, Clause, Literal, Polynomial, Rel, Sort,
                          TermStore, normalize_poly)
 
@@ -32,7 +33,7 @@ class TestPolynomial:
         assert P.zero().is_constant()
         assert P.zero().constant_value() == 0
         assert P.const(7).constant_value() == 7
-        assert P.var(0).degree() == 1
+        assert P.var(0).terms == {((0, 1),): 1}
         assert P.var(0).variables == frozenset({0})
 
     def test_zero_coefficients_dropped(self):
@@ -44,7 +45,7 @@ class TestPolynomial:
         x, y = P.var(0), P.var(1)
         p = (x + y) * (x - y)
         assert p == x * x - y * y
-        assert p.degree() == 2
+        assert p.terms == {((0, 2),): 1, ((1, 2),): -1}
 
     @given(poly_strategy(), poly_strategy(), values)
     def test_add_matches_evaluation(self, p, q, vals):
@@ -80,14 +81,15 @@ class TestPolynomial:
         assert sub.evaluate(full) == p.evaluate(full)
 
     def test_univariate_coeffs(self):
-        x = P.var(0)
-        p = x * x * x - x.scale(2) + P.const(5)
-        assert p.univariate_coeffs(0) == [5, -2, 0, 1]
-        with pytest.raises(ValueError):
-            (x + P.var(1)).univariate_coeffs(0)
+        # Narrowing reads the dense coefficients in one variable straight
+        # from the terms, other variables taking their trail values.
+        x, y = P.var(0), P.var(1)
+        p = x * x * x - x * P.const(2) + P.const(5)
+        assert narrowed_coeffs(p.terms, 0, {}) == (5, -2, 0, 1)
+        assert narrowed_coeffs((x + y).terms, 0, {1: 3}) == (3, 1)
 
     def test_content_and_leading_coeff(self):
-        p = P.var(0).scale(6) + P.const(9)
+        p = P.var(0) * P.const(6) + P.const(9)
         assert p.content() == 3
         assert P.zero().content() == 0
         assert (P.const(2) - P.var(0)).leading_coeff() == -1
@@ -107,14 +109,14 @@ class TestRel:
 
 class TestNormalization:
     def test_content_divides_out(self):
-        p = P.var(0).scale(4) + P.const(8)
+        p = P.var(0) * P.const(4) + P.const(8)
         q, rel = normalize_poly(p, Rel.EQ)
         assert q == P.var(0) + P.const(2)
         assert rel is Rel.EQ
 
     def test_inexact_division_kept_for_leq(self):
         # 2x + 3 <= 0 must not become x + 1.5 <= 0 (or a rounded variant).
-        p = P.var(0).scale(2) + P.const(3)
+        p = P.var(0) * P.const(2) + P.const(3)
         q, _ = normalize_poly(p, Rel.LEQ)
         assert q == p
 
@@ -205,8 +207,17 @@ class TestTermStore:
         store = TermStore()
         x = store.new_var("x", Sort.INT)
         a = store.mk_atom(P.var(x.id), Rel.EQ, P.const(1))
-        b = store.mk_atom(P.var(x.id).scale(2), Rel.EQ, P.const(2))
+        b = store.mk_atom(P.var(x.id) * P.const(2), Rel.EQ, P.const(2))
         assert a is b
+
+    @given(poly_strategy(), st.sampled_from(list(Rel)))
+    def test_atom_search_fields(self, p, rel):
+        a = TermStore().mk_atom(p, rel, P.zero())
+        assert a.vars == tuple(a.poly.variables)
+        assert a.key == Literal(True, atom=a).key == 2 * a.id
+        twin = Atom(a.id, P.const(1), Rel.LT)
+        assert a == twin and hash(a) == hash(twin)
+        assert a != Atom(a.id + 1, a.poly, a.rel)
 
     def test_eq_atom_is_mk_atom_atom(self):
         for value, eq_first in itertools.product((5, 0, -3), (True, False)):
@@ -228,8 +239,8 @@ class TestTermStore:
             assert c.var_eq == d.var_eq == (x.id, value)
 
     @pytest.mark.parametrize("lhs, var_eq", [
-        (P.var(0).scale(2) - P.const(4), (0, 2)),       # 2x - 4 = 0
-        (P.var(0).scale(2) - P.const(3), None),         # 2x - 3 = 0
+        (P.var(0) * P.const(2) - P.const(4), (0, 2)),   # 2x - 4 = 0
+        (P.var(0) * P.const(2) - P.const(3), None),     # 2x - 3 = 0
         (P.var(0) * P.var(0) - P.const(4), None),       # x^2 - 4 = 0
         (P.const(-7) - P.var(0), (0, -7)),
         (P.var(0), (0, 0)),

@@ -59,7 +59,7 @@ class TestValueLookup:
         # z^2 > 1 as 1 - z^2 < 0.
         a_ge = atom(store, P.const(1) - px, Rel.LEQ)
         a_xy = atom(store, px * py - P.const(1), Rel.EQ)
-        a_sum = atom(store, -(px + py * pz.scale(2)), Rel.LT)
+        a_sum = atom(store, -(px + py * pz * P.const(2)), Rel.LT)
         a_z = atom(store, P.const(1) - pz * pz, Rel.LT)
         trail = Trail()
         trail.push_propagation(Literal(True, atom=a_z), reason=None)

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from nials.feasibility import unit_solution_set
 from nials.intervals import IntervalSet
-from nials.terms import Polynomial, Rel
+from nials.terms import Atom, Literal, Polynomial, Rel
 from nials.univariate import solve_univariate_coeffs
 
 RELS = (Rel.EQ, Rel.NEQ, Rel.LEQ, Rel.LT)
@@ -177,5 +178,5 @@ class TestRandomizedOracle:
 def test_polynomial_wrapper():
     x = Polynomial.var(3)
     p = x * x - Polynomial.const(4)
-    s = solve_univariate_coeffs(tuple(p.univariate_coeffs(3)), Rel.EQ)
+    s = unit_solution_set(Literal(True, atom=Atom(0, p, Rel.EQ)), 3, {})
     assert members(s) == [-2, 2]
