@@ -54,20 +54,14 @@ def build_initial_assignment(variables, trail, cache, feas):
             if v is not None:
                 fixed[x.id] = v
                 continue
-            fs = feas.get(x.id)
-            c = cache.get(x.id)
-            if isinstance(c, int) and not isinstance(c, bool) and c in fs:
-                mu_int[x.id] = c
-            else:
-                mu_int[x.id] = fs.pick_value()
+            mu_int[x.id] = feas.get(x.id).pick_value(cache.get(x.id))
             free.append(x)
         else:
             b = trail.bool_value_of(Literal(True, bvar=x))
             if b is not None:
                 fixed[x.id] = b
                 continue
-            c = cache.get(x.id)
-            mu_bool[x.id] = c if isinstance(c, bool) else True
+            mu_bool[x.id] = cache.get(x.id, True)
             free.append(x)
     return free, fixed, mu_int, mu_bool
 

@@ -37,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=SolverConfig.ls_budget_per_var, metavar="N",
                    help="local-search move budget per free variable")
     p.add_argument("--acc", type=float, default=SolverConfig.acc, metavar="F",
-                   help="hill-climbing acceleration constant")
+                   help="hill-climbing acceleration constant; the step "
+                        "grows only at 1.5 or more")
     p.add_argument("--max-conflicts", type=int, default=None, metavar="N",
                    help="give up with unknown after this many conflicts")
     p.add_argument("--timeout-ms", type=int, default=None, metavar="N",

@@ -18,11 +18,11 @@ from typing import Optional
 
 from .bridge import LsController
 from .errors import InternalError
-from .feasibility import EmptyConflict, FeasibilityMap, Singleton
+from .feasibility import FeasibilityMap
 from .localsearch import DEFAULT_ACC
 from .terms import (Clause, Formula, Literal, Sort, TermStore, Variable,
                     bool_key)
-from .trail import Kind, Reason, Trail
+from .trail import Reason, Trail
 
 
 class Answer(enum.Enum):
@@ -78,7 +78,6 @@ class Solver:
         self.occurs: dict[int, list] = {}
         self._registered: set[int] = set()
         self._settled: set[int] = set()
-        self._pending_atoms: list = []
         self._root_unsat = False
         self.qhead = 0
         self.activity: dict[int, float] = {}
@@ -111,8 +110,8 @@ class Solver:
         if atom.id in self._registered:
             return
         self._registered.add(atom.id)
-        if atom.poly.is_constant():
-            self._pending_atoms.append(atom)
+        if not atom.vars:
+            self._check_atom(atom)      # a constant: assigned at once
             return
         for vid in atom.vars:
             self.occurs.setdefault(vid, []).append(atom)
@@ -144,14 +143,10 @@ class Solver:
         """Run to fixpoint; returns conflict clause literals or None."""
         trail = self.trail
         while True:
-            while self._pending_atoms:
-                c = self._check_atom(self._pending_atoms.pop())
-                if c is not None:
-                    return c
             while self.qhead < len(trail.elements):
                 elem = trail.elements[self.qhead]
                 self.qhead += 1
-                if elem.kind is Kind.MODEL_ASSIGNMENT:
+                if elem.var is not None:
                     c = self._on_assignment(elem)
                 elif elem.lit.atom is not None:
                     c = self._check_atom(elem.lit.atom)
@@ -162,7 +157,7 @@ class Solver:
             c = self._bcp_scan()
             if c is not None:
                 return c
-            if self.qhead >= len(trail.elements) and not self._pending_atoms:
+            if self.qhead >= len(trail.elements):
                 return None
 
     def _on_assignment(self, elem):
@@ -195,48 +190,47 @@ class Solver:
         vals = trail.var_value
         unassigned = [v for v in atom.vars if v not in vals]
         entry = trail.bool_assign.get(atom.key)
-        if entry is None:
-            if not unassigned:
-                t = atom.evaluate(vals)
-                trail.push_propagation(Literal(t, atom=atom), Reason.SEMANTIC)
-                self.stats.propagations += 1
-                if trail.level == 0:
-                    self._settled.add(atom.id)
-            return None
         if not unassigned:
             t = atom.evaluate(vals)
             if trail.level == 0:
                 self._settled.add(atom.id)
-            if t != entry[0]:
+            if entry is None:
+                trail.push_propagation(Literal(t, atom=atom), Reason.SEMANTIC)
+                self.stats.propagations += 1
+            elif t != entry[0]:
                 lits = [self._excl_neg(v) for v in atom.vars]
                 lits.append(Literal(t, atom=atom))
                 return lits
             return None
-        if len(unassigned) == 1:
-            var = self.store.var_by_id(unassigned[0])
+        if entry is not None and len(unassigned) == 1:
+            vid = unassigned[0]
+            var = self.store.var_by_id(vid)
             held = Literal(entry[0], atom=atom)
-            res = self.feas.assert_unit_constraint(var, held, trail)
+            fs = self.feas.assert_unit_constraint(var, held, trail)
             if trail.level == 0:
                 self._settled.add(atom.id)
-            if isinstance(res, EmptyConflict):
-                return self._explain(res.contributions)
-            if isinstance(res, Singleton):
-                contribs = self.feas.contributions(var.id)
+            if fs.is_empty():
+                return self._explain(self.feas.contributions(vid), vid)
+            v = fs.singleton_value()
+            if v is not None:
                 trail.push_model_assignment(
-                    var, res.value, decision=False,
-                    reason=(Reason.FEASIBILITY_SINGLETON, contribs))
+                    var, v, decision=False,
+                    reason=(Reason.FEASIBILITY_SINGLETON,
+                            self.feas.contributions(vid)))
                 self.stats.theory_assignments += 1
                 self.stats.propagations += 1
         return None
 
-    def _explain(self, contributions):
-        """Literals explaining a feasibility set: its contributions negated
-        and the exclusion literals of the values they substituted."""
+    def _explain(self, contributions, vid: int):
+        """Literals explaining the feasibility set of `vid`: the literals
+        narrowed into it negated, and the exclusion literals of the other
+        variables' values they substituted."""
         lits = []
-        for con in contributions:
-            lits.append(con.lit.negate())
-            for u in con.used_vars:
-                lits.append(self._excl_neg(u))
+        for lit in contributions:
+            lits.append(lit.negate())
+            for u in lit.atom.vars:
+                if u != vid:
+                    lits.append(self._excl_neg(u))
         return lits
 
     def _bcp_scan(self):
@@ -301,7 +295,7 @@ class Solver:
         elem = trail.elements[pos]
         entry = trail.bool_assign.get(lit.key)
         if entry is not None and entry[1] == pos:
-            if elem.kind is Kind.DECIDED_LITERAL:
+            if elem.decision:
                 return None
             reason = elem.reason
             if reason is Reason.SEMANTIC:
@@ -309,12 +303,12 @@ class Solver:
             asserted = elem.lit
             return [l for l in reason.literals if l.skey != asserted.skey]
         # Falsified by model assignments.
-        if elem.kind is Kind.MODEL_ASSIGNMENT and lit.atom is not None:
+        if elem.var is not None and lit.atom is not None:
             info = lit.atom.var_eq
             if info is not None and info[0] == elem.var.id and not lit.positive:
                 if elem.decision:
                     return None
-                return self._explain(elem.reason[1])
+                return self._explain(elem.reason[1], elem.var.id)
         return [self._excl_neg(v) for v in lit.atom.vars]
 
     def _analyze(self, conflict_lits):
@@ -387,7 +381,7 @@ class Solver:
         self.feas.backtrack_to(backjump)
         self.qhead = min(self.qhead, len(self.trail.elements))
         for elem in removed:
-            vid = (elem.var.id if elem.kind is Kind.MODEL_ASSIGNMENT
+            vid = (elem.var.id if elem.var is not None
                    else (elem.lit.bvar.id if elem.lit.bvar is not None else None))
             if vid is not None and vid in self._decidable:
                 heapq.heappush(self._heap,
@@ -421,16 +415,12 @@ class Solver:
             return False
         self.stats.decisions += 1
         if var.sort is Sort.BOOL:
-            c = self.cache.get(var.id)
-            phase = c if isinstance(c, bool) else True
+            phase = self.cache.get(var.id, True)
             self.trail.push_decision(Literal(phase, bvar=var))
         else:
-            fs = self.feas.get(var.id)
             hint = self.cache.get(var.id)
-            if not isinstance(hint, int) or isinstance(hint, bool):
-                hint = None
-            self.trail.push_model_assignment(var, fs.pick_value(hint),
-                                             decision=True)
+            self.trail.push_model_assignment(
+                var, self.feas.get(var.id).pick_value(hint), decision=True)
             self.stats.theory_assignments += 1
         return True
 
@@ -482,8 +472,6 @@ class Solver:
             if v is None:
                 raise InternalError(f"model leaves {x} unassigned")
         for clause in self.formula.clauses:
-            if clause.learned:
-                continue
             if not any(self._model_lit(lit) for lit in clause):
                 raise InternalError(f"model does not satisfy {clause}")
 

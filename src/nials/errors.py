@@ -24,9 +24,9 @@ class SortError(NialsError):
     """A Boolean term in arithmetic position or vice versa."""
 
 
-class DuplicateAssignment(NialsError):
-    """Internal bug signal: a trail subject was assigned twice."""
-
-
 class InternalError(NialsError):
-    """Internal bug signal: the solver failed one of its own answer checks."""
+    """Internal bug signal: the solver failed one of its own checks."""
+
+
+class DuplicateAssignment(InternalError):
+    """Internal bug signal: a trail subject was assigned twice."""

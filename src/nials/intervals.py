@@ -28,6 +28,15 @@ def _hi_ge(a: Optional[int], b: Optional[int]) -> bool:
     return a >= b
 
 
+def nearest_to_zero(lo: Optional[int], hi: Optional[int]) -> int:
+    """The member of the non-empty interval [lo, hi] with minimal |v|."""
+    if lo is not None and lo > 0:
+        return lo
+    if hi is not None and hi < 0:
+        return hi
+    return 0
+
+
 class IntervalSet:
     """Canonical finite union of integer intervals [lo, hi]."""
 
@@ -167,15 +176,6 @@ class IntervalSet:
             if lo is not None:
                 candidates.append(lo)
         return min(candidates, key=lambda v: (abs(v), v < 0))
-
-    def pick_in_interval(self, index: int) -> int:
-        """pick_value restricted to one member interval, without a hint."""
-        lo, hi = self.intervals[index]
-        if _lo_le(lo, 0) and _hi_ge(hi, 0):
-            return 0
-        if lo is not None and lo > 0:
-            return lo
-        return hi
 
     def containing_and_neighbors(self, v: int):
         """(index-or-gap, left interval, right interval) around value v.

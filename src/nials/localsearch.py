@@ -13,7 +13,10 @@ neighbouring interval, keeping the direction while jumps succeed.
 Hill-climbing tries rounds of deltas around a fixed anchor; a round with an
 accepted move sets the step to its last winning delta and starts the next
 round, a round without one divides the step by the acceleration constant
-and ends the visit.
+and ends the visit.  At step 1 the deltas are ``round(±acc)`` and
+``±1``, so with an acceleration constant below 1.5 (the default 1.2
+included) they are ``[1, -1]`` and the step never grows: hill-climbing
+accelerates only from 1.5 up.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .costfn import CostFunction, IncrementalCost
-from .intervals import IntervalSet
+from .intervals import IntervalSet, nearest_to_zero
 from .terms import Sort, Variable
 
 BOOL_FLIPS = "bool-flips"
@@ -102,8 +105,8 @@ class MoveEngine:
         if var.id not in self.global_used:
             self.global_used.add(var.id)
             idx, _, _ = fs.containing_and_neighbors(alpha)
-            jumps = [fs.pick_in_interval(i)
-                     for i in range(len(fs.intervals)) if i != idx]
+            jumps = [nearest_to_zero(*iv)
+                     for i, iv in enumerate(fs.intervals) if i != idx]
         self._moves = self._fs_jumps(jumps, alpha, fs)
 
     def choose(self):
@@ -154,7 +157,7 @@ class MoveEngine:
             _, left, right = fs.containing_and_neighbors(alpha)
             target = left if go_left else right
             if target is not None:
-                cand = IntervalSet((target,)).pick_in_interval(0)
+                cand = nearest_to_zero(*target)
                 if (yield cand):
                     alpha, misses = cand, 0
                     continue

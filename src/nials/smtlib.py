@@ -445,16 +445,12 @@ def _script_model(comp: Compiler, solver: Solver):
     model = []
     for var in comp.store.variables:
         if var.sort is Sort.INT:
-            v = solver.model_int.get(var.id, solver.cache.get(var.id))
-            if not isinstance(v, int) or isinstance(v, bool):
-                v = 0
+            v = solver.model_int.get(var.id, 0)
             int_values[var.id] = v
             if not var.is_aux:
                 model.append((var.name, Sort.INT, v))
         else:
-            b = solver.model_bool.get(var.id)
-            if b is None:
-                b = True
+            b = solver.model_bool.get(var.id, True)
             bool_values[var.id] = b
             if not var.is_aux:
                 model.append((var.name, Sort.BOOL, b))

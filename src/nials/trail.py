@@ -1,8 +1,10 @@
 """The solver trail: decided literals, propagated literals, model assignments.
 
-The decision level increases on both decided literals and model-assignment
-decisions (both are guesses).  The value cache persists across backtracking
-and keeps the last value a variable had when its assignment was undone.
+An element with `var` set is a model assignment, any other one assigns
+`lit`.  `decision` marks guesses, literals and assignments alike; each
+guess opens a decision level.  The value cache persists across
+backtracking and keeps the last value a variable had when its assignment
+was undone.
 """
 
 from __future__ import annotations
@@ -15,12 +17,6 @@ from .errors import DuplicateAssignment
 from .terms import Literal, Variable
 
 
-class Kind(enum.Enum):
-    DECIDED_LITERAL = "decided"
-    PROPAGATED_LITERAL = "propagated"
-    MODEL_ASSIGNMENT = "assignment"
-
-
 class Reason(enum.Enum):
     SEMANTIC = "semantic"           # literal follows from model assignments
     FEASIBILITY_SINGLETON = "feasibility-singleton"
@@ -28,20 +24,19 @@ class Reason(enum.Enum):
 
 @dataclass(slots=True)
 class TrailElement:
-    kind: Kind
     level: int
     pos: int
     lit: Optional[Literal] = None          # for literal elements
     var: Optional[Variable] = None         # for model assignments
     value: Optional[int] = None
-    decision: bool = False                 # model assignment decided vs propagated
-    reason: object = None                  # Clause, Reason.*, or contributing tuple
+    decision: bool = False                 # a guess, not a propagation
+    # Clause, Reason.SEMANTIC, or (Reason.FEASIBILITY_SINGLETON, literals)
+    reason: object = None
 
     def __repr__(self):
-        if self.kind is Kind.MODEL_ASSIGNMENT:
-            tag = "d" if self.decision else "p"
+        tag = "d" if self.decision else "p"
+        if self.var is not None:
             return f"{tag}:{self.var}->{self.value}@{self.level}"
-        tag = "d" if self.kind is Kind.DECIDED_LITERAL else "p"
         return f"{tag}:{self.lit}@{self.level}"
 
 
@@ -99,14 +94,13 @@ class Trail:
 
     def push_decision(self, lit: Literal) -> TrailElement:
         self._begin_level()
-        elem = TrailElement(Kind.DECIDED_LITERAL, self.level, 0, lit=lit)
+        elem = TrailElement(self.level, 0, lit=lit, decision=True)
         self._push(elem)
         self._assign_lit(lit, elem.pos)
         return elem
 
     def push_propagation(self, lit: Literal, reason) -> TrailElement:
-        elem = TrailElement(Kind.PROPAGATED_LITERAL, self.level, 0, lit=lit,
-                            reason=reason)
+        elem = TrailElement(self.level, 0, lit=lit, reason=reason)
         self._push(elem)
         self._assign_lit(lit, elem.pos)
         return elem
@@ -117,8 +111,8 @@ class Trail:
             raise DuplicateAssignment(f"variable {var} already assigned")
         if decision:
             self._begin_level()
-        elem = TrailElement(Kind.MODEL_ASSIGNMENT, self.level, 0, var=var,
-                            value=value, decision=decision, reason=reason)
+        elem = TrailElement(self.level, 0, var=var, value=value,
+                            decision=decision, reason=reason)
         self._push(elem)
         self.var_value[var.id] = value
         self.var_elem[var.id] = elem
@@ -139,7 +133,7 @@ class Trail:
         while len(self.elements) > cut:
             elem = self.elements.pop()
             removed.append(elem)
-            if elem.kind is Kind.MODEL_ASSIGNMENT:
+            if elem.var is not None:
                 del self.var_value[elem.var.id]
                 del self.var_elem[elem.var.id]
                 if cache is not None:

@@ -10,6 +10,8 @@ import pytest
 
 import nials
 from nials import cli, core
+from nials.errors import DuplicateAssignment
+from nials.trail import Trail
 
 EXAMPLE = """(set-logic QF_NIA)
 (declare-fun x () Int)
@@ -162,6 +164,16 @@ class TestSolveFile:
         assert proc.returncode == 3
         assert "sat" not in proc.stdout.split()
         assert "internal error" in proc.stderr
+
+    def test_duplicate_assignment_is_internal_error(self, files,
+                                                    monkeypatch):
+        def duplicate(self, var, *args, **kwargs):
+            raise DuplicateAssignment(f"variable {var} already assigned")
+        monkeypatch.setattr(Trail, "push_model_assignment", duplicate)
+        code, out, err = run_main([files["ex1"]])
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err
 
 
 class TestBenchDir:

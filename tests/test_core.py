@@ -10,7 +10,7 @@ from helpers import (box_clauses, brute_force, clauses_sat, planted_instance,
 from nials.core import Answer, Solver, SolverConfig, Stats
 from nials.terms import (Clause, Formula, Literal, Polynomial, Rel, Sort,
                          TermStore)
-from nials.trail import Kind, Reason
+from nials.trail import Reason
 
 P = Polynomial
 

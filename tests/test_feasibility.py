@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import narrowed_coeffs
-from nials.feasibility import (EmptyConflict, FeasibilityMap, Singleton,
-                               unit_solution_set)
+from nials.feasibility import FeasibilityMap, unit_solution_set
 from nials.intervals import IntervalSet
 from nials.terms import Atom, Literal, Polynomial, Rel, Sort, TermStore
 from nials.trail import Trail
@@ -37,9 +36,8 @@ class TestRestriction:
         trail.push_model_assignment(x, 1, decision=True)  # open level 1
         lit = unit(store, P.const(1) - P.var(z.id) * P.var(z.id), Rel.LT)
         res = feas.assert_unit_constraint(z, lit, trail)
-        assert res is None
-        assert feas.get(z.id) == IntervalSet.from_intervals(
-            [(None, -2), (2, None)])
+        assert res == IntervalSet.from_intervals([(None, -2), (2, None)])
+        assert feas.get(z.id) == res
 
     def test_example_singleton_propagation(self, setup):
         """With x = 1 on the trail, the unit xy = 1 forces y into {1}."""
@@ -49,8 +47,7 @@ class TestRestriction:
         trail.push_model_assignment(x, 1, decision=True)
         lit = unit(store, P.var(x.id) * P.var(y.id) - P.const(1), Rel.EQ)
         res = feas.assert_unit_constraint(y, lit, trail)
-        assert isinstance(res, Singleton)
-        assert res.value == 1
+        assert res.singleton_value() == 1
         assert feas.get(y.id).singleton_value() == 1
 
     def test_negative_polarity_complements(self, setup):
@@ -70,11 +67,11 @@ class TestRestriction:
         trail.push_model_assignment(x, 0, decision=True)
         l1 = unit(store, P.var(y.id) - P.const(5), Rel.LEQ)   # y <= 5
         l2 = unit(store, P.const(7) - P.var(y.id), Rel.LEQ)   # y >= 7
-        assert feas.assert_unit_constraint(y, l1, trail) is None
+        assert feas.assert_unit_constraint(y, l1, trail) == \
+            IntervalSet.range(None, 5)
         res = feas.assert_unit_constraint(y, l2, trail)
-        assert isinstance(res, EmptyConflict)
-        assert res.var == y
-        assert {c.lit.skey for c in res.contributions} == {l1.skey, l2.skey}
+        assert res.is_empty()
+        assert feas.contributions(y.id) == (l1, l2)
 
     def test_used_vars_recorded(self, setup):
         store, x, y, z = setup
@@ -84,7 +81,8 @@ class TestRestriction:
         lit = unit(store, P.var(x.id) * P.var(y.id) - P.const(4), Rel.EQ)
         feas.assert_unit_constraint(y, lit, trail)
         (con,) = feas.contributions(y.id)
-        assert con.used_vars == (x.id,)
+        assert con is lit
+        assert [v for v in con.atom.vars if v != y.id] == [x.id]
 
     def test_level0_contributions_not_recorded(self, setup):
         # Root-level constraints are formula consequences; conflict
@@ -93,7 +91,8 @@ class TestRestriction:
         trail = Trail()
         feas = FeasibilityMap()
         lit = unit(store, P.var(y.id) - P.const(5), Rel.LEQ)
-        assert feas.assert_unit_constraint(y, lit, trail) is None
+        assert feas.assert_unit_constraint(y, lit, trail) == \
+            IntervalSet.range(None, 5)
         assert feas.contributions(y.id) == ()
         assert feas.get(y.id) == IntervalSet.range(None, 5)
 
@@ -121,7 +120,7 @@ class TestBacktracking:
         assert feas.get(y.id) == before
         assert feas.contributions(y.id) == ()
 
-    def test_one_snapshot_per_level(self, setup):
+    def test_narrowings_on_one_level_undo_together(self, setup):
         store, x, y, z = setup
         trail = Trail()
         feas = FeasibilityMap()
@@ -132,6 +131,64 @@ class TestBacktracking:
         assert feas.get(y.id) == IntervalSet.range(None, 5)
         feas.backtrack_to(0)
         assert feas.get(y.id) == IntervalSet.full()
+
+
+# One step of a random FeasibilityMap history: open a decision level,
+# assert a unit literal c2·x² + c1·x + c0 + cy·y (rel) 0 on x in {v0, v1}
+# (y = v2 is fixed at level 0), or backtrack to a level at or below the
+# current one (the drawn number is taken modulo the level plus one).
+undo_steps = st.lists(st.one_of(
+    st.just(("decide",)),
+    st.tuples(st.just("assert"), st.integers(0, 1),
+              st.tuples(*[st.integers(-3, 3)] * 4),
+              st.sampled_from(list(Rel)), st.booleans()),
+    st.tuples(st.just("backtrack"), st.integers(0, 5))), max_size=25)
+
+
+class TestUndoLogProperties:
+    @settings(deadline=None, max_examples=200)
+    @given(undo_steps)
+    def test_sets_and_contributions_follow_the_literals_in_force(
+            self, steps):
+        """Oracle: each set is the intersection of the solution sets of the
+        literals asserted on it and not backtracked over, and its
+        contributions are those above level 0, in order."""
+        store = TermStore()
+        xs = [store.new_var(f"v{i}", Sort.INT) for i in range(3)]
+        flags = [store.new_var(f"b{i}", Sort.BOOL) for i in range(6)]
+        trail = Trail()
+        trail.push_model_assignment(xs[2], -2, decision=False)
+        feas = FeasibilityMap()
+        in_force = []           # (level, vid, lit), oldest first
+        for step in steps:
+            if step[0] == "decide":
+                if trail.level < len(flags) - 1:
+                    trail.push_decision(
+                        Literal(True, bvar=flags[trail.level]))
+            elif step[0] == "backtrack":
+                level = step[1] % (trail.level + 1)
+                trail.backtrack_to(level)
+                feas.backtrack_to(level)
+                in_force = [e for e in in_force if e[0] <= level]
+            else:
+                _, vid, (c2, c1, c0, cy), rel, positive = step
+                x, y = P.var(xs[vid].id), P.var(xs[2].id)
+                poly = (P.const(c2) * x * x + P.const(c1) * x
+                        + P.const(c0) + P.const(cy) * y)
+                lit = unit(store, poly, rel, positive)
+                got = feas.assert_unit_constraint(xs[vid], lit, trail)
+                assert got == feas.get(xs[vid].id)
+                in_force.append((trail.level, xs[vid].id, lit))
+            for x in xs[:2]:
+                expected = IntervalSet.full()
+                for _, vid, lit in in_force:
+                    if vid == x.id:
+                        expected = expected.intersect(unit_solution_set(
+                            lit, vid, trail.var_value))
+                assert feas.get(x.id) == expected
+                assert feas.contributions(x.id) == tuple(
+                    lit for level, vid, lit in in_force
+                    if vid == x.id and level > 0)
 
 
 class TestDirectCoefficients:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nials.intervals import IntervalSet
+from nials.intervals import IntervalSet, nearest_to_zero
 
 WINDOW = range(-20, 21)
 
@@ -90,10 +90,19 @@ class TestPickValue:
             return
         assert s.pick_value(hint) in s
 
-    def test_pick_in_interval(self):
-        s = IntervalSet.from_intervals([(-5, 5), (40, 60)])
-        assert s.pick_in_interval(1) == 40
-        assert s.pick_in_interval(0) == 0
+    def test_nearest_to_zero(self):
+        assert nearest_to_zero(40, 60) == 40
+        assert nearest_to_zero(-5, 5) == 0
+        assert nearest_to_zero(-60, -40) == -40
+        assert nearest_to_zero(None, -3) == -3
+        assert nearest_to_zero(3, None) == 3
+        assert nearest_to_zero(None, None) == 0
+
+    @given(interval_sets)
+    def test_nearest_to_zero_is_pick_value_of_each_interval(self, s):
+        for lo, hi in s.intervals:
+            assert nearest_to_zero(lo, hi) == \
+                IntervalSet.range(lo, hi).pick_value()
 
 
 class TestNavigation:

@@ -4,7 +4,7 @@ import pytest
 
 from nials.errors import DuplicateAssignment
 from nials.terms import Literal, Polynomial, Rel, Sort, TermStore
-from nials.trail import Kind, Reason, Trail
+from nials.trail import Reason, Trail
 
 P = Polynomial
 
