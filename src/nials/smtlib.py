@@ -12,6 +12,7 @@ a script and `solve` answers its check-sat; that is the one solve path.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from contextlib import contextmanager
 from typing import NoReturn, Optional, Union
@@ -133,6 +134,7 @@ class Compiler:
         # Memoised leaves: true/false and numerals, then variables by name.
         self._constants: dict = {"true": fa.TRUE, "false": fa.FALSE}
         self._variables: dict = {}
+        self._negated: dict = {}        # numeral -> (- numeral)
 
     # -- command level ------------------------------------------------------
 
@@ -140,7 +142,15 @@ class Compiler:
         if not isinstance(cmd, list) or not cmd or not isinstance(cmd[0], str):
             raise ParseError(f"malformed command {print_sexpr(cmd)}", 0, 0)
         head = cmd[0]
-        if head == "set-logic":
+        if head == "assert":
+            if len(cmd) != 2:
+                raise ParseError(f"malformed assert {print_sexpr(cmd)}", 0, 0)
+            if self.checked:
+                # Every check-sat answers for all of the script's assertions.
+                raise UnsupportedError(
+                    "assert after check-sat: incremental scripts are not supported")
+            self.assertions.append(self.bool_term(cmd[1], {}))
+        elif head == "set-logic":
             if len(cmd) != 2 or cmd[1] not in _SUPPORTED_LOGICS:
                 raise UnsupportedError(f"unsupported logic in {print_sexpr(cmd)}")
             self.logic = cmd[1]
@@ -171,14 +181,6 @@ class Compiler:
             if (self._sort(sort) is Sort.INT) != isinstance(value, Polynomial):
                 raise SortError(f"define-fun {name}: body sort mismatch")
             self.macros[name] = value
-        elif head == "assert":
-            if len(cmd) != 2:
-                raise ParseError(f"malformed assert {print_sexpr(cmd)}", 0, 0)
-            if self.checked:
-                # Every check-sat answers for all of the script's assertions.
-                raise UnsupportedError(
-                    "assert after check-sat: incremental scripts are not supported")
-            self.assertions.append(self.bool_term(cmd[1], {}))
         elif head == "check-sat":
             self.checked = True
         elif head in ("get-model", "exit"):
@@ -202,70 +204,43 @@ class Compiler:
 
     def bool_term(self, e: Sexpr, env: dict):
         value = self.term(e, env)
-        if isinstance(value, Polynomial):
-            raise SortError(f"expected Bool term, got {print_sexpr(e)}")
-        return value
-
-    def int_term(self, e: Sexpr, env: dict) -> Polynomial:
-        value = self.term(e, env)
-        if not isinstance(value, Polynomial):
-            raise SortError(f"expected Int term, got {print_sexpr(e)}")
+        if value.__class__ is Polynomial:
+            raise _sort_error("Bool", e)
         return value
 
     def term(self, e: Sexpr, env: dict):
-        """A `Polynomial` for an Int term, a Boolean structure for a Bool one."""
-        if isinstance(e, str):
+        """A `Polynomial` for an Int term, a Boolean structure for a Bool one.
+
+        An application's head picks its handler in `_APPLY`.  Its operands
+        are compiled here, left to right, memoised leaves inline, and the
+        handler combines their values; only `let` compiles its own parts.
+        So a nesting level costs one Python frame.
+        """
+        if e.__class__ is str:
             return self._atom_term(e, env)
-        if not e or not isinstance(e[0], str):
-            raise ParseError(f"malformed term {print_sexpr(e)}", 0, 0)
-        head, args = e[0], e[1:]
-        if head == "-" and len(args) == 1:
-            return -self.int_term(args[0], env)
-        if head in ("+", "-", "*"):
-            if not args:
-                raise ParseError(f"operator {head} needs arguments", 0, 0)
-            # A loop, not a comprehension: one frame less per nesting level.
-            polys = []
-            for a in args:
-                polys.append(self.int_term(a, env))
-            if head != "*":
-                return Polynomial.sum(polys[0], polys[1:],
-                                      1 if head == "+" else -1)
-            acc = polys[0]
-            for p in polys[1:]:
-                acc = acc * p
-            return acc
-        if head in ("<", "<=", ">", ">="):
-            return self._chain(head, args, env)
-        if head == "=":
-            return self._equality(args, env)
-        if head == "distinct":
-            return self._distinct(args, env)
-        if head in ("and", "or"):
-            parts = [self.bool_term(a, env) for a in args]
-            return fa.mk_and(parts) if head == "and" else fa.mk_or(parts)
-        if head == "xor":
-            if len(args) < 2:
-                raise ParseError("xor needs two arguments", 0, 0)
-            parts = [self.bool_term(a, env) for a in args]
-            return functools.reduce(_xor, parts)
-        if head == "not":
-            if len(args) != 1:
-                raise ParseError("not takes one argument", 0, 0)
-            return fa.mk_not(self.bool_term(args[0], env))
-        if head == "=>":
-            if len(args) < 2:
-                raise ParseError("=> takes at least two arguments", 0, 0)
-            parts = [self.bool_term(a, env) for a in args]
-            acc = parts[-1]
-            for p in reversed(parts[:-1]):
-                acc = fa.mk_or([fa.mk_not(p), acc])
-            return acc
-        if head == "ite":
-            return self._ite(args, env)
-        if head == "let":
-            return self._let(args, env)
-        raise UnsupportedError(f"unsupported operator {head}")
+        try:
+            handler, ints = _APPLY[e[0]]
+        except KeyError:
+            raise UnsupportedError(f"unsupported operator {e[0]}") from None
+        except (IndexError, TypeError):     # () or a list at the head
+            raise ParseError(f"malformed term {print_sexpr(e)}", 0, 0) from None
+        if handler is None:
+            return self._let(e, env)
+        vals = []
+        for a in e[1:]:
+            if a.__class__ is str:
+                # Memoised leaves inline, in the order of `_atom_term`.
+                v = self._constants.get(a)
+                if v is None:
+                    v = None if env else self._variables.get(a)
+                    if v is None:
+                        v = self._atom_term(a, env)
+            else:
+                v = self.term(a, env)
+            if ints is not None and (v.__class__ is Polynomial) is not ints:
+                raise _sort_error("Int" if ints else "Bool", a)
+            vals.append(v)
+        return handler(self, e, vals)
 
     def _atom_term(self, name: str, env: dict):
         # Lookup order: true/false, numerals, let-bound names, variables,
@@ -279,6 +254,7 @@ class Compiler:
             except ValueError:      # beyond Python's int-from-text limit
                 raise UnsupportedError(
                     f"numeral of {len(name)} digits") from None
+            self._negated[name] = Polynomial.const(-n)
             value = self._constants[name] = Polynomial.const(n)
             return value
         if name in env:
@@ -296,84 +272,124 @@ class Compiler:
             return self.macros[name]
         raise ParseError(f"undeclared identifier {name}", 0, 0)
 
-    def _rel_atom(self, op: str, lhs: Polynomial, rhs: Polynomial) -> Literal:
-        if op == "<":
-            atom = self.store.mk_atom(lhs, Rel.LT, rhs)
-        elif op == "<=":
-            atom = self.store.mk_atom(lhs, Rel.LEQ, rhs)
-        elif op == ">":
-            atom = self.store.mk_atom(rhs, Rel.LT, lhs)
-        elif op == ">=":
-            atom = self.store.mk_atom(rhs, Rel.LEQ, lhs)
-        elif op == "=":
-            atom = self.store.mk_atom(lhs, Rel.EQ, rhs)
-        else:
-            atom = self.store.mk_atom(lhs, Rel.NEQ, rhs)
-        return Literal(True, atom=atom)
+    # Handlers: ``e`` is the application, ``vals`` its operands' values.
 
-    def _chain(self, op: str, args: list, env: dict) -> fa.BoolExpr:
-        if len(args) < 2:
-            raise ParseError(f"operator {op} needs two arguments", 0, 0)
-        polys = [self.int_term(a, env) for a in args]
-        parts = [self._rel_atom(op, a, b) for a, b in zip(polys, polys[1:])]
-        return fa.mk_and(parts)
+    def _arith(self, e: list, vals: list) -> Polynomial:
+        """``(* a …)``, ``(+ a …)``, ``(- a b …)`` and the negation ``(- a)``."""
+        if not vals:
+            raise ParseError(f"operator {e[0]} needs arguments", 0, 0)
+        if e[0] == "*":
+            return Polynomial.product(vals)
+        if len(vals) == 1 and e[0] == "-":
+            neg = self._negated.get(e[1]) if e[1].__class__ is str else None
+            return -vals[0] if neg is None else neg
+        return Polynomial.sum(vals[0], vals[1:], 1 if e[0] == "+" else -1)
 
-    def _operands(self, op: str, args: list, env: dict):
-        """(values, whether all are Int) for operands of one sort."""
-        if len(args) < 2:
-            raise ParseError(f"{op} needs two arguments", 0, 0)
-        vals = [self.term(a, env) for a in args]
-        kinds = {isinstance(v, Polynomial) for v in vals}
-        if len(kinds) != 1:
-            raise SortError(f"{op} applied to mixed sorts")
-        return vals, kinds.pop()
-
-    def _equality(self, args: list, env: dict) -> fa.BoolExpr:
-        vals, ints = self._operands("=", args, env)
+    def _relation(self, e: list, vals: list) -> fa.BoolExpr:
+        """One atom per operand pair: adjacent pairs, or every pair for
+        ``distinct``.  ``=`` and ``distinct`` over Bool operands are iff
+        and xor."""
+        rel, swap = _RELATIONS[e[0]]
+        if len(vals) == 2:
+            a, b = vals
+            if a.__class__ is Polynomial and b.__class__ is Polynomial:
+                if swap:
+                    a, b = b, a
+                return Literal(True, atom=self.store.mk_atom(a, rel, b))
+        if len(vals) < 2:
+            raise ParseError(f"operator {e[0]} needs two arguments", 0, 0)
+        ints = vals[0].__class__ is Polynomial
+        for v in vals:
+            if (v.__class__ is Polynomial) is not ints:
+                raise SortError(f"{e[0]} applied to mixed sorts")
+        pairs = (itertools.combinations(vals, 2) if rel is _NEQ
+                 else zip(vals, vals[1:]))
         if ints:
-            return fa.mk_and([self._rel_atom("=", a, b)
-                              for a, b in zip(vals, vals[1:])])
-        return fa.mk_and([
-            fa.mk_or([fa.mk_and([a, b]),
-                      fa.mk_and([fa.mk_not(a), fa.mk_not(b)])])
-            for a, b in zip(vals, vals[1:])])
-
-    def _distinct(self, args: list, env: dict) -> fa.BoolExpr:
-        vals, ints = self._operands("distinct", args, env)
-        if ints:
-            return fa.mk_and([self._rel_atom("!=", vals[i], vals[j])
-                              for i in range(len(vals))
-                              for j in range(i + 1, len(vals))])
+            mk_atom = self.store.mk_atom
+            return fa.mk_and([Literal(True, atom=mk_atom(b, rel, a) if swap
+                                      else mk_atom(a, rel, b))
+                              for a, b in pairs])
+        if rel is not _NEQ:
+            return fa.mk_and([
+                fa.mk_or([fa.mk_and([a, b]),
+                          fa.mk_and([fa.mk_not(a), fa.mk_not(b)])])
+                for a, b in pairs])
         if len(vals) == 2:
             return _xor(vals[0], vals[1])
         raise UnsupportedError("distinct over more than two Bool operands")
 
-    def _ite(self, args: list, env: dict):
-        if len(args) != 3:
+    def _connective(self, e: list, vals: list) -> fa.BoolExpr:
+        """``and``, ``or``, ``xor`` and ``=>``."""
+        op = e[0]
+        if op == "or":
+            return fa.mk_or(vals)
+        if op == "and":
+            return fa.mk_and(vals)
+        if len(vals) < 2:
+            raise ParseError(f"{op} takes at least two arguments", 0, 0)
+        if op == "xor":
+            return functools.reduce(_xor, vals)
+        acc = vals[-1]                  # =>, associating to the right
+        for p in reversed(vals[:-1]):
+            acc = fa.mk_or([fa.mk_not(p), acc])
+        return acc
+
+    def _not(self, e: list, vals: list) -> fa.BoolExpr:
+        if len(vals) != 1:
+            raise ParseError("not takes one argument", 0, 0)
+        return fa.mk_not(vals[0])
+
+    def _ite(self, e: list, vals: list):
+        if len(vals) != 3:
             raise ParseError("ite takes three arguments", 0, 0)
-        cond = self.bool_term(args[0], env)
-        (then, els), ints = self._operands("ite", args[1:], env)
-        if not ints:
+        cond, then, els = vals
+        if cond.__class__ is Polynomial:
+            raise _sort_error("Bool", e[1])
+        if (then.__class__ is Polynomial) is not (els.__class__ is Polynomial):
+            raise SortError("ite applied to mixed sorts")
+        if then.__class__ is not Polynomial:
             return fa.mk_ite(cond, then, els)
         # Integer ite: fresh variable constrained to the chosen branch.
-        v = self.store.fresh_var("ite", Sort.INT)
-        vp = Polynomial.var(v.id)
-        self.side.append(fa.mk_or([
-            fa.mk_not(cond), self._rel_atom("=", vp, then)]))
-        self.side.append(fa.mk_or([
-            cond, self._rel_atom("=", vp, els)]))
+        vp = Polynomial.var(self.store.fresh_var("ite", Sort.INT).id)
+        is_then, is_els = (Literal(True, atom=self.store.mk_atom(vp, _EQ, p))
+                           for p in (then, els))
+        self.side.append(fa.mk_or([fa.mk_not(cond), is_then]))
+        self.side.append(fa.mk_or([cond, is_els]))
         return vp
 
-    def _let(self, args: list, env: dict):
-        if len(args) != 2 or not isinstance(args[0], list):
+    def _let(self, e: list, env: dict):
+        if len(e) != 3 or not isinstance(e[1], list):
             raise ParseError("malformed let", 0, 0)
-        new_env = dict(env)
-        for binding in args[0]:
+        bound = {}
+        for binding in e[1]:
             if not (isinstance(binding, list) and len(binding) == 2
                     and isinstance(binding[0], str)):
                 raise ParseError("malformed let binding", 0, 0)
-            new_env[binding[0]] = self.term(binding[1], env)
-        return self.term(args[1], new_env)
+            if binding[0] in bound:
+                raise ParseError(f"let: {binding[0]} bound twice", 0, 0)
+            bound[binding[0]] = self.term(binding[1], env)
+        return self.term(e[2], {**env, **bound})
+
+
+# (relation, whether the operands swap) of each relation symbol.
+_RELATIONS = {"<": (Rel.LT, False), "<=": (Rel.LEQ, False),
+              ">": (Rel.LT, True), ">=": (Rel.LEQ, True),
+              "=": (Rel.EQ, False), "distinct": (Rel.NEQ, False)}
+_EQ, _NEQ = Rel.EQ, Rel.NEQ
+# Head -> (handler, operand sort: True for Int, False for Bool, None for
+# either).  `let` has no handler: it binds names before its body compiles.
+_APPLY = {
+    **dict.fromkeys(("+", "-", "*"), (Compiler._arith, True)),
+    **dict.fromkeys(("<", "<=", ">", ">="), (Compiler._relation, True)),
+    **dict.fromkeys(("=", "distinct"), (Compiler._relation, None)),
+    **dict.fromkeys(("and", "or", "xor", "=>"), (Compiler._connective, False)),
+    "not": (Compiler._not, False), "ite": (Compiler._ite, None),
+    "let": (None, None),
+}
+
+
+def _sort_error(sort: str, e: Sexpr) -> SortError:
+    return SortError(f"expected {sort} term, got {print_sexpr(e)}")
 
 
 def _xor(a, b) -> fa.BoolExpr:

@@ -27,6 +27,9 @@ class Rel(enum.Enum):
     LEQ = "<="
     LT = "<"
 
+    # Atoms are interned by (poly, rel): hash members by identity, in C.
+    __hash__ = object.__hash__
+
     def holds(self, value: int) -> bool:
         """Truth of ``value ⋈ 0``."""
         if self is Rel.EQ:
@@ -37,6 +40,9 @@ class Rel(enum.Enum):
             return value <= 0
         return value < 0
 
+
+# Read once: an attribute of an Enum class costs a metaclass hook call.
+_EQ, _NEQ = Rel.EQ, Rel.NEQ
 
 @dataclass(frozen=True)
 class Variable:
@@ -58,19 +64,17 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
+    if a[-1][0] < b[0][0]:          # every variable of a precedes b's
+        return a + b
     exps: dict[int, int] = dict(a)
     for vid, e in b:
         exps[vid] = exps.get(vid, 0) + e
     return tuple(sorted(exps.items()))
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
 def _mono_key(m: Monomial):
     # Graded lexicographic by variable id; any fixed total order works.
-    return (_mono_degree(m), m)
+    return (sum(e for _, e in m), m)
 
 
 class Polynomial:
@@ -130,6 +134,23 @@ class Polynomial:
                     del terms[m]
         return Polynomial._of(terms)
 
+    @staticmethod
+    def product(factors: list["Polynomial"]) -> "Polynomial":
+        """The product of ``factors``: in one pass, folding coefficients
+        and monomials, when each is a single nonzero term; pairwise
+        otherwise."""
+        coeff, mono = 1, ()
+        for p in factors:
+            if len(p._terms) != 1:
+                acc = factors[0]
+                for q in factors[1:]:
+                    acc = acc * q
+                return acc
+            (m, c), = p._terms.items()
+            coeff *= c
+            mono = _mono_mul(mono, m)
+        return Polynomial._of({mono: coeff})
+
     @property
     def terms(self) -> Mapping[Monomial, int]:
         return self._terms
@@ -162,10 +183,6 @@ class Polynomial:
         return Polynomial.sum(self, (other,), -1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if len(self._terms) == 1 == len(other._terms):
-            (m1, c1), = self._terms.items()
-            (m2, c2), = other._terms.items()
-            return Polynomial._of({_mono_mul(m1, m2): c1 * c2})
         terms: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -208,11 +225,15 @@ class Polynomial:
         return math.gcd(*self._terms.values())
 
     def leading_coeff(self) -> int:
-        """Coefficient of the leading monomial under graded lex order."""
-        if not self._terms:
-            return 0
-        m = max(self._terms, key=_mono_key)
-        return self._terms[m]
+        """Coefficient of the leading monomial under `_mono_key`."""
+        lead, lead_deg = None, -1
+        for m in self._terms:
+            deg = 0
+            for _, e in m:
+                deg += e
+            if deg > lead_deg or deg == lead_deg and m > lead:
+                lead, lead_deg = m, deg
+        return 0 if lead is None else self._terms[lead]
 
     def __repr__(self):
         if not self._terms:
@@ -409,7 +430,7 @@ class TermStore:
         atom = self._atoms.get((poly, rel))
         if atom is None:
             atom = self._new_atom(poly, rel,
-                                  _var_eq(poly) if rel is Rel.EQ else None)
+                                  _var_eq(poly) if rel is _EQ else None)
         return atom
 
     def eq_atom(self, vid: int, value: int) -> Atom:
@@ -438,11 +459,12 @@ class TermStore:
 
 def _var_eq(poly: Polynomial) -> Optional[tuple]:
     """(vid, c) if ``poly`` is ``x − c``, else None."""
-    monos = [m for m in poly.terms if m]
-    if len(monos) == 1 and len(monos[0]) == 1 and poly.terms[monos[0]] == 1:
-        (vid, exponent), = monos[0]
-        if exponent == 1:
-            return vid, -poly.terms.get((), 0)
+    terms = poly._terms
+    c = terms.get((), 0)
+    if len(terms) == (2 if c else 1):       # one monomial besides c
+        for m, a in terms.items():
+            if m and a == 1 and len(m) == 1 and m[0][1] == 1:
+                return m[0][0], -c
     return None
 
 
@@ -451,17 +473,13 @@ def normalize_poly(p: Polynomial, rel: Rel) -> tuple[Polynomial, Rel]:
 
     The coefficient GCD divides out (sound over ℤ for all four relations:
     for EQ/NEQ only the common factor is removed, for LEQ/LT dividing by a
-    positive constant preserves the solution set).  For EQ/NEQ the sign is
-    fixed so the leading monomial has a positive coefficient.
+    positive constant preserves the solution set); it includes the
+    constant term, so the division is exact.  For EQ/NEQ the sign is fixed
+    so the leading monomial has a positive coefficient.
     """
     g = p.content()
-    if g > 1:
-        if rel in (Rel.EQ, Rel.NEQ):
-            p = Polynomial._of({m: c // g for m, c in p.terms.items()})
-        else:
-            # Keep the constant term's remainder: only divide if exact.
-            if all(c % g == 0 for c in p.terms.values()):
-                p = Polynomial._of({m: c // g for m, c in p.terms.items()})
-    if rel in (Rel.EQ, Rel.NEQ) and p.leading_coeff() < 0:
-        p = -p
+    if (rel is _EQ or rel is _NEQ) and p.leading_coeff() < 0:
+        g = -g
+    if g > 1 or g < 0:
+        p = Polynomial._of({m: c // g for m, c in p._terms.items()})
     return p, rel

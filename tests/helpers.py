@@ -178,3 +178,51 @@ def narrowed_coeffs(terms, vid, values):
         unit_solution_set(Literal(True, atom=atom), vid, values)
     (coeffs,) = seen
     return coeffs
+
+
+def _numeral(c):
+    return str(c) if c >= 0 else f"(- {-c})"
+
+
+def _poly_text(rng, names, max_terms=3, max_deg=2, coeff=5):
+    """A random sum of products as SMT-LIB text, written as the benchmark
+    writes its inputs: `(* (- 3) x y)`, `(+ …)` and negative numerals."""
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        factors = sorted(rng.choice(names)
+                         for _ in range(rng.randint(0, max_deg)))
+        c = rng.randint(-coeff, coeff)
+        if c != 1 or not factors:
+            factors.insert(0, _numeral(c))
+        terms.append(factors[0] if len(factors) == 1
+                     else f"(* {' '.join(factors)})")
+    return terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"
+
+
+def random_script(rng, n_int=4, n_bool=2, n_clauses=20, box=None, **poly_kwargs):
+    """A planted- or boxed-like SMT-LIB script: one assert per random
+    clause of atoms `(rel poly 0)` and Bool variables, each maybe negated,
+    and with ``box = (lo, hi)`` the bounds of every integer variable."""
+    ints = [f"x{i}" for i in range(n_int)]
+    bools = [f"b{i}" for i in range(n_bool)]
+    lines = ["(set-logic QF_NIA)"]
+    lines += [f"(declare-fun {v} () Int)" for v in ints]
+    lines += [f"(declare-fun {v} () Bool)" for v in bools]
+    for _ in range(n_clauses):
+        lits = []
+        for _ in range(rng.randint(1, 3)):
+            if bools and rng.random() < 0.3:
+                lit = rng.choice(bools)
+            else:
+                rel = rng.choice(("=", "distinct", "<=", "<"))
+                lit = f"({rel} {_poly_text(rng, ints, **poly_kwargs)} 0)"
+            lits.append(lit if rng.random() < 0.5 else f"(not {lit})")
+        clause = lits[0] if len(lits) == 1 else f"(or {' '.join(lits)})"
+        lines.append(f"(assert {clause})")
+    if box is not None:
+        lo, hi = box
+        for v in ints:
+            lines.append(f"(assert (<= (+ {_numeral(lo)} (* (- 1) {v})) 0))")
+            lines.append(f"(assert (<= (+ {v} {_numeral(-hi)}) 0))")
+    lines.append("(check-sat)")
+    return "\n".join(lines) + "\n"

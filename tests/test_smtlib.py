@@ -1,6 +1,9 @@
 """SMT-LIB v2 frontend: tokenizing, parsing, round-trips, solving."""
 
+import hashlib
 import itertools
+import math
+import operator
 import random
 import string
 
@@ -8,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_script
+from nials import formula_ast as fa
 from nials import smtlib
 from nials.core import Answer
 from nials.errors import ParseError, SortError, UnsupportedError
-from nials.terms import Sort
+from nials.terms import Polynomial, Sort
 
 EXAMPLE = """
 (set-logic QF_NIA)
@@ -229,6 +234,11 @@ class TestErrors:
             smtlib.parse("(set-logic QF_NIA)(declare-const x Int)"
                          f"(declare-const p Bool)(assert {term})")
 
+    def test_let_names_must_be_distinct(self):
+        with pytest.raises(ParseError, match="x bound twice"):
+            smtlib.parse("(set-logic QF_NIA)"
+                         "(assert (let ((x 5) (x 6)) (= x 6)))")
+
     def test_bool_distinct_over_three_unsupported(self):
         with pytest.raises(UnsupportedError):
             smtlib.parse("(set-logic QF_NIA)(declare-const p Bool)"
@@ -381,6 +391,120 @@ class TestTermConstructs:
             "(assert (= (- 10 a 3) 2))(assert (= a 5))(check-sat)") == "sat"
 
 
+
+# Int terms: n-ary +, unary and n-ary -, *, let, Int ite and macros over
+# three variables.  The conditions of ites compare Int terms.
+INT_VARS = ("x0", "x1", "x2")
+COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+           ">=": operator.ge, "=": operator.eq, "distinct": operator.ne}
+
+
+def random_int_term(rng, depth, scope):
+    """SMT-LIB text of a random Int term over the names in ``scope``."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.6:
+            return rng.choice(scope)
+        return str(rng.randint(0, 6))
+    op = rng.choice(("+", "-", "*", "neg", "let", "ite"))
+    if op == "neg":
+        return f"(- {random_int_term(rng, depth - 1, scope)})"
+    if op == "let":
+        names = rng.sample(("l0", "l1", "x0"), rng.randint(1, 2))
+        binds = " ".join(f"({n} {random_int_term(rng, depth - 1, scope)})"
+                         for n in names)
+        body = random_int_term(rng, depth - 1, scope + tuple(names))
+        return f"(let ({binds}) {body})"
+    if op == "ite":
+        rel = rng.choice(tuple(COMPARE))
+        a, b, then, els = (random_int_term(rng, depth - 1, scope)
+                           for _ in range(4))
+        return f"(ite ({rel} {a} {b}) {then} {els})"
+    args = (random_int_term(rng, depth - 1, scope)
+            for _ in range(rng.randint(2, 4)))
+    return f"({op} {' '.join(args)})"
+
+
+def int_value(e, env, ites):
+    """Value of the Int s-expression ``e``.  The value each ite takes is
+    appended to ``ites``, in the order the compiler makes their variables."""
+    if isinstance(e, str):
+        return int(e) if e.isdigit() else env[e]
+    head, args = e[0], e[1:]
+    if head == "let":
+        inner = dict(env)
+        for name, value in args[0]:
+            inner[name] = int_value(value, env, ites)
+        return int_value(args[1], inner, ites)
+    if head == "ite":
+        (rel, a, b), then, els = args
+        holds = COMPARE[rel](int_value(a, env, ites), int_value(b, env, ites))
+        then, els = int_value(then, env, ites), int_value(els, env, ites)
+        ites.append(then if holds else els)
+        return ites[-1]
+    values = [int_value(a, env, ites) for a in args]
+    if head == "*":
+        return math.prod(values)
+    if head == "-":
+        return -values[0] if len(values) == 1 else values[0] - sum(values[1:])
+    return sum(values)
+
+
+class TestIntTerms:
+    def test_random_terms_compile_to_their_value(self):
+        # Three terms share one compiler, so that its memoised values are
+        # reused across terms and let scopes.
+        rng = random.Random(41)
+        for _ in range(60):
+            comp = smtlib.Compiler()
+            for v in INT_VARS:
+                comp.command(["declare-const", v, "Int"])
+            scope, macros = INT_VARS, []
+            for k in range(rng.randint(0, 2)):
+                body = smtlib.parse_sexprs(random_int_term(rng, 2, scope))[0]
+                comp.command(["define-fun", f"m{k}", [], "Int", body])
+                macros.append((f"m{k}", body))
+                scope += (f"m{k}",)
+            terms = [smtlib.parse_sexprs(random_int_term(rng, 4, scope))[0]
+                     for _ in range(3)]
+            polys = [comp.term(t, {}) for t in terms]
+            for t, poly in zip(terms, polys):
+                assert isinstance(poly, Polynomial), t
+                for m, c in poly.terms.items():
+                    assert c != 0 and all(e > 0 for _, e in m), (t, poly)
+                    assert [v for v, _ in m] == sorted({v for v, _ in m}), t
+            aux = [v.id for v in comp.store.variables if v.is_aux]
+            for _ in range(4):
+                env = {v: rng.randint(-4, 4) for v in INT_VARS}
+                ites = []
+                for name, body in macros:
+                    env[name] = int_value(body, env, ites)
+                wants = [int_value(t, env, ites) for t in terms]
+                values = {comp.store.lookup_var(v).id: env[v]
+                          for v in INT_VARS}
+                values.update(zip(aux, ites))
+                for t, poly, want in zip(terms, polys, wants):
+                    assert poly.evaluate(values) == want, t
+                assert all(fa.evaluate(s, values, {}) for s in comp.side)
+
+
+class TestNestingLimits:
+    """Depths a little below what `solve(parse(…))` accepted under pytest
+    when the compiler took two Python frames per nesting level (473, 317
+    and 190): a frontend that accepts less fails here."""
+
+    @pytest.mark.parametrize("decl, opens, leaf, closes", [
+        ("(declare-const x Int)", ["(> (+ 1 "] + ["(+ 1 "] * 459, "x",
+         ")" * 460 + " 0)"),
+        ("(declare-const b Bool)", ["(or b ", "(and b "] * 150, "b",
+         ")" * 300),
+        ("(declare-const b Bool)", ["(not (and b "] * 180, "b", "))" * 180),
+    ], ids=["plus-460", "or-and-300", "not-and-180"])
+    def test_deep_chain_is_solved(self, decl, opens, leaf, closes):
+        text = f"(set-logic QF_NIA){decl}(assert {''.join(opens)}{leaf}{closes})"
+        ans, _, _ = smtlib.solve(smtlib.parse(text))
+        assert ans is Answer.SAT
+
+
 class TestSolveHelper:
     def test_solve_returns_verified_model(self):
         script = smtlib.parse(
@@ -480,3 +604,42 @@ class TestConstantsBelowRoot:
                 assert self.answer(term, fix) == (
                     "sat" if truth(p, q, a) else "unsat"), (term, p, q, a)
         assert with_constants > 20
+
+
+def atom_digest(scripts):
+    """SHA-256 over every compiled atom: id, terms in order, relation,
+    ``var_eq`` and ``vars``."""
+    h = hashlib.sha256()
+    for text in scripts:
+        store = smtlib.compile_script(smtlib.Script(smtlib.parse_sexprs(text))).store
+        h.update(repr([(a.id, list(a.poly.terms.items()), a.rel.name,
+                        a.var_eq, a.vars) for a in store.atoms]).encode())
+    return h.hexdigest()
+
+
+class TestPinnedAtoms:
+    """Atom tables recorded before the compiler's hot path was reworked.
+
+    Narrowing and the local-search cost evaluator iterate an atom's terms
+    in order, so a faster frontend must give the same atoms, in the same
+    order, with the same term order."""
+
+    def test_pinned_scripts(self):
+        from test_clausify import PINNED_SCRIPTS
+        assert atom_digest(PINNED_SCRIPTS) == (
+            "71086772aeb697e13a15144663b9da657e56d0a118860210c59a6f6d96e0c63e")
+
+    def test_planted_like_scripts(self):
+        rng = random.Random(31)
+        assert atom_digest(random_script(rng, n_int=6, n_bool=2, n_clauses=40)
+                           for _ in range(25)) == (
+            "75a3ea1cf1a1c6ff74e62b72697f937f4df42ac40a774943cc160d9fce439ceb")
+
+    def test_boxed_like_scripts(self):
+        rng = random.Random(32)
+        assert atom_digest(random_script(rng, n_int=rng.randint(1, 3),
+                                         n_bool=rng.randint(0, 1),
+                                         n_clauses=rng.randint(2, 5),
+                                         box=(-8, 8), coeff=4)
+                           for _ in range(60)) == (
+            "b6ee994da90e97ae8603ea47a2d44d15ff50a748a278c8407a8f077f16ebe022")
