@@ -41,29 +41,27 @@ class LsSchedule:
 def build_initial_assignment(variables, trail, cache, feas):
     """Starting point for local search from the current solver state.
 
-    Trail-assigned variables are fixed; the rest start from their cached
-    value if it is still feasible, else from the feasibility set's pick.
+    Returns (free variables, fixed values, values).  Trail-assigned
+    variables are fixed at their trail value; the rest start from their
+    cached value if it is still feasible, else from the feasibility set's
+    pick.  The values map holds both.
     """
-    fixed = {}
-    mu_int = {}
-    mu_bool = {}
     free = []
+    fixed = {}
+    values = {}
     for x in variables:
         if x.sort is Sort.INT:
             v = trail.value_of_var(x)
-            if v is not None:
-                fixed[x.id] = v
-                continue
-            mu_int[x.id] = feas.get(x.id).pick_value(cache.get(x.id))
-            free.append(x)
         else:
-            b = trail.bool_value_of(Literal(True, bvar=x))
-            if b is not None:
-                fixed[x.id] = b
-                continue
-            mu_bool[x.id] = cache.get(x.id, True)
+            v = trail.bool_value_of(Literal(True, bvar=x))
+        if v is not None:
+            fixed[x.id] = v
+        else:
             free.append(x)
-    return free, fixed, mu_int, mu_bool
+            v = (feas.get(x.id).pick_value(cache.get(x.id))
+                 if x.sort is Sort.INT else cache.get(x.id, True))
+        values[x.id] = v
+    return free, fixed, values
 
 
 def build_ls_formula(clauses, trail):
@@ -103,10 +101,7 @@ def apply_ls_result(result, free_vars, cache, bump_var):
     largest cost decrease get a decision-activity bump via `bump_var`.
     """
     for x in free_vars:
-        if x.sort is Sort.BOOL:
-            cache[x.id] = result.bool_values[x.id]
-        else:
-            cache[x.id] = result.int_values[x.id]
+        cache[x.id] = result.values[x.id]
     ranked = sorted(result.activity.items(), key=lambda kv: (-kv[1], kv[0]))
     for vid, score in ranked[:TOP_K]:
         if score > 0:
@@ -127,7 +122,7 @@ class LsController:
         """One local-search call; returns the LsResult."""
         self.schedule.advance()
         solver.stats.ls_calls += 1
-        free, fixed, mu_int, mu_bool = build_initial_assignment(
+        free, fixed, values = build_initial_assignment(
             solver.formula.variables, solver.trail, solver.cache, solver.feas)
         if not free:
             return None
@@ -138,10 +133,8 @@ class LsController:
         }
         problem = localsearch.LsProblem(
             vars=free,
-            fixed=fixed,
+            values=values,
             feasible=feasible,
-            mu0_int=mu_int,
-            mu0_bool=mu_bool,
             cost=cost,
             budget=self.config.ls_budget_per_var * len(free),
             deadline=solver.deadline,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 import time
@@ -21,6 +22,19 @@ from .errors import InternalError, NialsError, ParseError
 
 CSV_COLUMNS = ("name", "answer", "wall_ms", "conflicts", "decisions",
                "theory_assignments", "ls_calls", "ls_moves_accepted")
+
+
+def _acc(text: str) -> float:
+    """A finite acceleration constant above zero with a finite reciprocal:
+    hill-climbing multiplies and divides the step by it."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (0 < v < math.inf and 1.0 / v < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0: {text!r}")
+    return v
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ls-budget", type=int,
                    default=SolverConfig.ls_budget_per_var, metavar="N",
                    help="local-search move budget per free variable")
-    p.add_argument("--acc", type=float, default=SolverConfig.acc, metavar="F",
+    p.add_argument("--acc", type=_acc, default=SolverConfig.acc, metavar="F",
                    help="hill-climbing acceleration constant; the step "
                         "grows only at 1.5 or more")
     p.add_argument("--max-conflicts", type=int, default=None, metavar="N",

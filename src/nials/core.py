@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import heapq
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .bridge import LsController
@@ -42,9 +42,6 @@ class Stats:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-Stats.KEYS = tuple(f.name for f in fields(Stats))
 
 
 @dataclass
@@ -92,8 +89,7 @@ class Solver:
                    else None)
         self.deadline: Optional[float] = None   # time.monotonic() limit
         self.answer: Optional[Answer] = None
-        self.model_int: dict[int, int] = {}
-        self.model_bool: dict[int, bool] = {}
+        self.model: dict = {}       # var id -> int or bool, once SAT
 
     # -- clause and atom bookkeeping ----------------------------------------
 
@@ -377,8 +373,19 @@ class Solver:
         for vid in sorted(clause.variables()):
             self.bump_var(vid)
         self._decay_activity()
-        removed = self.trail.backtrack_to(backjump, self.cache)
-        self.feas.backtrack_to(backjump)
+        self._backtrack(backjump)
+        self.trail.push_propagation(uip, clause)
+        self.stats.propagations += 1
+        return True
+
+    def _backtrack(self, level: int):
+        """Undo the trail and the feasible sets above `level`.
+
+        Undone values go to the value cache, and undone variables back on
+        the decision heap.
+        """
+        removed = self.trail.backtrack_to(level, self.cache)
+        self.feas.backtrack_to(level)
         self.qhead = min(self.qhead, len(self.trail.elements))
         for elem in removed:
             vid = (elem.var.id if elem.var is not None
@@ -386,9 +393,6 @@ class Solver:
             if vid is not None and vid in self._decidable:
                 heapq.heappush(self._heap,
                                (-self.activity.get(vid, 0.0), vid))
-        self.trail.push_propagation(uip, clause)
-        self.stats.propagations += 1
-        return True
 
     # -- decisions ----------------------------------------------------------
 
@@ -460,20 +464,18 @@ class Solver:
                 return self.answer
 
     def _extract_model(self):
-        self.model_int = {}
-        self.model_bool = {}
+        self.model = {}
         for x in self.formula.variables:
             if x.sort is Sort.INT:
                 v = self.trail.value_of_var(x)
-                self.model_int[x.id] = v
             else:
                 v = self.trail.bool_value_of(Literal(True, bvar=x))
-                self.model_bool[x.id] = v
             if v is None:
                 raise InternalError(f"model leaves {x} unassigned")
+            self.model[x.id] = v
         for clause in self.formula.clauses:
             if not any(self._model_lit(lit) for lit in clause):
                 raise InternalError(f"model does not satisfy {clause}")
 
     def _model_lit(self, lit: Literal) -> bool:
-        return lit.holds(self.model_int, self.model_bool)
+        return lit.holds(self.model)

@@ -43,14 +43,14 @@ class CostFunction:
     occurs: dict                # var id -> indices into clauses
 
 
-def _clause_cost(clause: CostClause, int_values, bool_values) -> int:
+def _clause_cost(clause: CostClause, values) -> int:
     factor, arith, bools = clause
     for vid, want in bools:
-        if bool_values[vid] == want:
+        if values[vid] == want:
             return 0
     cost = factor
     for poly, rel in arith:
-        cost *= _violation(poly.evaluate(int_values), rel)
+        cost *= _violation(poly.evaluate(values), rel)
         if not cost:
             return 0
     return cost
@@ -122,44 +122,37 @@ def compile_clauses(clauses,
 class IncrementalCost:
     """Probe/commit evaluator for move loops over a fixed cost function.
 
-    Keeps one cost per clause and their total; a probe or a commit
-    re-scores only the clauses that mention the changed variable.
+    Keeps one value per variable (var id -> int or bool), one cost per
+    clause and their total; a probe or a commit re-scores only the clauses
+    that mention the changed variable.
     """
 
-    def __init__(self, cost: CostFunction, int_values: dict,
-                 bool_values: dict):
+    def __init__(self, cost: CostFunction, values: dict):
         self.cost = cost
-        self.int_values = dict(int_values)
-        self.bool_values = dict(bool_values)
-        self.clause_costs = [_clause_cost(c, self.int_values, self.bool_values)
+        self.values = dict(values)
+        self.clause_costs = [_clause_cost(c, self.values)
                              for c in cost.clauses]
         self.value = sum(self.clause_costs)
 
-    def _values_of(self, new_value) -> dict:
-        if isinstance(new_value, bool):
-            return self.bool_values
-        return self.int_values
-
     def probe(self, var_id: int, new_value) -> int:
         """Total cost with one variable changed; the state stays as it was."""
-        values = self._values_of(new_value)
+        values = self.values
         old = values[var_id]
         values[var_id] = new_value
         clauses, costs = self.cost.clauses, self.clause_costs
         total = self.value
         try:
             for i in self.cost.occurs.get(var_id, ()):
-                total += _clause_cost(clauses[i], self.int_values,
-                                      self.bool_values) - costs[i]
+                total += _clause_cost(clauses[i], values) - costs[i]
         finally:
             values[var_id] = old
         return total
 
     def commit(self, var_id: int, new_value) -> int:
-        self._values_of(new_value)[var_id] = new_value
+        self.values[var_id] = new_value
         clauses, costs = self.cost.clauses, self.clause_costs
         for i in self.cost.occurs.get(var_id, ()):
-            c = _clause_cost(clauses[i], self.int_values, self.bool_values)
+            c = _clause_cost(clauses[i], self.values)
             self.value += c - costs[i]
             costs[i] = c
         return self.value

@@ -132,17 +132,16 @@ def mk_not(arg) -> BoolExpr:
     raise TypeError(f"not a BoolExpr: {arg!r}")
 
 
-def evaluate(node, int_values: Mapping[int, int],
-             bool_values: Mapping[int, bool]) -> bool:
+def evaluate(node, values: Mapping[int, object]) -> bool:
     if isinstance(node, Literal):
-        return node.holds(int_values, bool_values)
+        return node.holds(values)
     if isinstance(node, BConst):
         return node.value
     if isinstance(node, And):
-        return all(evaluate(a, int_values, bool_values) for a in node.args)
+        return all(evaluate(a, values) for a in node.args)
     if isinstance(node, Or):
-        return any(evaluate(a, int_values, bool_values) for a in node.args)
+        return any(evaluate(a, values) for a in node.args)
     if isinstance(node, Ite):
-        branch = node.then if evaluate(node.cond, int_values, bool_values) else node.els
-        return evaluate(branch, int_values, bool_values)
+        branch = node.then if evaluate(node.cond, values) else node.els
+        return evaluate(branch, values)
     raise TypeError(f"not a BoolExpr: {node!r}")

@@ -5,11 +5,12 @@ feasible-set jumps, and accelerated hill-climbing.  It does not return to
 an earlier mode.  Every accepted move strictly decreases the cost;
 integer candidates always stay inside the variable's feasibility snapshot.
 
-Each mode is one generator over a single variable visit: it yields candidate
-values and is sent back whether the last one was accepted.  A Boolean flip
-yields the negated value once.  Feasible-set jumps first sweep the other
-intervals of the set (once per variable and call), then walk to the nearest
-neighbouring interval, keeping the direction while jumps succeed.
+Each mode is one generator over a single variable visit, which
+`MoveEngine.moves` returns: it yields candidate values, and `run` sends it
+back whether the last one was accepted.  A Boolean flip yields the negated
+value once.  Feasible-set jumps first sweep the other intervals of the set
+(once per variable and call), then walk to the nearest neighbouring
+interval, keeping the direction while jumps succeed.
 Hill-climbing tries rounds of deltas around a fixed anchor; a round with an
 accepted move sets the step to its last winning delta and starts the next
 round, a round without one divides the step by the acceleration constant
@@ -48,20 +49,17 @@ def _round_half_away(x: float) -> int:
 class LsProblem:
     """Inputs of one local-search run."""
 
-    vars: list                      # non-fixed variables, initial visit order
-    fixed: dict                     # var id -> constant value (int or bool)
+    vars: list                      # the variables to move, initial visit order
+    values: dict                    # var id -> starting value, every variable
     feasible: dict                  # int var id -> IntervalSet snapshot
-    mu0_int: dict                   # var id -> int, non-fixed integer vars
-    mu0_bool: dict                  # var id -> bool, non-fixed Boolean vars
-    cost: CostFunction              # fixed variables already folded in
+    cost: CostFunction              # variables not in `vars` folded in
     budget: int                     # max move evaluations
     deadline: Optional[float] = None    # time.monotonic() to stop at
 
 
 @dataclass
 class LsResult:
-    int_values: dict                # complete (fixed merged back in)
-    bool_values: dict
+    values: dict                    # var id -> final value, every variable
     cost: int
     initial_cost: int
     activity: dict                  # var id -> cost decrease from accepted moves
@@ -75,52 +73,38 @@ def _flip(alpha: bool):
 
 
 class MoveEngine:
-    """Per-variable move candidate generator with success feedback.
+    """Move candidates per variable visit, with state across visits.
 
-    One `start` per variable visit, then alternating `choose`/`notify` until
-    `choose` returns None.
+    Keeps the hill-climbing step size of each variable and the variables
+    whose feasible-set sweep is used up.
     """
 
     def __init__(self, acc: float = DEFAULT_ACC):
         self.acc = acc
         self.step_size: dict[int, float] = {}
         self.global_used: set[int] = set()
-        self._moves = None
-        self._accepted = None
 
-    def start(self, var: Variable, alpha, feasible: dict, mode: str):
-        self._moves = None
-        self._accepted = None
+    def moves(self, var: Variable, alpha, feasible: dict, mode: str):
+        """The generator of one visit of `var` at value `alpha` in `mode`,
+        or None when the mode does not move that sort.
+
+        Start it with ``send(None)``; after each candidate, send whether it
+        was accepted.  It stops when the visit is over.
+        """
         if mode == BOOL_FLIPS:
-            if var.sort is Sort.BOOL:
-                self._moves = _flip(alpha)
-            return
+            return _flip(alpha) if var.sort is Sort.BOOL else None
         if var.sort is not Sort.INT:
-            return
+            return None
         fs = feasible.get(var.id, IntervalSet.full())
         if mode == HILL_CLIMB:
-            self._moves = self._hill_climb(var.id, alpha, fs)
-            return
+            return self._hill_climb(var.id, alpha, fs)
         jumps = []
         if var.id not in self.global_used:
             self.global_used.add(var.id)
             idx, _, _ = fs.containing_and_neighbors(alpha)
             jumps = [nearest_to_zero(*iv)
                      for i, iv in enumerate(fs.intervals) if i != idx]
-        self._moves = self._fs_jumps(jumps, alpha, fs)
-
-    def choose(self):
-        """Next candidate for the visited variable, or None when exhausted."""
-        if self._moves is None:
-            return None
-        try:
-            return self._moves.send(self._accepted)
-        except StopIteration:
-            self._moves = None
-            return None
-
-    def notify(self, success: bool):
-        self._accepted = success
+        return self._fs_jumps(jumps, alpha, fs)
 
     def hill_deltas(self, step: float) -> list:
         """Candidate deltas for one hill-climbing round at a given step size."""
@@ -171,9 +155,11 @@ def run(problem: LsProblem, engine: Optional[MoveEngine] = None,
     Each mode ends when every variable has been visited since the last
     improvement, and the next mode starts from there; after the last mode
     the call returns.  The whole call stops early when the cost hits zero,
-    the evaluation budget runs out or the deadline passes.
+    the evaluation budget runs out or the deadline passes.  The result's
+    values cover every variable of ``problem.values``.
     """
-    inc = IncrementalCost(problem.cost, problem.mu0_int, problem.mu0_bool)
+    inc = IncrementalCost(problem.cost, problem.values)
+    values = inc.values
     initial_cost = cost_star = inc.value
     engine = engine or MoveEngine()
     vars_list = list(problem.vars)
@@ -181,11 +167,6 @@ def run(problem: LsProblem, engine: Optional[MoveEngine] = None,
     moves_tried = 0
     moves_accepted = 0
     deadline = problem.deadline
-
-    def current(x: Variable):
-        if x.sort is Sort.BOOL:
-            return inc.bool_values[x.id]
-        return inc.int_values[x.id]
 
     def stopped() -> bool:
         return (cost_star == 0 or moves_tried >= problem.budget
@@ -195,11 +176,13 @@ def run(problem: LsProblem, engine: Optional[MoveEngine] = None,
         n_vars = 0
         while n_vars < len(vars_list) and not stopped():
             x = vars_list[n_vars]
-            engine.start(x, current(x), problem.feasible, mode)
-            while not stopped():
-                alpha = current(x)
-                cand = engine.choose()
-                if cand is None:
+            moves = engine.moves(x, values[x.id], problem.feasible, mode)
+            success = None
+            while moves is not None and not stopped():
+                alpha = values[x.id]
+                try:
+                    cand = moves.send(success)
+                except StopIteration:
                     break
                 moves_tried += 1
                 new_cost = inc.probe(x.id, cand)
@@ -214,19 +197,10 @@ def run(problem: LsProblem, engine: Optional[MoveEngine] = None,
                     vars_list.insert(0, x)
                 if on_move is not None:
                     on_move(x, alpha, cand, mode, success)
-                engine.notify(success)
             n_vars += 1
 
-    int_values = dict(inc.int_values)
-    bool_values = dict(inc.bool_values)
-    for vid, v in problem.fixed.items():
-        if isinstance(v, bool):
-            bool_values[vid] = v
-        else:
-            int_values[vid] = v
     return LsResult(
-        int_values=int_values,
-        bool_values=bool_values,
+        values=values,
         cost=cost_star,
         initial_cost=initial_cost,
         activity=activity,

@@ -456,21 +456,14 @@ def format_model(model) -> list[str]:
 
 def _script_model(comp: Compiler, solver: Solver):
     """Original-variable model, re-verified against every assertion."""
-    int_values = {}
-    bool_values = {}
+    values = {}
     model = []
     for var in comp.store.variables:
-        if var.sort is Sort.INT:
-            v = solver.model_int.get(var.id, 0)
-            int_values[var.id] = v
-            if not var.is_aux:
-                model.append((var.name, Sort.INT, v))
-        else:
-            b = solver.model_bool.get(var.id, True)
-            bool_values[var.id] = b
-            if not var.is_aux:
-                model.append((var.name, Sort.BOOL, b))
+        v = solver.model.get(var.id, 0 if var.sort is Sort.INT else True)
+        values[var.id] = v
+        if not var.is_aux:
+            model.append((var.name, var.sort, v))
     for ast in comp.assertions + comp.side:
-        if not fa.evaluate(ast, int_values, bool_values):
+        if not fa.evaluate(ast, values):
             raise InternalError("model fails an assertion")
     return model

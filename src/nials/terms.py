@@ -318,13 +318,12 @@ class Literal:
     def negate(self) -> "Literal":
         return Literal(not self.positive, self.bvar, self.atom)
 
-    def holds(self, int_values: Mapping[int, int],
-              bool_values: Mapping[int, bool]) -> bool:
-        """Truth under a complete assignment."""
+    def holds(self, values: Mapping[int, object]) -> bool:
+        """Truth under a complete assignment (var id -> int or bool)."""
         if self.bvar is not None:
-            v = bool_values[self.bvar.id]
+            v = values[self.bvar.id]
         else:
-            v = self.atom.evaluate(int_values)
+            v = self.atom.evaluate(values)
         return v if self.positive else not v
 
     def variables(self) -> frozenset:

@@ -114,7 +114,7 @@ def clauses_sat(clauses, iv, bv):
 
 def cost_at(cost, iv, bv):
     """Total of a compiled cost function under one complete assignment."""
-    return IncrementalCost(cost, iv, bv).value
+    return IncrementalCost(cost, {**iv, **bv}).value
 
 
 def brute_force(clauses, int_vars, lo, hi, bool_vars):
@@ -144,7 +144,7 @@ def planted_instance(rng, n_int=3, n_bool=2, n_clauses=8, lo=-5, hi=5,
     bv = {v.id: rng.random() < 0.5 for v in bool_vars}
     planted = []
     for c in clauses:
-        if not any(lit.holds(iv, bv) for lit in c):
+        if not any(lit.holds({**iv, **bv}) for lit in c):
             c = Clause((c.literals[0].negate(),) + c.literals[1:])
         planted.append(c)
     return store, planted, int_vars, bool_vars

@@ -146,14 +146,12 @@ def test_criterion_2_example_cost_trajectory(capsys):
     c2 = cost_at(cost, {x.id: 4, y.id: 2}, {b.id: True})
     trajectory_ok = (c0, c1, c2) == (4, 3, 0)
     problem = LsProblem(
-        vars=[b, x, y], fixed={},
+        vars=[b, x, y], values={b.id: False, x.id: 4, y.id: 1},
         feasible={x.id: IntervalSet.full(), y.id: IntervalSet.full()},
-        mu0_int={x.id: 4, y.id: 1}, mu0_bool={b.id: False},
         cost=cost, budget=1000)
     result = run(problem)
-    solved = (result.reached_zero and result.bool_values[b.id]
-              and result.int_values[x.id]
-              == result.int_values[y.id] ** 2)
+    solved = (result.reached_zero and result.values[b.id]
+              and result.values[x.id] == result.values[y.id] ** 2)
     report(capsys, 2, trajectory_ok and solved,
            f"trajectory {c0}->{c1}->{c2}, reached_zero={result.reached_zero}")
 
@@ -249,8 +247,8 @@ def solve_suite(suite, ls_enabled):
         formula = Formula(list(clauses), ints + bools)
         solver = Solver(store, formula, SolverConfig(ls_enabled=ls_enabled))
         ans = solver.check_sat()
-        results.append((ans, dict(solver.model_int), dict(solver.model_bool),
-                        solver.stats.as_dict(), solver))
+        results.append((ans, dict(solver.model), solver.stats.as_dict(),
+                        solver))
     return results
 
 
@@ -266,11 +264,11 @@ def test_criterion_4_oracle_soundness(capsys, suite_and_runs):
     lemmas_checked = 0
     for (store, clauses, ints, bools, is_sat), r_on, r_off in zip(
             suite, with_ls, without_ls):
-        for ans, model_int, model_bool, _stats, solver in (r_on, r_off):
+        for ans, model, _stats, solver in (r_on, r_off):
             want = Answer.SAT if is_sat else Answer.UNSAT
             if ans is not want:
                 report(capsys, 4, False, f"answer {ans} vs oracle {want}")
-            if is_sat and not clauses_sat(clauses, model_int, model_bool):
+            if is_sat and not clauses_sat(clauses, model, model):
                 report(capsys, 4, False, "model fails re-evaluation")
             if len(ints) <= 3:
                 for lemma in solver.clauses:
@@ -288,7 +286,7 @@ def test_criterion_4_oracle_soundness(capsys, suite_and_runs):
 def test_criterion_10_determinism(capsys, suite_and_runs):
     suite, first, _ = suite_and_runs
     second = solve_suite(suite, True)
-    same = all(a[:4] == b[:4] for a, b in zip(first, second))
+    same = all(a[:3] == b[:3] for a, b in zip(first, second))
     report(capsys, 10, same,
            "identical answers, models, and stats across two full-suite runs")
 
@@ -353,16 +351,17 @@ def test_criterion_6_move_engine_invariants(capsys):
         engine = MoveEngine(1.2)
 
         global_sweeps = {}
-        orig_start = engine.start
+        orig_moves = engine.moves
 
-        def start(var, alpha, feas, mode, _orig=orig_start,
+        def moves(var, alpha, feas, mode, _orig=orig_moves,
                   _engine=engine, _sweeps=global_sweeps):
             fresh = var.id not in _engine.global_used
-            _orig(var, alpha, feas, mode)
+            visit = _orig(var, alpha, feas, mode)
             if mode == FS_JUMPS and fresh and var.id in _engine.global_used:
                 _sweeps[var.id] = _sweeps.get(var.id, 0) + 1
+            return visit
 
-        engine.start = start
+        engine.moves = moves
 
         mirror_iv = dict(mu_int)
         mirror_bv = dict(mu_bool)
@@ -384,8 +383,8 @@ def test_criterion_6_move_engine_invariants(capsys):
                 state["cost"] = new
 
         problem = LsProblem(
-            vars=ints + bools, fixed={}, feasible=feasible,
-            mu0_int=mu_int, mu0_bool=mu_bool, cost=cost, budget=300)
+            vars=ints + bools, values={**mu_int, **mu_bool},
+            feasible=feasible, cost=cost, budget=300)
         run(problem, engine, on_move)
         assert all(c <= 1 for c in global_sweeps.values())
         steps += state["steps"]

@@ -51,7 +51,7 @@ def random_expr(rng, store, ints, bools, depth, constants=False):
 
 def expr_sat(ast, ints, bools, lo=-3, hi=3):
     for iv, bv in assignments(ints, lo, hi, bools):
-        if fa.evaluate(ast, iv, bv):
+        if fa.evaluate(ast, {**iv, **bv}):
             return True
     return False
 
@@ -146,13 +146,12 @@ def check_models_project_back(seed, count, constants):
         f_bools = [v for v in formula.variables if v.sort is Sort.BOOL]
         for iv, bv in assignments(f_ints, -2, 2, f_bools):
             if clauses_sat(formula.clauses, iv, bv):
-                full_iv = dict(iv)
-                full_bv = dict(bv)
+                full = {**iv, **bv}
                 for v in ints:
-                    full_iv.setdefault(v.id, 0)
+                    full.setdefault(v.id, 0)
                 for v in bools:
-                    full_bv.setdefault(v.id, True)
-                assert fa.evaluate(ast, full_iv, full_bv)
+                    full.setdefault(v.id, True)
+                assert fa.evaluate(ast, full)
                 checked += 1
                 break
     return checked
@@ -232,7 +231,8 @@ class TestNegationNormalForm:
         for ast, ints, bools in self.structures():
             neg = fa.mk_not(ast)
             for iv, bv in assignments(ints, -1, 1, bools):
-                assert fa.evaluate(neg, iv, bv) != fa.evaluate(ast, iv, bv)
+                values = {**iv, **bv}
+                assert fa.evaluate(neg, values) != fa.evaluate(ast, values)
 
     def test_ite_folds_constants(self):
         store = TermStore()

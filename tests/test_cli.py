@@ -262,3 +262,37 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[0] == "sat"
         assert cli.main([files["bad"]]) == 2
+
+
+# Local search before the first decision reaches hill-climbing, where the
+# step is multiplied and divided by the acceleration constant.
+TWO_VARS = """(set-logic QF_NIA)
+(declare-const x Int)
+(declare-const y Int)
+(assert (= (* x y) 12))
+(assert (> x 2))
+(check-sat)
+"""
+
+
+class TestAcc:
+    @pytest.fixture
+    def paths(self, tmp_path):
+        (tmp_path / "two.smt2").write_text(TWO_VARS)
+        return {"file": str(tmp_path / "two.smt2"), "dir": str(tmp_path)}
+
+    @pytest.mark.parametrize("target", ["file", "dir"])
+    @pytest.mark.parametrize("acc", ["0", "-1", "inf", "nan"])
+    def test_bad_acc_is_usage_error(self, paths, target, acc, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main([paths[target], f"--acc={acc}", "--ls-threshold-base",
+                      "0"])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--acc" in captured.err
+
+    def test_acc_below_one_answers(self, paths, capsys):
+        assert cli.main([paths["file"], "--acc", "0.5",
+                         "--ls-threshold-base", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["sat"]

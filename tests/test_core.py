@@ -46,8 +46,8 @@ class TestExampleFormula:
         ans, solver = solve(store, clauses, variables)
         assert ans is Answer.SAT
         for c in clauses:
-            iv = solver.model_int
-            assert any(lit.atom.evaluate(iv) == lit.positive for lit in c)
+            assert any(lit.atom.evaluate(solver.model) == lit.positive
+                       for lit in c)
 
     def test_singleton_propagation_from_prefix(self):
         """Deciding x -> 1 after propagation forces y -> 1 via F(y) = {1}."""
@@ -74,7 +74,7 @@ class TestSmallFormulas:
             P.var(x.id) * P.var(x.id), Rel.EQ, P.const(49)))])
         ans, solver = solve(store, [c], [x])
         assert ans is Answer.SAT
-        assert solver.model_int[x.id] in (-7, 7)
+        assert solver.model[x.id] in (-7, 7)
 
     def test_unsat_square(self):
         store = TermStore()
@@ -95,7 +95,7 @@ class TestSmallFormulas:
         x = store.new_var("x", Sort.INT)
         ans, solver = solve(store, [], [x])
         assert ans is Answer.SAT
-        assert x.id in solver.model_int
+        assert x.id in solver.model
 
     def test_pure_boolean(self):
         store = TermStore()
@@ -107,7 +107,7 @@ class TestSmallFormulas:
         ]
         ans, solver = solve(store, clauses, [a, b])
         assert ans is Answer.SAT
-        assert solver.model_bool == {a.id: False, b.id: True}
+        assert solver.model == {a.id: False, b.id: True}
 
     def test_conflicting_units_unsat(self):
         store = TermStore()
@@ -153,11 +153,9 @@ class TestLimits:
 
 class TestStats:
     def test_keys_order(self):
-        assert Stats.KEYS == ("conflicts", "decisions", "propagations",
-                              "theory_assignments", "ls_calls",
-                              "ls_moves_accepted")
-        s = Stats()
-        assert list(s.as_dict()) == list(Stats.KEYS)
+        assert list(Stats().as_dict()) == [
+            "conflicts", "decisions", "propagations", "theory_assignments",
+            "ls_calls", "ls_moves_accepted"]
 
     def test_counts_move(self):
         store, clauses, variables = example_formula()
@@ -182,8 +180,7 @@ class TestRandomizedOracle:
                 assert ans is Answer.UNSAT
             else:
                 assert ans is Answer.SAT
-                assert clauses_sat(clauses, solver.model_int,
-                                   solver.model_bool)
+                assert clauses_sat(clauses, solver.model, solver.model)
 
     def test_determinism(self):
         rng = random.Random(303)
@@ -199,8 +196,7 @@ class TestRandomizedOracle:
                     max_deg=2, coeff=3)
                 clauses = clauses + box_clauses(store, ints, -5, 5)
                 ans, solver = solve(store, clauses, ints + bools)
-                results.append((ans, dict(solver.model_int),
-                                dict(solver.model_bool),
+                results.append((ans, dict(solver.model),
                                 solver.stats.as_dict()))
             assert results[0] == results[1]
 
@@ -231,8 +227,8 @@ class TestPinnedSearch:
 
     def stats(self, conflicts, decisions, propagations, theory, ls_calls,
               ls_moves):
-        return dict(zip(Stats.KEYS, (conflicts, decisions, propagations,
-                                     theory, ls_calls, ls_moves)))
+        return dict(zip(Stats().as_dict(), (conflicts, decisions, propagations,
+                                            theory, ls_calls, ls_moves)))
 
     def test_smtlib_example(self):
         from test_smtlib import EXAMPLE
@@ -248,7 +244,7 @@ class TestPinnedSearch:
         store, clauses, variables = guidance_instance(40, 30)
         ans, solver = solve(store, clauses, variables)
         assert ans is Answer.SAT
-        assert solver.model_int == {0: 10 ** 6, 1: 10 ** 6}
+        assert solver.model == {0: 10 ** 6, 1: 10 ** 6}
         assert solver.stats.as_dict() == self.stats(50, 51, 59, 52, 1, 3)
 
     def test_capped_product_probe(self):
@@ -274,7 +270,7 @@ class TestPinnedSearch:
         clauses = clauses + box_clauses(store, int_vars, -8, 8)
         ans, solver = solve(store, clauses, int_vars + bool_vars)
         assert ans is answer
-        assert solver.model_int == ints and solver.model_bool == bools
+        assert solver.model == {**ints, **bools}
         assert solver.stats.as_dict() == self.stats(*stats)
 
     def test_search_digest(self):
@@ -303,8 +299,10 @@ class TestPinnedSearch:
                                     ls_enabled=ls, ls_threshold_base=5)
                 learned = [[lit.skey for lit in c]
                            for c in solver.clauses if c.learned]
+                model = sorted(solver.model.items())
                 h.update(repr((ans.value, solver.stats.as_dict(), learned,
-                               sorted(solver.model_int.items()),
-                               sorted(solver.model_bool.items()))).encode())
+                               [kv for kv in model if type(kv[1]) is int],
+                               [kv for kv in model if type(kv[1]) is bool],
+                               )).encode())
         assert h.hexdigest() == (
             "7fa169bc357b43d4b2eb8479afebe998fe47cf7b2df1b3dda56134ba2c79ba7f")

@@ -122,27 +122,21 @@ class TestIncremental:
             cost = compile_clauses(clauses)
             iv = {v.id: rng.randint(-3, 3) for v in ints}
             bv = {v.id: rng.random() < 0.5 for v in bools}
-            inc = IncrementalCost(cost, iv, bv)
+            inc = IncrementalCost(cost, {**iv, **bv})
             for _ in range(30):
                 if bools and rng.random() < 0.3:
                     var = rng.choice(bools)
-                    new = not inc.bool_values[var.id]
+                    new = not inc.values[var.id]
                 else:
                     var = rng.choice(ints)
                     new = rng.randint(-4, 4)
                 probed = inc.probe(var.id, new)
-                trial_iv = dict(inc.int_values)
-                trial_bv = dict(inc.bool_values)
-                if isinstance(new, bool):
-                    trial_bv[var.id] = new
-                else:
-                    trial_iv[var.id] = new
-                assert probed == cost_at(cost, trial_iv, trial_bv)
+                trial = {**inc.values, var.id: new}
+                assert probed == IncrementalCost(cost, trial).value
                 if rng.random() < 0.5:
                     inc.commit(var.id, new)
                     assert inc.value == probed
-                assert inc.value == cost_at(cost, inc.int_values,
-                                            inc.bool_values)
+                assert inc.value == IncrementalCost(cost, inc.values).value
 
 
 def test_import_leaves_numpy_out():

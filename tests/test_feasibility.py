@@ -289,4 +289,4 @@ class TestNarrowingProperties:
         lit = Literal(positive, atom=Atom(0, P(terms), rel))
         s = unit_solution_set(lit, vid, values)
         for v in probe_points(terms, vid, values):
-            assert (v in s) == lit.holds({**values, vid: v}, {}), v
+            assert (v in s) == lit.holds({**values, vid: v}), v

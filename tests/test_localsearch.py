@@ -15,13 +15,27 @@ from nials.terms import Clause, Literal, Polynomial, Rel, Sort, TermStore
 P = Polynomial
 
 
+def visit(engine, var, alpha, feasible, mode, outcome, limit=None):
+    """Drive one visit as `run` does; `outcome(cand)` says whether the
+    candidate is accepted.  Returns the candidates offered."""
+    offered = []
+    moves = engine.moves(var, alpha, feasible, mode)
+    ok = None
+    while moves is not None and (limit is None or len(offered) < limit):
+        try:
+            cand = moves.send(ok)
+        except StopIteration:
+            break
+        offered.append(cand)
+        ok = outcome(cand)
+    return offered
+
+
 def int_problem(store, clauses, int_vars, mu0, feasible=None, budget=2000):
     return LsProblem(
         vars=list(int_vars),
-        fixed={},
+        values=dict(mu0),
         feasible=feasible or {},
-        mu0_int=dict(mu0),
-        mu0_bool={},
         cost=compile_clauses(clauses),
         budget=budget,
     )
@@ -50,17 +64,7 @@ class TestHillDeltas:
 class TestStepSizeRules:
     def drive(self, engine, var, feasible, outcomes):
         """One hill-climb visit; outcomes maps candidate -> success."""
-        engine.start(var, 0, feasible, HILL_CLIMB)
-        accepted = []
-        while True:
-            cand = engine.choose()
-            if cand is None:
-                break
-            ok = outcomes(cand)
-            if ok:
-                accepted.append(cand)
-            engine.notify(ok)
-        return accepted
+        return visit(engine, var, 0, feasible, HILL_CLIMB, outcomes)
 
     def setup_method(self):
         self.store = TermStore()
@@ -117,22 +121,15 @@ class TestFsJumps:
         feasible = {self.v.id: fs}
         engine = MoveEngine()
 
-        def visit():
-            engine.start(self.v, 0, feasible, FS_JUMPS)
-            offered = []
-            while len(offered) <= 10:
-                cand = engine.choose()
-                if cand is None:
-                    break
-                offered.append(cand)
-                engine.notify(False)
-            return offered
+        def refuse_all():
+            return visit(engine, self.v, 0, feasible, FS_JUMPS,
+                         lambda c: False, limit=11)
 
         # Global sweep over the two other intervals, then the local
         # right-neighbor probe.
-        assert visit() == [40, 100, 40]
+        assert refuse_all() == [40, 100, 40]
         # Second visit in the same call: only the local phase remains.
-        assert visit() == [40]
+        assert refuse_all() == [40]
 
     def test_local_phase_walks_neighbors(self):
         fs = IntervalSet.from_intervals([(-5, 5), (40, 60), (100, 120)])
@@ -140,18 +137,17 @@ class TestFsJumps:
         engine = MoveEngine()
         engine.global_used.add(self.v.id)  # skip the global phase
         alpha = 42
-        engine.start(self.v, alpha, feasible, FS_JUMPS)
-        path = []
-        while len(path) < 6:
-            cand = engine.choose()
-            if cand is None:
-                break
-            path.append(cand)
+
+        def rightwards(cand):
             # Accept rightward jumps only.
+            nonlocal alpha
             ok = cand > alpha
             if ok:
                 alpha = cand
-            engine.notify(ok)
+            return ok
+
+        path = visit(engine, self.v, alpha, feasible, FS_JUMPS, rightwards,
+                     limit=6)
         # First neighbor tried is one direction; after a rightward success
         # the walk keeps going right until intervals run out.
         assert 100 in path
@@ -170,12 +166,11 @@ class TestRunLoop:
         b = bools[0]
         clause = Clause([Literal(True, bvar=b)])
         problem = LsProblem(
-            vars=[b], fixed={}, feasible={}, mu0_int={},
-            mu0_bool={b.id: False},
+            vars=[b], values={b.id: False}, feasible={},
             cost=compile_clauses([clause]), budget=10)
         result = run(problem)
         assert result.reached_zero
-        assert result.bool_values[b.id] is True
+        assert result.values[b.id] is True
         assert result.initial_cost == 1
 
     def test_example_walkthrough(self):
@@ -191,18 +186,16 @@ class TestRunLoop:
         moves = []
         problem = LsProblem(
             vars=[b, y],
-            fixed={x.id: 4},
+            values={x.id: 4, y.id: 1, b.id: False},
             feasible={y.id: IntervalSet.full()},
-            mu0_int={y.id: 1},
-            mu0_bool={b.id: False},
             cost=compile_clauses(clauses, fixed={x.id: 4}),
             budget=100)
         result = run(problem, on_move=lambda *a: moves.append(a))
         assert result.initial_cost == 4
         assert result.reached_zero
-        assert result.int_values[x.id] == 4
-        assert result.int_values[y.id] in (2, -2)
-        assert result.bool_values[b.id] is True
+        assert result.values[x.id] == 4
+        assert result.values[y.id] in (2, -2)
+        assert result.values[b.id] is True
 
     def test_hill_climb_reaches_far_targets(self):
         store, ints, _ = self.make_vars(2, 0)
@@ -219,8 +212,8 @@ class TestRunLoop:
                                         v.id: IntervalSet.full()})
         result = run(problem)
         assert result.reached_zero
-        assert result.int_values[u.id] == 25
-        assert result.int_values[v.id] == -13
+        assert result.values[u.id] == 25
+        assert result.values[v.id] == -13
 
     def test_greedy_descent_can_stop_at_local_minimum(self):
         # u*v = 100 and u = v from (2, 3): single-variable moves stall in a
@@ -252,7 +245,7 @@ class TestRunLoop:
                               feasible={v.id: fs})
         result = run(problem)
         assert result.reached_zero
-        assert result.int_values[v.id] == 50
+        assert result.values[v.id] == 50
 
     def test_local_minimum_reported(self):
         # x^2 = -1 has no solution; cost cannot reach zero.
@@ -265,7 +258,7 @@ class TestRunLoop:
         result = run(problem)
         assert not result.reached_zero
         assert result.cost == 1
-        assert result.int_values[x.id] == 0
+        assert result.values[x.id] == 0
 
     def test_budget_limits_probes(self):
         store, ints, _ = self.make_vars(1, 0)
@@ -284,11 +277,11 @@ class TestRunLoop:
             store, clauses, ints, bools = random_instance(
                 rng, n_int=2, n_bool=2, n_clauses=3, max_deg=2, coeff=3)
             costs = []
+            values = {v.id: rng.randint(-8, 8) for v in ints}
+            values.update((v.id, rng.random() < 0.5) for v in bools)
             problem = LsProblem(
-                vars=ints + bools, fixed={},
+                vars=ints + bools, values=values,
                 feasible={v.id: IntervalSet.range(-8, 8) for v in ints},
-                mu0_int={v.id: rng.randint(-8, 8) for v in ints},
-                mu0_bool={v.id: rng.random() < 0.5 for v in bools},
                 cost=compile_clauses(clauses), budget=400)
 
             def watch(var, alpha, cand, mode, success, costs=costs):
@@ -342,9 +335,9 @@ def far_problem(budget):
     feasible = {u.id: IntervalSet.full(),
                 v.id: IntervalSet.from_intervals(
                     [(-60, -30), (-20, -10), (-4, 4), (12, 20)])}
-    return LsProblem(vars=[u, v, b], fixed={}, feasible=feasible,
-                     mu0_int={u.id: 0, v.id: 3}, mu0_bool={b.id: False},
-                     cost=compile_clauses(clauses), budget=budget)
+    return LsProblem(vars=[u, v, b], values={u.id: 0, v.id: 3, b.id: False},
+                     feasible=feasible, cost=compile_clauses(clauses),
+                     budget=budget)
 
 
 def random_problem(seed, budget):
@@ -358,16 +351,16 @@ def random_problem(seed, budget):
         cuts = sorted(rng.sample(range(-40, 41), 6))
         feasible[x.id] = IntervalSet.from_intervals(
             [(cuts[0], cuts[1]), (cuts[2], cuts[3]), (cuts[4], cuts[5])])
-    return LsProblem(
-        vars=ints + bools, fixed={}, feasible=feasible,
-        mu0_int={x.id: feasible[x.id].pick_value() for x in ints},
-        mu0_bool={b.id: False for b in bools},
-        cost=compile_clauses(clauses), budget=budget)
+    values = {x.id: feasible[x.id].pick_value() for x in ints}
+    values.update((b.id, False) for b in bools)
+    return LsProblem(vars=ints + bools, values=values, feasible=feasible,
+                     cost=compile_clauses(clauses), budget=budget)
 
 
 def record(problem, acc):
     """(on_move sequence, LsResult fields, final step sizes), by name."""
     names = {x.id: x.name for x in problem.vars}
+    sorts = {x.id: x.sort for x in problem.vars}
     engine = MoveEngine(acc)
     moves = []
     r = run(problem, engine, lambda x, alpha, cand, mode, ok:
@@ -377,7 +370,11 @@ def record(problem, acc):
         return {names[k]: v for k, v in d.items()}
 
     result = (r.cost, r.initial_cost, r.moves_tried, r.moves_accepted,
-              r.reached_zero, named(r.int_values), named(r.bool_values),
+              r.reached_zero,
+              named({k: v for k, v in r.values.items()
+                     if sorts[k] is Sort.INT}),
+              named({k: v for k, v in r.values.items()
+                     if sorts[k] is Sort.BOOL}),
               named(r.activity))
     return moves, result, named(engine.step_size)
 

@@ -484,7 +484,7 @@ class TestIntTerms:
                 values.update(zip(aux, ites))
                 for t, poly, want in zip(terms, polys, wants):
                     assert poly.evaluate(values) == want, t
-                assert all(fa.evaluate(s, values, {}) for s in comp.side)
+                assert all(fa.evaluate(s, values) for s in comp.side)
 
 
 class TestNestingLimits:

@@ -189,7 +189,8 @@ class TestLiteralsAndClauses:
             for v in range(-1, 5):
                 for bv in (True, False):
                     iv, bvs = {self.x.id: v}, {self.b.id: bv}
-                    assert lit.holds(iv, bvs) == lit_evaluate(lit, iv, bvs)
+                    assert (lit.holds({**iv, **bvs})
+                            == lit_evaluate(lit, iv, bvs))
 
     def test_clause_dedup(self):
         lit = Literal(True, bvar=self.b)
