@@ -11,7 +11,7 @@ import math
 
 from . import localsearch
 from .costfn import compile_clauses
-from .terms import Literal, Sort
+from .terms import Sort
 
 TOP_K = 10      # variables whose activity is bumped after a call
 
@@ -38,30 +38,23 @@ class LsSchedule:
             self.base * k * math.log10(k + 9) ** 3)
 
 
-def build_initial_assignment(variables, trail, cache, feas):
+def build_initial_assignment(variables, trail, feas):
     """Starting point for local search from the current solver state.
 
-    Returns (free variables, fixed values, values).  Trail-assigned
-    variables are fixed at their trail value; the rest start from their
-    cached value if it is still feasible, else from the feasibility set's
-    pick.  The values map holds both.
+    Returns (free variables, values).  Trail-assigned variables keep their
+    trail value; the free ones start from the value a decision would give
+    them (`FeasibilityMap.pick` of their cached value).
     """
+    assigned, cache = trail.values, trail.cache
     free = []
-    fixed = {}
     values = {}
     for x in variables:
-        if x.sort is Sort.INT:
-            v = trail.value_of_var(x)
-        else:
-            v = trail.bool_value_of(Literal(True, bvar=x))
-        if v is not None:
-            fixed[x.id] = v
-        else:
+        v = assigned.get(x.id)
+        if v is None:
             free.append(x)
-            v = (feas.get(x.id).pick_value(cache.get(x.id))
-                 if x.sort is Sort.INT else cache.get(x.id, True))
+            v = feas.pick(x, cache.get(x.id))
         values[x.id] = v
-    return free, fixed, values
+    return free, values
 
 
 def build_ls_formula(clauses, trail):
@@ -122,12 +115,13 @@ class LsController:
         """One local-search call; returns the LsResult."""
         self.schedule.advance()
         solver.stats.ls_calls += 1
-        free, fixed, values = build_initial_assignment(
-            solver.formula.variables, solver.trail, solver.cache, solver.feas)
+        trail = solver.trail
+        free, values = build_initial_assignment(
+            solver.formula.variables, trail, solver.feas)
         if not free:
             return None
-        clauses = build_ls_formula(solver.formula.clauses, solver.trail)
-        cost = compile_clauses(clauses, fixed=fixed)
+        clauses = build_ls_formula(solver.formula.clauses, trail)
+        cost = compile_clauses(clauses, fixed=trail.values)
         feasible = {
             x.id: solver.feas.get(x.id) for x in free if x.sort is Sort.INT
         }
@@ -142,5 +136,5 @@ class LsController:
         result = localsearch.run(problem,
                                  localsearch.MoveEngine(self.config.acc))
         solver.stats.ls_moves_accepted += result.moves_accepted
-        apply_ls_result(result, free, solver.cache, solver.bump_var)
+        apply_ls_result(result, free, trail.cache, solver.bump_var)
         return result

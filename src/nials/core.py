@@ -20,8 +20,7 @@ from .bridge import LsController
 from .errors import InternalError
 from .feasibility import FeasibilityMap
 from .localsearch import DEFAULT_ACC
-from .terms import (Clause, Formula, Literal, Sort, TermStore, Variable,
-                    bool_key)
+from .terms import Clause, Formula, Literal, Sort, TermStore, Variable
 from .trail import Reason, Trail
 
 
@@ -69,7 +68,6 @@ class Solver:
         self.stats = Stats()
         self.trail = Trail()
         self.feas = FeasibilityMap()
-        self.cache: dict = {}       # var id -> last undone value or phase
         self.clauses: list[Clause] = []
         self.active: list[Clause] = []
         self.occurs: dict[int, list] = {}
@@ -130,7 +128,7 @@ class Solver:
 
     def _excl_neg(self, vid: int) -> Literal:
         """¬(x = α) for the variable's current trail value."""
-        atom = self.store.eq_atom(vid, self.trail.var_value[vid])
+        atom = self.store.eq_atom(vid, self.trail.values[vid])
         return Literal(False, atom=atom)
 
     # -- propagation --------------------------------------------------------
@@ -183,9 +181,9 @@ class Solver:
         literals or None.
         """
         trail = self.trail
-        vals = trail.var_value
+        vals = trail.values
         unassigned = [v for v in atom.vars if v not in vals]
-        entry = trail.bool_assign.get(atom.key)
+        entry = trail.lit_elem.get(atom.key)
         if not unassigned:
             t = atom.evaluate(vals)
             if trail.level == 0:
@@ -193,7 +191,7 @@ class Solver:
             if entry is None:
                 trail.push_propagation(Literal(t, atom=atom), Reason.SEMANTIC)
                 self.stats.propagations += 1
-            elif t != entry[0]:
+            elif t != entry.lit.positive:
                 lits = [self._excl_neg(v) for v in atom.vars]
                 lits.append(Literal(t, atom=atom))
                 return lits
@@ -201,8 +199,7 @@ class Solver:
         if entry is not None and len(unassigned) == 1:
             vid = unassigned[0]
             var = self.store.var_by_id(vid)
-            held = Literal(entry[0], atom=atom)
-            fs = self.feas.assert_unit_constraint(var, held, trail)
+            fs = self.feas.assert_unit_constraint(var, entry.lit, trail)
             if trail.level == 0:
                 self._settled.add(atom.id)
             if fs.is_empty():
@@ -230,7 +227,7 @@ class Solver:
         return lits
 
     def _bcp_scan(self):
-        trail = self.trail
+        lit_elem = self.trail.lit_elem
         keep = []
         conflict = None
         active = self.active
@@ -239,12 +236,12 @@ class Solver:
             unassigned_lit = None
             n_unassigned = 0
             for lit in clause:
-                entry = trail.bool_assign.get(lit.key)
-                if entry is None:
+                elem = lit_elem.get(lit.key)
+                if elem is None:
                     n_unassigned += 1
                     unassigned_lit = lit
-                elif (entry[0] == lit.positive):
-                    true_level = trail.elements[entry[1]].level
+                elif elem.lit.positive == lit.positive:
+                    true_level = elem.level
                     break
             if true_level is not None:
                 if true_level > 0:
@@ -256,7 +253,7 @@ class Solver:
                 keep.extend(active[i + 1:])
                 break
             if n_unassigned == 1:
-                trail.push_propagation(unassigned_lit, clause)
+                self.trail.push_propagation(unassigned_lit, clause)
                 self.stats.propagations += 1
         self.active = keep
         return conflict
@@ -268,8 +265,8 @@ class Solver:
         earlier of its own assignment and, for an atom whose variables are
         all assigned, the latest of their assignments."""
         trail = self.trail
-        entry = trail.bool_assign.get(lit.key)
-        pos = entry[1] if entry is not None else None
+        elem = trail.lit_elem.get(lit.key)
+        pos = elem.pos if elem is not None else None
         if lit.atom is not None:
             var_elem = trail.var_elem
             latest = 0
@@ -282,15 +279,15 @@ class Solver:
             else:
                 if pos is None or latest < pos:
                     pos = latest
-        assert pos is not None, f"literal {lit} is not false on the trail"
+        if pos is None:
+            raise InternalError(f"literal {lit} is not false on the trail")
         return pos
 
     def _resolve_lit(self, lit: Literal, pos: int):
         """Replacement literals, or None if the literal is irreducible."""
         trail = self.trail
         elem = trail.elements[pos]
-        entry = trail.bool_assign.get(lit.key)
-        if entry is not None and entry[1] == pos:
+        if trail.lit_elem.get(lit.key) is elem:
             if elem.decision:
                 return None
             reason = elem.reason
@@ -348,7 +345,9 @@ class Solver:
                     add(r)
                 resolved = True
                 break
-            assert resolved, "multiple irreducible literals at conflict level"
+            if not resolved:
+                raise InternalError(
+                    "multiple irreducible literals at conflict level")
         learned = [lit for lit, _ in cur.values()]
         uip = None
         backjump = 0
@@ -358,7 +357,8 @@ class Solver:
                 uip = lit
             else:
                 backjump = max(backjump, lv)
-        assert uip is not None
+        if uip is None:
+            raise InternalError("no literal left at the conflict level")
         return learned, uip, backjump
 
     def _resolve_conflict(self, conflict_lits) -> bool:
@@ -381,36 +381,30 @@ class Solver:
     def _backtrack(self, level: int):
         """Undo the trail and the feasible sets above `level`.
 
-        Undone values go to the value cache, and undone variables back on
+        The trail caches the undone values; undone variables go back on
         the decision heap.
         """
-        removed = self.trail.backtrack_to(level, self.cache)
+        undone = self.trail.backtrack_to(level)
         self.feas.backtrack_to(level)
         self.qhead = min(self.qhead, len(self.trail.elements))
-        for elem in removed:
-            vid = (elem.var.id if elem.var is not None
-                   else (elem.lit.bvar.id if elem.lit.bvar is not None else None))
-            if vid is not None and vid in self._decidable:
+        for vid in undone:
+            if vid in self._decidable:
                 heapq.heappush(self._heap,
                                (-self.activity.get(vid, 0.0), vid))
 
     # -- decisions ----------------------------------------------------------
 
     def _pick_branch_var(self) -> Optional[Variable]:
-        trail = self.trail
+        assigned = self.trail.values
         while self._heap:
             negact, vid = heapq.heappop(self._heap)
-            var = self.store.var_by_id(vid)
-            if var.sort is Sort.INT:
-                if vid in trail.var_value:
-                    continue
-            elif bool_key(vid) in trail.bool_assign:
+            if vid in assigned:
                 continue
             cur = self.activity.get(vid, 0.0)
             if -negact < cur:
                 heapq.heappush(self._heap, (-cur, vid))
                 continue
-            return var
+            return self.store.var_by_id(vid)
         return None
 
     def decide(self) -> bool:
@@ -418,13 +412,12 @@ class Solver:
         if var is None:
             return False
         self.stats.decisions += 1
+        trail = self.trail
+        value = self.feas.pick(var, trail.cache.get(var.id))
         if var.sort is Sort.BOOL:
-            phase = self.cache.get(var.id, True)
-            self.trail.push_decision(Literal(phase, bvar=var))
+            trail.push_decision(Literal(value, bvar=var))
         else:
-            hint = self.cache.get(var.id)
-            self.trail.push_model_assignment(
-                var, self.feas.get(var.id).pick_value(hint), decision=True)
+            trail.push_model_assignment(var, value, decision=True)
             self.stats.theory_assignments += 1
         return True
 
@@ -464,15 +457,11 @@ class Solver:
                 return self.answer
 
     def _extract_model(self):
-        self.model = {}
+        values = self.trail.values
         for x in self.formula.variables:
-            if x.sort is Sort.INT:
-                v = self.trail.value_of_var(x)
-            else:
-                v = self.trail.bool_value_of(Literal(True, bvar=x))
-            if v is None:
+            if x.id not in values:
                 raise InternalError(f"model leaves {x} unassigned")
-            self.model[x.id] = v
+        self.model = dict(values)
         for clause in self.formula.clauses:
             if not any(self._model_lit(lit) for lit in clause):
                 raise InternalError(f"model does not satisfy {clause}")

@@ -13,16 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
-from .terms import Literal, Rel
+from .terms import EQ, LEQ, LT, NEQ, Literal, Rel
 
 
 def _violation(value: int, rel: Rel) -> int:
     """Cost of ``value ⋈ 0``: 0 when it holds, else how far it is from it."""
-    if rel is Rel.EQ:
+    if rel is EQ:
         return abs(value)
-    if rel is Rel.NEQ:
+    if rel is NEQ:
         return 1 if value == 0 else 0
-    if rel is Rel.LEQ:
+    if rel is LEQ:
         return value if value > 0 else 0
     return value + 1 if value >= 0 else 0
 
@@ -61,13 +61,13 @@ def _holds_form(lit: Literal):
     poly, rel = lit.atom.poly, lit.atom.rel
     if lit.positive:
         return poly, rel
-    if rel is Rel.EQ:
-        return poly, Rel.NEQ
-    if rel is Rel.NEQ:
-        return poly, Rel.EQ
-    if rel is Rel.LEQ:
-        return -poly, Rel.LT
-    return -poly, Rel.LEQ
+    if rel is EQ:
+        return poly, NEQ
+    if rel is NEQ:
+        return poly, EQ
+    if rel is LEQ:
+        return -poly, LT
+    return -poly, LEQ
 
 
 def _compile_clause(lits, fixed) -> Optional[CostClause]:

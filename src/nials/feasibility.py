@@ -8,12 +8,12 @@ exactly on backtracking via a level-tagged undo log.
 from __future__ import annotations
 
 from .intervals import IntervalSet
-from .terms import Literal, Variable
+from .terms import Literal, Sort, Variable
 from .trail import Trail
 from .univariate import solve_univariate_coeffs
 
 
-def unit_solution_set(lit: Literal, vid: int, var_values) -> IntervalSet:
+def unit_solution_set(lit: Literal, vid: int, values) -> IntervalSet:
     """Integer solutions for the one unassigned variable of a unit literal.
 
     The dense coefficients ``(c0, c1, …)`` in ``vid`` come from one pass
@@ -29,7 +29,7 @@ def unit_solution_set(lit: Literal, vid: int, var_values) -> IntervalSet:
             if v == vid:
                 e = k
             else:
-                c *= var_values[v] ** k
+                c *= values[v] ** k
         if e > top:
             coeffs += [0] * (e - top)
             top = e
@@ -59,6 +59,14 @@ class FeasibilityMap:
     def contributions(self, vid: int) -> tuple:
         return tuple(self._contribs.get(vid, ()))
 
+    def pick(self, var: Variable, hint):
+        """The value to give an unassigned variable: for an integer, the
+        hint (its cached value) if still feasible, else the set's pick; for
+        a Boolean, the hint (its saved phase), or True without one."""
+        if var.sort is Sort.BOOL:
+            return True if hint is None else hint
+        return self.get(var.id).pick_value(hint)
+
     def assert_unit_constraint(self, var: Variable, lit: Literal,
                                trail: Trail) -> IntervalSet:
         """Fold a unit (single-unassigned-variable) literal into F(var)
@@ -70,7 +78,7 @@ class FeasibilityMap:
         """
         vid = var.id
         cur = self.get(vid)
-        new = cur.intersect(unit_solution_set(lit, vid, trail.var_value))
+        new = cur.intersect(unit_solution_set(lit, vid, trail.values))
         self._sets[vid] = new
         if trail.level > 0:
             contribs = self._contribs.setdefault(vid, [])

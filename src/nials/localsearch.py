@@ -22,6 +22,7 @@ accelerates only from 1.5 up.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -81,6 +82,9 @@ class MoveEngine:
 
     def __init__(self, acc: float = DEFAULT_ACC):
         self.acc = acc
+        # Steps stay below this bound, so that `step * acc` and
+        # `step / acc` are finite floats for every finite positive `acc`.
+        self.max_step = sys.float_info.max / 2 / max(acc, 1.0 / acc)
         self.step_size: dict[int, float] = {}
         self.global_used: set[int] = set()
 
@@ -128,7 +132,7 @@ class MoveEngine:
             if won is None:
                 self.step_size[vid] = max(1.0, step / self.acc)
                 return
-            self.step_size[vid] = float(abs(won))
+            self.step_size[vid] = min(float(abs(won)), self.max_step)
 
     def _fs_jumps(self, jumps: list, alpha: int, fs: IntervalSet):
         for cand in jumps:

@@ -21,7 +21,7 @@ from . import formula_ast as fa
 from .clausify import clausify
 from .core import Answer, Solver, SolverConfig
 from .errors import InternalError, ParseError, SortError, UnsupportedError
-from .terms import Literal, Polynomial, Rel, Sort, TermStore
+from .terms import EQ, LEQ, LT, NEQ, Literal, Polynomial, Sort, TermStore
 
 Sexpr = Union[str, list]
 
@@ -302,14 +302,14 @@ class Compiler:
         for v in vals:
             if (v.__class__ is Polynomial) is not ints:
                 raise SortError(f"{e[0]} applied to mixed sorts")
-        pairs = (itertools.combinations(vals, 2) if rel is _NEQ
+        pairs = (itertools.combinations(vals, 2) if rel is NEQ
                  else zip(vals, vals[1:]))
         if ints:
             mk_atom = self.store.mk_atom
             return fa.mk_and([Literal(True, atom=mk_atom(b, rel, a) if swap
                                       else mk_atom(a, rel, b))
                               for a, b in pairs])
-        if rel is not _NEQ:
+        if rel is not NEQ:
             return fa.mk_and([
                 fa.mk_or([fa.mk_and([a, b]),
                           fa.mk_and([fa.mk_not(a), fa.mk_not(b)])])
@@ -351,7 +351,7 @@ class Compiler:
             return fa.mk_ite(cond, then, els)
         # Integer ite: fresh variable constrained to the chosen branch.
         vp = Polynomial.var(self.store.fresh_var("ite", Sort.INT).id)
-        is_then, is_els = (Literal(True, atom=self.store.mk_atom(vp, _EQ, p))
+        is_then, is_els = (Literal(True, atom=self.store.mk_atom(vp, EQ, p))
                            for p in (then, els))
         self.side.append(fa.mk_or([fa.mk_not(cond), is_then]))
         self.side.append(fa.mk_or([cond, is_els]))
@@ -372,10 +372,9 @@ class Compiler:
 
 
 # (relation, whether the operands swap) of each relation symbol.
-_RELATIONS = {"<": (Rel.LT, False), "<=": (Rel.LEQ, False),
-              ">": (Rel.LT, True), ">=": (Rel.LEQ, True),
-              "=": (Rel.EQ, False), "distinct": (Rel.NEQ, False)}
-_EQ, _NEQ = Rel.EQ, Rel.NEQ
+_RELATIONS = {"<": (LT, False), "<=": (LEQ, False),
+              ">": (LT, True), ">=": (LEQ, True),
+              "=": (EQ, False), "distinct": (NEQ, False)}
 # Head -> (handler, operand sort: True for Int, False for Bool, None for
 # either).  `let` has no handler: it binds names before its body compiles.
 _APPLY = {

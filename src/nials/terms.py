@@ -32,17 +32,19 @@ class Rel(enum.Enum):
 
     def holds(self, value: int) -> bool:
         """Truth of ``value ⋈ 0``."""
-        if self is Rel.EQ:
+        if self is EQ:
             return value == 0
-        if self is Rel.NEQ:
+        if self is NEQ:
             return value != 0
-        if self is Rel.LEQ:
+        if self is LEQ:
             return value <= 0
         return value < 0
 
 
-# Read once: an attribute of an Enum class costs a metaclass hook call.
-_EQ, _NEQ = Rel.EQ, Rel.NEQ
+# The members as module names, for hot code: reading an attribute of an
+# Enum class costs a metaclass hook call.
+EQ, NEQ, LEQ, LT = Rel.EQ, Rel.NEQ, Rel.LEQ, Rel.LT
+
 
 @dataclass(frozen=True)
 class Variable:
@@ -429,7 +431,7 @@ class TermStore:
         atom = self._atoms.get((poly, rel))
         if atom is None:
             atom = self._new_atom(poly, rel,
-                                  _var_eq(poly) if rel is _EQ else None)
+                                  _var_eq(poly) if rel is EQ else None)
         return atom
 
     def eq_atom(self, vid: int, value: int) -> Atom:
@@ -443,7 +445,7 @@ class TermStore:
             terms = {((vid, 1),): 1}
             if value:
                 terms[()] = -value
-            atom = self._new_atom(Polynomial._of(terms), Rel.EQ, (vid, value))
+            atom = self._new_atom(Polynomial._of(terms), EQ, (vid, value))
         return atom
 
     def _new_atom(self, poly: Polynomial, rel: Rel,
@@ -477,7 +479,7 @@ def normalize_poly(p: Polynomial, rel: Rel) -> tuple[Polynomial, Rel]:
     so the leading monomial has a positive coefficient.
     """
     g = p.content()
-    if (rel is _EQ or rel is _NEQ) and p.leading_coeff() < 0:
+    if (rel is EQ or rel is NEQ) and p.leading_coeff() < 0:
         g = -g
     if g > 1 or g < 0:
         p = Polynomial._of({m: c // g for m, c in p._terms.items()})

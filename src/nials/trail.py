@@ -2,9 +2,15 @@
 
 An element with `var` set is a model assignment, any other one assigns
 `lit`.  `decision` marks guesses, literals and assignments alike; each
-guess opens a decision level.  The value cache persists across
-backtracking and keeps the last value a variable had when its assignment
-was undone.
+guess opens a decision level.
+
+The trail owns the assignment under construction, indexed beside the
+element list: `values` maps the id of every assigned variable, Int or
+Bool, to its value; `lit_elem` maps a `Literal.key` to the element that
+assigned a literal of that key; `var_elem` maps an Int variable's id to
+its model assignment.  The value cache persists across backtracking and
+keeps the last value (or, for a Boolean variable, the phase) a variable
+had when its assignment was undone.
 """
 
 from __future__ import annotations
@@ -47,31 +53,19 @@ class Trail:
         self.elements: list[TrailElement] = []
         self.level = 0
         self._level_starts = [0]
-        # Literal.key -> (value of the positive literal, trail position)
-        self.bool_assign: dict[int, tuple] = {}
-        self.var_value: dict[int, int] = {}
-        self.var_elem: dict[int, TrailElement] = {}
-
-    # -- queries ------------------------------------------------------------
-
-    def value_of_var(self, x: Variable) -> Optional[int]:
-        return self.var_value.get(x.id)
-
-    def bool_value_of(self, lit: Literal) -> Optional[bool]:
-        """Trail-assigned truth of a literal, ignoring semantic evaluation."""
-        entry = self.bool_assign.get(lit.key)
-        if entry is None:
-            return None
-        v = entry[0]
-        return v if lit.positive else not v
+        self.values: dict = {}          # var id -> int or bool
+        self.lit_elem: dict[int, TrailElement] = {}     # Literal.key -> elem
+        self.var_elem: dict[int, TrailElement] = {}     # Int var id -> elem
+        self.cache: dict = {}           # var id -> last undone value or phase
 
     def value_of_lit(self, lit: Literal) -> Optional[bool]:
-        """Boolean trail value if assigned, else exact atom evaluation."""
-        v = self.bool_value_of(lit)
-        if v is not None:
-            return v
+        """Trail truth of the literal if a literal of its key is assigned,
+        else exact atom evaluation once its variables all have values."""
+        elem = self.lit_elem.get(lit.key)
+        if elem is not None:
+            return elem.lit.positive == lit.positive
         if lit.atom is not None:
-            vals = self.var_value
+            vals = self.values
             if all(vid in vals for vid in lit.atom.vars):
                 t = lit.atom.evaluate(vals)
                 return t if lit.positive else not t
@@ -79,72 +73,67 @@ class Trail:
 
     # -- stack operations ---------------------------------------------------
 
-    def _push(self, elem: TrailElement):
-        elem.pos = len(self.elements)
-        self.elements.append(elem)
-
     def _begin_level(self):
         self.level += 1
         self._level_starts.append(len(self.elements))
 
-    def _assign_lit(self, lit: Literal, pos: int):
-        if lit.key in self.bool_assign:
+    def _push_lit(self, lit: Literal, decision: bool, reason) -> TrailElement:
+        if lit.key in self.lit_elem:
             raise DuplicateAssignment(f"literal {lit} already assigned")
-        self.bool_assign[lit.key] = (lit.positive, pos)
+        elem = TrailElement(self.level, len(self.elements), lit=lit,
+                            decision=decision, reason=reason)
+        self.elements.append(elem)
+        self.lit_elem[lit.key] = elem
+        if lit.bvar is not None:
+            self.values[lit.bvar.id] = lit.positive
+        return elem
 
     def push_decision(self, lit: Literal) -> TrailElement:
         self._begin_level()
-        elem = TrailElement(self.level, 0, lit=lit, decision=True)
-        self._push(elem)
-        self._assign_lit(lit, elem.pos)
-        return elem
+        return self._push_lit(lit, True, None)
 
     def push_propagation(self, lit: Literal, reason) -> TrailElement:
-        elem = TrailElement(self.level, 0, lit=lit, reason=reason)
-        self._push(elem)
-        self._assign_lit(lit, elem.pos)
-        return elem
+        return self._push_lit(lit, False, reason)
 
     def push_model_assignment(self, var: Variable, value: int, decision: bool,
                               reason=None) -> TrailElement:
-        if var.id in self.var_value:
+        if var.id in self.values:
             raise DuplicateAssignment(f"variable {var} already assigned")
         if decision:
             self._begin_level()
-        elem = TrailElement(self.level, 0, var=var, value=value,
-                            decision=decision, reason=reason)
-        self._push(elem)
-        self.var_value[var.id] = value
+        elem = TrailElement(self.level, len(self.elements), var=var,
+                            value=value, decision=decision, reason=reason)
+        self.elements.append(elem)
+        self.values[var.id] = value
         self.var_elem[var.id] = elem
         return elem
 
-    def backtrack_to(self, level: int, cache: Optional[dict] = None) -> list:
+    def backtrack_to(self, level: int) -> list:
         """Remove all elements above `level`; cache undone variable values.
 
-        The cache maps a variable id to its last undone value or phase.
-
-        Returns the removed elements, most recent first.
+        Returns the ids of the undone variables, most recent first.
         """
         assert level <= self.level
         if level == self.level:
             return []
         cut = self._level_starts[level + 1]
-        removed = []
+        values, cache = self.values, self.cache
+        undone = []
         while len(self.elements) > cut:
             elem = self.elements.pop()
-            removed.append(elem)
             if elem.var is not None:
-                del self.var_value[elem.var.id]
-                del self.var_elem[elem.var.id]
-                if cache is not None:
-                    cache[elem.var.id] = elem.value
+                vid = elem.var.id
+                del self.var_elem[vid]
             else:
-                del self.bool_assign[elem.lit.key]
-                if cache is not None and elem.lit.bvar is not None:
-                    cache[elem.lit.bvar.id] = elem.lit.positive
+                del self.lit_elem[elem.lit.key]
+                if elem.lit.bvar is None:
+                    continue
+                vid = elem.lit.bvar.id
+            cache[vid] = values.pop(vid)
+            undone.append(vid)
         del self._level_starts[level + 1:]
         self.level = level
-        return removed
+        return undone
 
     def __repr__(self):
         return "[" + ", ".join(map(repr, self.elements)) + "]"

@@ -16,7 +16,7 @@ import math
 from functools import lru_cache
 
 from .intervals import IntervalSet
-from .terms import Rel
+from .terms import EQ, LT, NEQ, Rel
 
 # Coefficient lists are dense, lowest degree first.
 
@@ -185,14 +185,14 @@ def solve_univariate_coeffs(coeffs: tuple, rel: Rel) -> IntervalSet:
 
 def _solve_linear(b: int, a: int, rel: Rel) -> IntervalSet:
     """Integer solutions of ``a·x + b ⋈ 0`` with a ≠ 0."""
-    if rel is Rel.EQ:
+    if rel is EQ:
         if b % a == 0:
             return IntervalSet.point(-b // a)
         return IntervalSet.empty()
-    if rel is Rel.NEQ:
-        return _solve_linear(b, a, Rel.EQ).complement()
+    if rel is NEQ:
+        return _solve_linear(b, a, EQ).complement()
     # a·x + b <= 0  <=>  x <= -b/a (a > 0)  or  x >= -b/a (a < 0)
-    strict = rel is Rel.LT
+    strict = rel is LT
     if a > 0:
         # x <= floor(-b/a), excluding the root itself when strict
         bound = -b // a  # floor division

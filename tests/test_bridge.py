@@ -55,24 +55,24 @@ class TestInitialAssignment:
         self.y = self.store.new_var("y", Sort.INT)
         self.b = self.store.new_var("b", Sort.BOOL)
         self.trail = Trail()
-        self.cache = {}
+        self.cache = self.trail.cache
         self.feas = FeasibilityMap()
 
     def build(self):
         return build_initial_assignment(
-            [self.x, self.y, self.b], self.trail, self.cache, self.feas)
+            [self.x, self.y, self.b], self.trail, self.feas)
 
     def test_trail_values_become_fixed(self):
         self.trail.push_model_assignment(self.x, 7, decision=True)
         self.trail.push_decision(Literal(False, bvar=self.b))
-        free, fixed, values = self.build()
-        assert fixed == {self.x.id: 7, self.b.id: False}
+        free, values = self.build()
+        assert self.trail.values == {self.x.id: 7, self.b.id: False}
         assert free == [self.y]
         assert values == {self.x.id: 7, self.y.id: 0, self.b.id: False}
 
     def test_cached_value_used_when_feasible(self):
         self.cache[self.y.id] = 42
-        free, fixed, values = self.build()
+        free, values = self.build()
         assert values[self.y.id] == 42
 
     def test_infeasible_cache_falls_back_to_pick_value(self):
@@ -81,14 +81,14 @@ class TestInitialAssignment:
         self.trail.push_model_assignment(self.x, 0, decision=True)
         self.feas.assert_unit_constraint(self.y, lit, self.trail)
         self.cache[self.y.id] = 2
-        free, fixed, values = self.build()
+        free, values = self.build()
         assert values[self.y.id] == 5
 
     def test_bool_defaults_true(self):
-        free, fixed, values = self.build()
+        free, values = self.build()
         assert values[self.b.id] is True
         self.cache[self.b.id] = False
-        assert self.build()[2][self.b.id] is False
+        assert self.build()[1][self.b.id] is False
 
 
 class TestLsFormula:
@@ -177,14 +177,7 @@ class TestApplyResult:
 
 class TestLsOnSolver:
     def trail_values(self, solver):
-        trail = solver.trail
-        out = {}
-        for x in solver.formula.variables:
-            v = (trail.value_of_var(x) if x.sort is Sort.INT
-                 else trail.bool_value_of(Literal(True, bvar=x)))
-            if v is not None:
-                out[x.id] = v
-        return out
+        return dict(solver.trail.values)
 
     def decide_randomly(self, rng, solver):
         """Up to two random decisions; False if propagation conflicts."""

@@ -41,6 +41,19 @@ DEEP = ("(set-logic QF_NIA)\n(declare-const x Int)\n(assert (> "
 
 # Latin-1 bytes in a comment, a superscript two in numeral position, and
 # a numeral longer than Python reads into an int.
+# Unsatisfiable over three Booleans: deciding a propagates c and falsifies
+# the last clause, a conflict with two literals at the decision level.
+BOOL_UNSAT = """(set-logic QF_NIA)
+(declare-const a Bool)
+(declare-const b Bool)
+(declare-const c Bool)
+(assert (or a b))
+(assert (or a (not b)))
+(assert (or (not a) c))
+(assert (or (not a) (not c)))
+(check-sat)
+"""
+
 NOT_UTF8 = b"(set-logic QF_NIA) ; caf\xe9\n(check-sat)\n"
 NON_ASCII_NUMERAL = ("(set-logic QF_NIA)(declare-const x Int)"
                      "(assert (= x \u00b2))(check-sat)").encode()
@@ -176,6 +189,36 @@ class TestSolveFile:
         assert "internal error" in err
 
 
+    def test_irreducible_analysis_is_internal_error(self, tmp_path,
+                                                   monkeypatch):
+        # With every conflict literal irreducible, analysis cannot reduce
+        # the conflict to one literal at its level.
+        p = tmp_path / "bools.smt2"
+        p.write_text(BOOL_UNSAT)
+        monkeypatch.setattr(core.Solver, "_resolve_lit",
+                            lambda self, lit, pos: None)
+        code, out, err = run_main([str(p)])
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err
+
+    def test_irreducible_analysis_exit_3_under_optimize(self, tmp_path):
+        # `python -O` strips asserts; analysis must still stop and refuse.
+        p = tmp_path / "bools.smt2"
+        p.write_text(BOOL_UNSAT)
+        src = os.path.dirname(os.path.dirname(nials.__file__))
+        code = ("import sys; from nials import cli, core; "
+                "core.Solver._resolve_lit = lambda self, lit, pos: None; "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code, str(p)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "internal error" in proc.stderr
+
+
 class TestBenchDir:
     def read_csv(self, path):
         with open(path) as f:
@@ -275,11 +318,49 @@ TWO_VARS = """(set-logic QF_NIA)
 """
 
 
+# An accepted hill-climbing move of about `acc` units makes the next step
+# about `acc` too, so a huge constant drives the step towards the float
+# range.
+THREE_VARS = """(set-logic QF_NIA)
+(declare-const x Int)
+(declare-const y Int)
+(declare-const z Int)
+(assert (or (> x 1000) (> y 1000)))
+(assert (or (> y 1000) (= z 1)))
+(check-sat)
+"""
+
+
 class TestAcc:
     @pytest.fixture
     def paths(self, tmp_path):
         (tmp_path / "two.smt2").write_text(TWO_VARS)
         return {"file": str(tmp_path / "two.smt2"), "dir": str(tmp_path)}
+
+    @pytest.fixture
+    def big(self, tmp_path):
+        (tmp_path / "big.smt2").write_text(THREE_VARS)
+        return {"file": str(tmp_path / "big.smt2"), "dir": str(tmp_path)}
+
+    @pytest.mark.parametrize("acc", ["1e200", "1e-300",
+                                     "1.7976931348623157e308"])
+    def test_huge_step_answers(self, big, acc):
+        code, out, err = run_main([big["file"], "--acc", acc,
+                                   "--ls-threshold-base", "0",
+                                   "--print-model"])
+        assert code == 0, err
+        assert out.splitlines()[0] == "sat"
+
+    def test_huge_step_directory_row(self, big, tmp_path):
+        csv_path = tmp_path / "out.csv"
+        code, _, err = run_main([big["dir"], "--acc", "1e200",
+                                 "--ls-threshold-base", "0",
+                                 "--csv", str(csv_path)])
+        assert code == 0, err
+        with open(csv_path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["name"], r["answer"]) for r in rows] == [
+            ("big.smt2", "sat")]
 
     @pytest.mark.parametrize("target", ["file", "dir"])
     @pytest.mark.parametrize("acc", ["0", "-1", "inf", "nan"])

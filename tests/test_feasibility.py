@@ -184,7 +184,7 @@ class TestUndoLogProperties:
                 for _, vid, lit in in_force:
                     if vid == x.id:
                         expected = expected.intersect(unit_solution_set(
-                            lit, vid, trail.var_value))
+                            lit, vid, trail.values))
                 assert feas.get(x.id) == expected
                 assert feas.contributions(x.id) == tuple(
                     lit for level, vid, lit in in_force

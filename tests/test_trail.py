@@ -1,5 +1,7 @@
 """Trail operations: levels, assignment lookup, backtracking, value cache."""
 
+import random
+
 import pytest
 
 from nials.errors import DuplicateAssignment
@@ -67,8 +69,8 @@ class TestValueLookup:
         trail.push_propagation(Literal(True, atom=a_ge), Reason.SEMANTIC)
         trail.push_propagation(Literal(True, atom=a_xy), reason=None)
 
-        assert trail.value_of_var(x) == 1
-        assert trail.value_of_var(y) is None
+        assert trail.values[x.id] == 1
+        assert y.id not in trail.values
         assert trail.value_of_lit(Literal(True, atom=a_sum)) is None
         assert trail.value_of_lit(Literal(True, atom=a_z)) is True
         assert trail.value_of_lit(Literal(False, atom=a_xy)) is False
@@ -80,7 +82,7 @@ class TestValueLookup:
         a = atom(store, P.var(x.id) - P.const(3), Rel.EQ)
         # Never Boolean-assigned, but fully evaluated by the model.
         assert trail.value_of_lit(Literal(True, atom=a)) is True
-        assert trail.bool_value_of(Literal(True, atom=a)) is None
+        assert a.key not in trail.lit_elem
 
 
 class TestBacktracking:
@@ -88,26 +90,23 @@ class TestBacktracking:
         store, x, y, z = setup
         b = store.new_var("b", Sort.BOOL)
         trail = Trail()
-        cache = {}
         trail.push_model_assignment(x, 5, decision=True)
         trail.push_decision(Literal(False, bvar=b))
         trail.push_model_assignment(y, -2, decision=False)
         snapshot = list(trail.elements[:1])
-        removed = trail.backtrack_to(1, cache)
-        assert len(removed) == 2
-        assert removed[0].var == y  # most recent first
-        assert removed[1].lit.bvar == b
+        removed = trail.backtrack_to(1)
+        assert removed == [y.id, b.id]  # most recent first
         assert trail.level == 1
         assert trail.elements == snapshot
-        assert trail.value_of_var(y) is None
-        assert cache == {y.id: -2, b.id: False}
+        assert y.id not in trail.values
+        assert trail.cache == {y.id: -2, b.id: False}
 
     def test_backtrack_to_current_level_is_noop(self, setup):
         store, x, y, z = setup
         trail = Trail()
         trail.push_model_assignment(x, 1, decision=True)
         assert trail.backtrack_to(1) == []
-        assert trail.value_of_var(x) == 1
+        assert trail.values[x.id] == 1
 
     def test_positions_are_stable(self, setup):
         store, x, y, z = setup
@@ -125,8 +124,82 @@ class TestValueCache:
     def test_overwrite_keeps_latest(self, setup):
         store, x, y, z = setup
         trail = Trail()
-        cache = {}
         for v in (4, 9):
             trail.push_model_assignment(x, v, decision=True)
-            trail.backtrack_to(0, cache)
-        assert cache == {x.id: 9}
+            trail.backtrack_to(0)
+        assert trail.cache == {x.id: 9}
+
+
+class TestIndexesFollowTheElements:
+    def replay(self, elements):
+        """`values`, `lit_elem` (by element identity) and `var_elem` as the
+        element list alone defines them."""
+        values, lit_elem, var_elem = {}, {}, {}
+        for e in elements:
+            if e.var is not None:
+                values[e.var.id] = e.value
+                var_elem[e.var.id] = id(e)
+            else:
+                lit_elem[e.lit.key] = id(e)
+                if e.lit.bvar is not None:
+                    values[e.lit.bvar.id] = e.lit.positive
+        return values, lit_elem, var_elem
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_sequences(self, setup, seed):
+        """Bool and Int decisions, atom and Bool propagations, model
+        assignments and backtracks in a seeded random order; after every
+        step the indexes equal a replay of the elements, and the cache
+        holds each undone variable's last value or phase."""
+        store, x, y, z = setup
+        rng = random.Random(seed)
+        ints = [x, y, z]
+        bools = [store.new_var(f"b{i}", Sort.BOOL) for i in range(4)]
+        atoms = [atom(store, P.var(v.id) - P.const(c), rel)
+                 for v in ints for c, rel in ((0, Rel.LEQ), (2, Rel.EQ))]
+        trail = Trail()
+        cache = {}
+        for _ in range(80):
+            open_ints = [v for v in ints if v.id not in trail.values]
+            open_bools = [b for b in bools if b.id not in trail.values]
+            open_atoms = [a for a in atoms if a.key not in trail.lit_elem]
+            kind = rng.choice(["bool-decision", "int-decision", "atom",
+                               "bool-propagation", "assignment",
+                               "backtrack"])
+            if kind == "backtrack":
+                level = rng.randint(0, trail.level)
+                cut = len(trail.elements)
+                if level < trail.level:
+                    cut = next(e.pos for e in trail.elements
+                               if e.level > level)
+                undone = []
+                for e in reversed(trail.elements[cut:]):
+                    if e.var is not None:
+                        undone.append(e.var.id)
+                        cache[e.var.id] = e.value
+                    elif e.lit.bvar is not None:
+                        undone.append(e.lit.bvar.id)
+                        cache[e.lit.bvar.id] = e.lit.positive
+                assert trail.backtrack_to(level) == undone
+                assert len(trail.elements) == cut
+            elif kind in ("bool-decision", "bool-propagation") and open_bools:
+                lit = Literal(rng.random() < 0.5, bvar=rng.choice(open_bools))
+                if kind == "bool-decision":
+                    trail.push_decision(lit)
+                else:
+                    trail.push_propagation(lit, reason=None)
+            elif kind in ("int-decision", "assignment") and open_ints:
+                trail.push_model_assignment(
+                    rng.choice(open_ints), rng.randint(-3, 3),
+                    decision=kind == "int-decision")
+            elif kind == "atom" and open_atoms:
+                trail.push_propagation(
+                    Literal(rng.random() < 0.5, atom=rng.choice(open_atoms)),
+                    Reason.SEMANTIC)
+            values, lit_elem, var_elem = self.replay(trail.elements)
+            assert trail.values == values
+            assert {k: id(e) for k, e in trail.lit_elem.items()} == lit_elem
+            assert {k: id(e) for k, e in trail.var_elem.items()} == var_elem
+            assert [e.pos for e in trail.elements] == list(
+                range(len(trail.elements)))
+            assert trail.cache == cache
