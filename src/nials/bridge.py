@@ -2,7 +2,10 @@
 
 Covers the conflict-count schedule that decides when to run local search,
 construction of the search problem from the current solver state, and
-feeding the result back (value cache and variable activities).
+feeding the result back (value cache and variable activities).  The core
+restarts to level 0 before each call, so the problem fixes only the
+variables the formula itself forces, and a call that reaches cost 0 holds
+a model of the whole formula, which the core checks and answers sat with.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ class LsSchedule:
     """Polynomially growing conflict thresholds for local-search calls.
 
     The first call fires at `base` conflicts; after the k-th call the
-    threshold grows by floor(base * k * log10(k + 9)^3).
+    threshold grows by floor(base * k * log10(k + 9)^3), and by at least
+    one: every call restarts the search, so a threshold that did not grow
+    (base 0) would call local search before every decision for good.
     """
 
     def __init__(self, base: int):
@@ -34,8 +39,8 @@ class LsSchedule:
     def advance(self):
         self.ls_calls += 1
         k = self.ls_calls
-        self.next_threshold += math.floor(
-            self.base * k * math.log10(k + 9) ** 3)
+        self.next_threshold += max(1, math.floor(
+            self.base * k * math.log10(k + 9) ** 3))
 
 
 def build_initial_assignment(variables, trail, feas):
@@ -112,7 +117,8 @@ class LsController:
         return self.schedule.due(conflicts)
 
     def run(self, solver) -> object:
-        """One local-search call; returns the LsResult."""
+        """One local-search call from the solver's trail, as it stands;
+        returns the LsResult, or None when no variable is free."""
         self.schedule.advance()
         solver.stats.ls_calls += 1
         trail = solver.trail
@@ -136,5 +142,6 @@ class LsController:
         result = localsearch.run(problem,
                                  localsearch.MoveEngine(self.config.acc))
         solver.stats.ls_moves_accepted += result.moves_accepted
+        solver.stats.ls_zero += result.reached_zero
         apply_ls_result(result, free, trail.cache, solver.bump_var)
         return result

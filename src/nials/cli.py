@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from typing import Optional
 
 from . import smtlib
@@ -21,7 +22,19 @@ from .core import SolverConfig, Stats
 from .errors import InternalError, NialsError, ParseError
 
 CSV_COLUMNS = ("name", "answer", "wall_ms", "conflicts", "decisions",
-               "theory_assignments", "ls_calls", "ls_moves_accepted")
+               "theory_assignments", "ls_calls", "ls_moves_accepted",
+               "ls_zero", "restarts")
+
+
+def _count(text: str) -> int:
+    """A whole number of at least 0, for the counts and limits."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more: {text!r}")
+    return v
 
 
 def _acc(text: str) -> float:
@@ -44,18 +57,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help=".smt2 file, or a directory to benchmark")
     p.add_argument("--no-ls", action="store_true",
                    help="disable the local-search component")
-    p.add_argument("--ls-threshold-base", type=int,
+    p.add_argument("--ls-threshold-base", type=_count,
                    default=SolverConfig.ls_threshold_base, metavar="N",
                    help="conflicts before the first local-search call")
-    p.add_argument("--ls-budget", type=int,
+    p.add_argument("--ls-budget", type=_count,
                    default=SolverConfig.ls_budget_per_var, metavar="N",
-                   help="local-search move budget per free variable")
+                   help="moves a local-search call may evaluate, per free "
+                        "variable, over its descent and its critical moves")
     p.add_argument("--acc", type=_acc, default=SolverConfig.acc, metavar="F",
                    help="hill-climbing acceleration constant; the step "
                         "grows only at 1.5 or more")
-    p.add_argument("--max-conflicts", type=int, default=None, metavar="N",
+    p.add_argument("--max-conflicts", type=_count, default=None, metavar="N",
                    help="give up with unknown after this many conflicts")
-    p.add_argument("--timeout-ms", type=int, default=None, metavar="N",
+    p.add_argument("--timeout-ms", type=_count, default=None, metavar="N",
                    help="give up with unknown after this much wall time")
     p.add_argument("--print-model", action="store_true",
                    help="print a model when the answer is sat")
@@ -127,14 +141,23 @@ def solve_file(config: SolverConfig, path: str, out=None, err=None,
     return 0
 
 
-def _bench_one(config: SolverConfig, path: str) -> dict:
-    """One CSV row; it holds every `Stats` key, the writer picks columns."""
+def _bench_one(config: SolverConfig, path: str, err) -> dict:
+    """One CSV row; it holds every `Stats` key, the writer picks columns.
+
+    A file that cannot be read or solved gives an `error` row and a
+    message on `err`; an unexpected exception also gives its traceback,
+    and the directory run goes on.
+    """
     t0 = time.monotonic()
+    ans, stats = "error", Stats()
     try:
         answer, _, solver = _solve_path(config, path)
         ans, stats = answer.value, solver.stats
-    except (OSError, NialsError):
-        ans, stats = "error", Stats()
+    except (OSError, NialsError) as e:
+        print(f"{path}: error: {e}", file=err)
+    except Exception as e:
+        print(f"{path}: internal error: {type(e).__name__}: {e}", file=err)
+        traceback.print_exc(file=err)
     wall_ms = (time.monotonic() - t0) * 1000.0
     return {"name": os.path.basename(path), "answer": ans,
             "wall_ms": f"{wall_ms:.1f}", **stats.as_dict()}
@@ -150,7 +173,8 @@ def bench_dir(config: SolverConfig, directory: str, out=None, err=None,
     except OSError as e:
         print(f"error: {e}", file=err)
         return 2
-    rows = [_bench_one(config, os.path.join(directory, n)) for n in names]
+    rows = [_bench_one(config, os.path.join(directory, n), err)
+            for n in names]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n",
                             extrasaction="ignore")

@@ -38,6 +38,8 @@ class Stats:
     theory_assignments: int = 0
     ls_calls: int = 0
     ls_moves_accepted: int = 0
+    ls_zero: int = 0            # local-search calls that reached cost 0
+    restarts: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -235,7 +237,7 @@ class Solver:
             true_level = None
             unassigned_lit = None
             n_unassigned = 0
-            for lit in clause:
+            for lit in clause.literals:
                 elem = lit_elem.get(lit.key)
                 if elem is None:
                     n_unassigned += 1
@@ -450,14 +452,39 @@ class Solver:
                 self.answer = Answer.UNKNOWN
                 return self.answer
             if self.ls is not None and self.ls.should_run(self.stats.conflicts):
-                self.ls.run(self)
+                answer = self._local_search()
+                if answer is not None:
+                    self.answer = answer
+                    return answer
             if not self.decide():
-                self._extract_model()
+                self._set_model(self.trail.values)
                 self.answer = Answer.SAT
                 return self.answer
 
-    def _extract_model(self):
-        values = self.trail.values
+    def _local_search(self) -> Optional[Answer]:
+        """Restart, then one local-search call from level 0.
+
+        Called at a propagation fixpoint, so only a restart needs another
+        propagation.  UNSAT on a conflict at level 0; SAT when the call
+        reaches cost 0 and its assignment passes the model check; else
+        None, and the search goes on from level 0 with learned clauses
+        kept.
+        """
+        if self.trail.level > 0:
+            self._backtrack(0)
+            self.stats.restarts += 1
+            if self.propagate() is not None:
+                self.stats.conflicts += 1
+                return Answer.UNSAT
+        result = self.ls.run(self)
+        if result is None or not result.reached_zero:
+            return None
+        self._set_model(result.values)
+        return Answer.SAT
+
+    def _set_model(self, values: dict):
+        """Take a complete assignment as the model; InternalError unless it
+        assigns every variable and satisfies every clause of the formula."""
         for x in self.formula.variables:
             if x.id not in values:
                 raise InternalError(f"model leaves {x} unassigned")

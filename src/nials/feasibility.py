@@ -8,22 +8,23 @@ exactly on backtracking via a level-tagged undo log.
 from __future__ import annotations
 
 from .intervals import IntervalSet
-from .terms import Literal, Sort, Variable
+from .terms import Literal, Rel, Sort, Variable
 from .trail import Trail
 from .univariate import solve_univariate_coeffs
 
 
-def unit_solution_set(lit: Literal, vid: int, values) -> IntervalSet:
-    """Integer solutions for the one unassigned variable of a unit literal.
+def solution_set(poly, rel: Rel, vid: int, values) -> IntervalSet:
+    """Integer solutions of ``poly ⋈ 0`` in ``vid``, with every other
+    variable of ``poly`` at its value in ``values``.
 
     The dense coefficients ``(c0, c1, …)`` in ``vid`` come from one pass
-    over the atom's terms: each coefficient times the trail values of its
-    other variables, added at its exponent of ``vid``.  Trailing zeros are
+    over the terms: each coefficient times the values of its other
+    variables, added at its exponent of ``vid``.  Trailing zeros are
     trimmed, so the zero polynomial gives ``(0,)``.
     """
     coeffs = [0]
     top = 0
-    for m, c in lit.atom.poly.terms.items():
+    for m, c in poly.terms.items():
         e = 0
         for v, k in m:
             if v == vid:
@@ -36,7 +37,13 @@ def unit_solution_set(lit: Literal, vid: int, values) -> IntervalSet:
         coeffs[e] += c
     while top and not coeffs[top]:
         top -= 1
-    s = solve_univariate_coeffs(tuple(coeffs[:top + 1]), lit.atom.rel)
+    return solve_univariate_coeffs(tuple(coeffs[:top + 1]), rel)
+
+
+def unit_solution_set(lit: Literal, vid: int, values) -> IntervalSet:
+    """Integer solutions for the one unassigned variable of a unit literal,
+    the other variables at their trail values."""
+    s = solution_set(lit.atom.poly, lit.atom.rel, vid, values)
     if not lit.positive:
         s = s.complement()
     return s

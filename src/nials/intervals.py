@@ -159,23 +159,23 @@ class IntervalSet:
 
     def pick_value(self, hint: Optional[int] = None) -> int:
         """hint if a member, else the member with minimal |v| (ties → ≥ 0)."""
-        assert self.intervals, "pick_value on empty set"
         if hint is not None and hint in self:
             return hint
-        idx = self._find(0)
+        return self.nearest(0)
+
+    def nearest(self, v: int) -> int:
+        """The member closest to v (ties → the larger)."""
+        assert self.intervals, "nearest on empty set"
+        idx = self._find(v)
         if idx >= 0:
-            return 0
+            return v
         gap = -(idx + 1)
-        candidates = []
-        if gap - 1 >= 0:
-            hi = self.intervals[gap - 1][1]
-            if hi is not None:
-                candidates.append(hi)
-        if gap < len(self.intervals):
-            lo = self.intervals[gap][0]
-            if lo is not None:
-                candidates.append(lo)
-        return min(candidates, key=lambda v: (abs(v), v < 0))
+        below = self.intervals[gap - 1][1] if gap > 0 else None
+        above = (self.intervals[gap][0] if gap < len(self.intervals)
+                 else None)
+        if below is None or (above is not None and above - v <= v - below):
+            return above
+        return below
 
     def containing_and_neighbors(self, v: int):
         """(index-or-gap, left interval, right interval) around value v.

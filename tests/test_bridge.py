@@ -47,6 +47,16 @@ class TestSchedule:
         sched.advance()
         assert sched.next_threshold == 20
 
+    def test_base_zero_grows_by_one(self):
+        # Each call restarts the search, so a threshold that stayed put
+        # would call local search again before every decision.
+        sched = LsSchedule(0)
+        thresholds = []
+        for _ in range(4):
+            sched.advance()
+            thresholds.append(sched.next_threshold)
+        assert thresholds == [1, 2, 3, 4]
+
 
 class TestInitialAssignment:
     def setup_method(self):

@@ -5,11 +5,12 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import nials
-from nials import cli, core
+from nials import cli, core, localsearch, smtlib
 from nials.errors import DuplicateAssignment
 from nials.trail import Trail
 
@@ -113,7 +114,7 @@ class TestSolveFile:
         keys = [l[2:].split("=", 1)[0] for l in stat_lines]
         assert keys == ["conflicts", "decisions", "propagations",
                         "theory_assignments", "ls_calls", "ls_moves_accepted",
-                        "answer", "wall_ms"]
+                        "ls_zero", "restarts", "answer", "wall_ms"]
         values = dict(l[2:].split("=", 1) for l in stat_lines)
         assert values["answer"] == "unsat"
         float(values["wall_ms"])
@@ -273,6 +274,27 @@ class TestBenchDir:
         assert data["ex1.smt2"][1] == "error"
         assert data["unsat.smt2"][1] == "unsat"
 
+    def test_unexpected_exception_is_error_row(self, tmp_path, monkeypatch):
+        for name, text in (("a", EXAMPLE), ("b", EXAMPLE), ("c", UNSAT)):
+            (tmp_path / f"{name}.smt2").write_text(text)
+        solve, calls = smtlib.solve, []
+
+        def second_fails(script, config=None):
+            calls.append(script)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return solve(script, config)
+
+        monkeypatch.setattr(smtlib, "solve", second_fails)
+        out_path = str(tmp_path / "results.csv")
+        code, _, err = run_main([str(tmp_path), "--csv", out_path])
+        assert code == 0
+        rows = [(r[0], r[1]) for r in self.read_csv(out_path)[1:]]
+        assert rows == [("a.smt2", "sat"), ("b.smt2", "error"),
+                        ("c.smt2", "unsat")]
+        assert "b.smt2: internal error: RuntimeError: boom" in err
+        assert "Traceback" in err
+
     def test_deep_nesting_is_error_row(self, tmp_path):
         (tmp_path / "deep.smt2").write_text(DEEP)
         (tmp_path / "ex1.smt2").write_text(EXAMPLE)
@@ -377,3 +399,122 @@ class TestAcc:
         assert cli.main([paths["file"], "--acc", "0.5",
                          "--ls-threshold-base", "0"]) == 0
         assert capsys.readouterr().out.splitlines() == ["sat"]
+
+
+# Unsatisfiable, but not at level 0: the search enumerates values of x
+# and y, and local search never reaches cost 0.
+FOUR_VARS = """(set-logic QF_NIA)
+(declare-const x Int)
+(declare-const y Int)
+(declare-const z Int)
+(declare-const w Int)
+(assert (> (+ z w) 3))
+(assert (= (* x y) 7))
+(assert (> x 7))
+(assert (> y 7))
+(check-sat)
+"""
+
+CYCLE = """(set-logic QF_NIA)
+(declare-const x Int)
+(declare-const y Int)
+(assert (= x (+ y 1)))
+(assert (= y (+ x 1)))
+(check-sat)
+"""
+
+
+class TestLimits:
+    @pytest.fixture
+    def four(self, tmp_path):
+        p = tmp_path / "four.smt2"
+        p.write_text(FOUR_VARS)
+        return {"file": str(p), "dir": str(tmp_path)}
+
+    def test_threshold_base_zero_ends(self, four):
+        # Each local-search call restarts the search; a threshold that did
+        # not grow would call it again before every decision, for good.
+        src = os.path.dirname(os.path.dirname(nials.__file__))
+        code = ("import sys; from nials import cli; "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, four["file"], "--ls-threshold-base",
+             "0", "--max-conflicts", "20", "--print-stats"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "unknown"
+        assert "; conflicts=20" in lines
+
+    @pytest.mark.parametrize("target", ["file", "dir"])
+    @pytest.mark.parametrize("option", ["--ls-threshold-base", "--ls-budget",
+                                        "--max-conflicts", "--timeout-ms"])
+    def test_negative_limit_is_usage_error(self, four, target, option,
+                                           capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main([four[target], f"{option}=-1"])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option in captured.err
+
+    def test_zero_limits_answer(self, four, capsys):
+        assert cli.main([four["file"], "--ls-budget", "0",
+                         "--max-conflicts", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["unknown"]
+
+    def test_timeout_holds_in_critical_phase(self, tmp_path, monkeypatch):
+        # x = y + 1 and y = x + 1: each critical move makes one equation
+        # true and the other false, so with no patience limit and no
+        # budget to speak of only the deadline ends the call.
+        p = tmp_path / "cycle.smt2"
+        p.write_text(CYCLE)
+        monkeypatch.setattr(localsearch, "CRITICAL_PATIENCE", 10 ** 12)
+        t0 = time.monotonic()
+        code, out, err = run_main([str(p), "--ls-threshold-base", "1",
+                                   "--ls-budget", str(10 ** 12),
+                                   "--timeout-ms", "300"])
+        elapsed = time.monotonic() - t0
+        assert code == 0, err
+        assert out.splitlines() == ["unknown"]
+        assert elapsed < 10
+
+
+class TestZeroCostCheck:
+    @staticmethod
+    def corrupt(run):
+        """`localsearch.run` with every result set to cost 0 and every
+        integer value to 0, which violates ``z·z > 1``."""
+        def corrupted(problem, *args, **kwargs):
+            result = run(problem, *args, **kwargs)
+            result.values = {k: 0 for k in result.values}
+            result.cost, result.reached_zero = 0, True
+            return result
+        return corrupted
+
+    def test_corrupted_result_exit_3(self, files, monkeypatch):
+        monkeypatch.setattr(localsearch, "run", self.corrupt(localsearch.run))
+        code, out, err = run_main([files["ex1"], "--ls-threshold-base", "0"])
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err
+
+    def test_corrupted_result_exit_3_under_optimize(self, files):
+        # `python -O` strips asserts; the check of a zero-cost assignment
+        # must still refuse.
+        src = os.path.dirname(os.path.dirname(nials.__file__))
+        code = ("import sys; from nials import cli, localsearch; "
+                "from test_cli import TestZeroCostCheck; "
+                "localsearch.run = "
+                "TestZeroCostCheck.corrupt(localsearch.run); "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        tests = os.path.dirname(os.path.abspath(__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code, files["ex1"],
+             "--ls-threshold-base", "0"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert "sat" not in proc.stdout.split()
+        assert "internal error" in proc.stderr

@@ -7,7 +7,9 @@ import pytest
 
 from helpers import (box_clauses, brute_force, clauses_sat, planted_instance,
                      product_probe, random_instance)
+from nials import localsearch
 from nials.core import Answer, Solver, SolverConfig, Stats
+from nials.errors import InternalError
 from nials.terms import (Clause, Formula, Literal, Polynomial, Rel, Sort,
                          TermStore)
 from nials.trail import Reason
@@ -155,7 +157,7 @@ class TestStats:
     def test_keys_order(self):
         assert list(Stats().as_dict()) == [
             "conflicts", "decisions", "propagations", "theory_assignments",
-            "ls_calls", "ls_moves_accepted"]
+            "ls_calls", "ls_moves_accepted", "ls_zero", "restarts"]
 
     def test_counts_move(self):
         store, clauses, variables = example_formula()
@@ -219,6 +221,51 @@ class TestLearnedLemmas:
         assert checked > 0
 
 
+class TestLsAnswers:
+    """A local-search call restarts the search, and cost 0 answers sat."""
+
+    def test_zero_cost_answers_sat(self):
+        rng = random.Random(7)
+        answered = 0
+        for _ in range(10):
+            store, clauses, ints, bools = planted_instance(
+                rng, n_int=6, n_bool=2, n_clauses=40, max_deg=2, coeff=5)
+            ans, solver = solve(store, clauses, ints + bools,
+                                ls_threshold_base=0)
+            assert ans is Answer.SAT
+            assert clauses_sat(clauses, solver.model, solver.model)
+            answered += solver.stats.ls_zero
+            assert solver.stats.ls_zero <= solver.stats.ls_calls
+        assert answered >= 5
+
+    def test_restart_counted(self):
+        store, clauses, ints, bools = random_instance(
+            random.Random(17), n_int=4, n_bool=3, n_clauses=14, max_deg=2,
+            coeff=4)
+        clauses = clauses + box_clauses(store, ints, -8, 8)
+        ans, solver = solve(store, clauses, ints + bools,
+                            ls_threshold_base=5, max_conflicts=200)
+        assert solver.stats.restarts >= 1
+        assert solver.stats.restarts <= solver.stats.ls_calls
+
+    def test_corrupted_zero_cost_raises(self, monkeypatch):
+        run = localsearch.run
+
+        def corrupted(problem, *args, **kwargs):
+            result = run(problem, *args, **kwargs)
+            result.values = {k: 0 for k in result.values}
+            result.cost, result.reached_zero = 0, True
+            return result
+
+        monkeypatch.setattr(localsearch, "run", corrupted)
+        store, clauses, variables = example_formula()   # z·z > 1
+        solver = Solver(store, Formula(clauses, variables),
+                        SolverConfig(ls_threshold_base=0))
+        with pytest.raises(InternalError, match="does not satisfy"):
+            solver.check_sat()
+        assert solver.answer is None
+
+
 class TestPinnedSearch:
     """Answers, `Stats` and models recorded on fixed inputs.
 
@@ -226,9 +273,10 @@ class TestPinnedSearch:
     """
 
     def stats(self, conflicts, decisions, propagations, theory, ls_calls,
-              ls_moves):
+              ls_moves, ls_zero=0, restarts=0):
         return dict(zip(Stats().as_dict(), (conflicts, decisions, propagations,
-                                            theory, ls_calls, ls_moves)))
+                                            theory, ls_calls, ls_moves,
+                                            ls_zero, restarts)))
 
     def test_smtlib_example(self):
         from test_smtlib import EXAMPLE
@@ -245,7 +293,7 @@ class TestPinnedSearch:
         ans, solver = solve(store, clauses, variables)
         assert ans is Answer.SAT
         assert solver.model == {0: 10 ** 6, 1: 10 ** 6}
-        assert solver.stats.as_dict() == self.stats(50, 51, 59, 52, 1, 3)
+        assert solver.stats.as_dict() == self.stats(50, 50, 58, 50, 1, 3, 1)
 
     def test_capped_product_probe(self):
         from nials import smtlib
@@ -261,7 +309,7 @@ class TestPinnedSearch:
     @pytest.mark.parametrize("seed, answer, ints, bools, stats", [
         (23, Answer.SAT, {0: 1, 1: -8, 2: 2, 3: 1},
          {4: True, 5: False, 6: True}, (26, 31, 238, 33, 0, 0)),
-        (17, Answer.UNSAT, {}, {}, (2056, 2055, 31283, 2184, 7, 5)),
+        (17, Answer.UNSAT, {}, {}, (1649, 1660, 24702, 1773, 7, 45, 0, 7)),
     ])
     def test_seeded_random_cnf(self, seed, answer, ints, bools, stats):
         store, clauses, int_vars, bool_vars = random_instance(
@@ -277,8 +325,9 @@ class TestPinnedSearch:
         """SHA-256 over the answer, every `Stats` field, the learned-clause
         skeys in order and the model of seeded boxed-like and planted-like
         instances and a product probe, with LS on (called early and often)
-        and off.  Recorded before narrowing read coefficients straight
-        from the atom; a faster core must reproduce it move for move."""
+        and off.  Recorded when local search began to restart the search
+        and to answer sat at cost 0 (the LS-off runs are as before); a
+        faster core must reproduce it move for move."""
         def instances():
             rng = random.Random(2024)
             for _ in range(10):
@@ -305,4 +354,4 @@ class TestPinnedSearch:
                                [kv for kv in model if type(kv[1]) is bool],
                                )).encode())
         assert h.hexdigest() == (
-            "7fa169bc357b43d4b2eb8479afebe998fe47cf7b2df1b3dda56134ba2c79ba7f")
+            "0c99d162854f6c3be6474775143db4f1ab58eb4b77b90efb38e09a71303e57f6")

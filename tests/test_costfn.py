@@ -138,6 +138,46 @@ class TestIncremental:
                     assert inc.value == probed
                 assert inc.value == IncrementalCost(cost, inc.values).value
 
+    def test_bounded_probe(self):
+        # With a bound, a probe gives the exact total below it, else None.
+        rng = random.Random(4)
+        for _ in range(40):
+            store, clauses, ints, bools = random_instance(
+                rng, n_int=3, n_bool=2, n_clauses=5, max_deg=2, coeff=3)
+            cost = compile_clauses(clauses)
+            values = {v.id: rng.randint(-3, 3) for v in ints}
+            values.update((v.id, rng.random() < 0.5) for v in bools)
+            inc = IncrementalCost(cost, values)
+            for _ in range(30):
+                var = rng.choice(ints + bools)
+                if var.sort is Sort.BOOL:
+                    new = not inc.values[var.id]
+                else:
+                    new = rng.randint(-4, 4)
+                exact = inc.probe(var.id, new)
+                below = exact + rng.randint(-2, 2)
+                got = inc.probe(var.id, new, below)
+                assert got == (exact if exact < below else None)
+                if rng.random() < 0.3:
+                    inc.commit(var.id, new)
+
+    def test_false_clauses_tracked(self):
+        rng = random.Random(6)
+        for _ in range(40):
+            store, clauses, ints, bools = random_instance(
+                rng, n_int=3, n_bool=2, n_clauses=5, max_deg=2, coeff=3)
+            cost = compile_clauses(clauses)
+            values = {v.id: rng.randint(-3, 3) for v in ints}
+            values.update((v.id, rng.random() < 0.5) for v in bools)
+            inc = IncrementalCost(cost, values)
+            for _ in range(20):
+                var = rng.choice(ints + bools)
+                inc.commit(var.id, not inc.values[var.id]
+                           if var.sort is Sort.BOOL else rng.randint(-4, 4))
+                fresh = IncrementalCost(cost, inc.values)
+                assert sorted(inc.false_clauses) == [
+                    i for i, c in enumerate(fresh.clause_costs) if c]
+
 
 def test_import_leaves_numpy_out():
     src = os.path.dirname(os.path.dirname(nials.__file__))

@@ -6,7 +6,8 @@ import time
 import pytest
 
 from helpers import random_instance
-from nials.costfn import compile_clauses
+from nials import localsearch
+from nials.costfn import IncrementalCost, compile_clauses
 from nials.intervals import IntervalSet
 from nials.localsearch import (BOOL_FLIPS, FS_JUMPS, HILL_CLIMB, LsProblem,
                                MoveEngine, run)
@@ -318,6 +319,39 @@ class TestRunLoop:
         assert result.cost == result.initial_cost == 10 ** 6
 
 
+class TestCriticalPhase:
+    def test_solves_past_the_descent(self, monkeypatch):
+        # The descent stops at cost 1 (u = 48); one critical move sets u
+        # to the value that makes u = 47 hold.
+        problem = far_problem(1000)
+        u = problem.vars[0]
+        monkeypatch.setattr(localsearch, "CRITICAL_PATIENCE", 0)
+        stalled = run(problem, MoveEngine(3.0))
+        assert (stalled.cost, stalled.values[u.id]) == (1, 48)
+        monkeypatch.undo()
+        result = run(problem, MoveEngine(3.0))
+        assert result.reached_zero
+        assert result.values[u.id] == 47
+
+    def test_values_stay_feasible_and_cost_is_exact(self):
+        for seed in range(60):
+            problem = random_problem(seed, 2000)
+            result = run(problem)
+            for x in problem.vars:
+                if x.sort is Sort.INT:
+                    assert result.values[x.id] in problem.feasible[x.id]
+            assert result.cost == IncrementalCost(problem.cost,
+                                                  result.values).value
+            assert result.moves_tried <= problem.budget
+
+    def test_repeatable_per_seed(self):
+        for seed in range(20):
+            a = run(random_problem(seed, 500))
+            b = run(random_problem(seed, 500))
+            assert (a.values, a.cost, a.moves_tried) == \
+                (b.values, b.cost, b.moves_tried)
+
+
 def far_problem(budget):
     """u = 47, v = -33 and (b or u + v <= 0) from u = 0, v = 3, b false;
     v ranges over four intervals."""
@@ -385,7 +419,9 @@ B, J, H = BOOL_FLIPS, FS_JUMPS, HILL_CLIMB
 # tried, moves accepted, reached zero, int values, bool values, activity),
 # final step sizes).  Between them the cases accept and reject moves in
 # every mode, jump between intervals and stop at a budget; any difference
-# here is a change of the search, not of its implementation.
+# here is a change of the search, not of its implementation.  The move
+# lists are the descent's; in the first case one critical move then
+# takes u from 48 to 47.
 PINNED = [
     (far_problem, (1000,), 3.0, [
         ('b', False, True, B, True), ('v', 3, -30, J, True),
@@ -404,8 +440,8 @@ PINNED = [
         ('u', 48, 45, H, False), ('u', 48, 21, H, False),
         ('v', -33, -30, H, False), ('v', -33, -32, H, False),
         ('v', -33, -34, H, False), ('v', -33, -36, H, False),
-     ], (1, 86, 34, 8, False,
-      {'u': 48, 'v': -33}, {'b': True},
+     ], (0, 86, 35, 8, True,
+      {'u': 47, 'v': -33}, {'b': True},
       {'b': 3, 'v': 36, 'u': 46}),
      {'v': 1.0, 'u': 3.0}),
     (far_problem, (15,), 1.2, [
