@@ -14,7 +14,7 @@ import math
 
 from . import localsearch
 from .costfn import compile_clauses
-from .terms import Sort
+from .terms import INT
 
 TOP_K = 10      # variables whose activity is bumped after a call
 
@@ -129,7 +129,7 @@ class LsController:
         clauses = build_ls_formula(solver.formula.clauses, trail)
         cost = compile_clauses(clauses, fixed=trail.values)
         feasible = {
-            x.id: solver.feas.get(x.id) for x in free if x.sort is Sort.INT
+            x.id: solver.feas.get(x.id) for x in free if x.sort is INT
         }
         problem = localsearch.LsProblem(
             vars=free,

@@ -11,7 +11,7 @@ already in clause form passes through unchanged.
 from __future__ import annotations
 
 from .formula_ast import FALSE, TRUE, And, BoolExpr, Ite, Or
-from .terms import Clause, Formula, Literal, Sort, TermStore
+from .terms import BOOL, Clause, Formula, Literal, TermStore
 
 
 class _Clausifier:
@@ -32,7 +32,7 @@ class _Clausifier:
         cached = self.defs.get(node)
         if cached is not None:
             return cached
-        t = Literal(True, bvar=self.store.fresh_var("def", Sort.BOOL))
+        t = Literal(True, bvar=self.store.fresh_var("def", BOOL))
         self.defs[node] = t
         not_t = t.negate()
         if isinstance(node, And):

@@ -114,6 +114,13 @@ def _solve_path(config: SolverConfig, path: str):
     return smtlib.solve(smtlib.parse(text), config)
 
 
+def _unexpected(path: str, e: Exception, err):
+    """Report an exception that no solver error explains, with its
+    traceback."""
+    print(f"{path}: internal error: {type(e).__name__}: {e}", file=err)
+    traceback.print_exc(file=err)
+
+
 def solve_file(config: SolverConfig, path: str, out=None, err=None,
                print_model: bool = False, print_stats: bool = False) -> int:
     """Solve one file; returns the process exit status."""
@@ -131,6 +138,9 @@ def solve_file(config: SolverConfig, path: str, out=None, err=None,
     except NialsError as e:
         print(f"{path}: error: {e}", file=err)
         return 2
+    except Exception as e:
+        _unexpected(path, e, err)
+        return 3
     wall_ms = (time.monotonic() - t0) * 1000.0
     print(answer.value, file=out)
     if print_model and model is not None:
@@ -156,8 +166,7 @@ def _bench_one(config: SolverConfig, path: str, err) -> dict:
     except (OSError, NialsError) as e:
         print(f"{path}: error: {e}", file=err)
     except Exception as e:
-        print(f"{path}: internal error: {type(e).__name__}: {e}", file=err)
-        traceback.print_exc(file=err)
+        _unexpected(path, e, err)
     wall_ms = (time.monotonic() - t0) * 1000.0
     return {"name": os.path.basename(path), "answer": ans,
             "wall_ms": f"{wall_ms:.1f}", **stats.as_dict()}

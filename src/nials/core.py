@@ -13,14 +13,13 @@ from __future__ import annotations
 import enum
 import heapq
 import time
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .bridge import LsController
 from .errors import InternalError
 from .feasibility import FeasibilityMap
 from .localsearch import DEFAULT_ACC
-from .terms import Clause, Formula, Literal, Sort, TermStore, Variable
+from .terms import BOOL, Clause, Formula, Literal, TermStore, Variable
 from .trail import Reason, Trail
 
 
@@ -30,29 +29,46 @@ class Answer(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass
 class Stats:
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    theory_assignments: int = 0
-    ls_calls: int = 0
-    ls_moves_accepted: int = 0
-    ls_zero: int = 0            # local-search calls that reached cost 0
-    restarts: int = 0
+    """Search counters; `as_dict` gives them in `__slots__` order."""
+
+    __slots__ = ("conflicts", "decisions", "propagations",
+                 "theory_assignments", "ls_calls", "ls_moves_accepted",
+                 "ls_zero",     # local-search calls that reached cost 0
+                 "restarts")
+
+    def __init__(self):
+        self.conflicts = self.decisions = self.propagations = 0
+        self.theory_assignments = self.ls_calls = self.ls_moves_accepted = 0
+        self.ls_zero = self.restarts = 0
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {k: getattr(self, k) for k in self.__slots__}
 
 
-@dataclass
 class SolverConfig:
-    ls_enabled: bool = True
-    ls_threshold_base: int = 50
-    ls_budget_per_var: int = 100
-    acc: float = DEFAULT_ACC
-    max_conflicts: Optional[int] = None
-    timeout_ms: Optional[int] = None
+    """Solver settings.  The class attributes are the defaults, which the
+    command line reads too."""
+
+    ls_enabled = True
+    ls_threshold_base = 50
+    ls_budget_per_var = 100
+    acc = DEFAULT_ACC
+    max_conflicts = None
+    timeout_ms = None
+
+    def __init__(self, ls_enabled: bool = ls_enabled,
+                 ls_threshold_base: int = ls_threshold_base,
+                 ls_budget_per_var: int = ls_budget_per_var,
+                 acc: float = acc,
+                 max_conflicts: Optional[int] = max_conflicts,
+                 timeout_ms: Optional[int] = timeout_ms):
+        self.ls_enabled = ls_enabled
+        self.ls_threshold_base = ls_threshold_base
+        self.ls_budget_per_var = ls_budget_per_var
+        self.acc = acc
+        self.max_conflicts = max_conflicts
+        self.timeout_ms = timeout_ms
 
 
 _ACTIVITY_DECAY = 0.95
@@ -416,7 +432,7 @@ class Solver:
         self.stats.decisions += 1
         trail = self.trail
         value = self.feas.pick(var, trail.cache.get(var.id))
-        if var.sort is Sort.BOOL:
+        if var.sort is BOOL:
             trail.push_decision(Literal(value, bvar=var))
         else:
             trail.push_model_assignment(var, value, decision=True)

@@ -10,7 +10,6 @@ and a false Boolean literal costs 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
 from .terms import EQ, LEQ, LT, NEQ, Literal, Rel
@@ -35,11 +34,13 @@ class CostClause(NamedTuple):
     bools: tuple                # (var id, value that makes the literal hold)
 
 
-@dataclass
 class CostFunction:
     """Sum of clause costs."""
 
-    clauses: list               # CostClause
+    __slots__ = ("clauses",)
+
+    def __init__(self, clauses: list):
+        self.clauses = clauses      # CostClause
 
 
 def _holds_form(lit: Literal):

@@ -8,7 +8,7 @@ exactly on backtracking via a level-tagged undo log.
 from __future__ import annotations
 
 from .intervals import IntervalSet
-from .terms import Literal, Rel, Sort, Variable
+from .terms import BOOL, Literal, Rel, Variable
 from .trail import Trail
 from .univariate import solve_univariate_coeffs
 
@@ -70,7 +70,7 @@ class FeasibilityMap:
         """The value to give an unassigned variable: for an integer, the
         hint (its cached value) if still feasible, else the set's pick; for
         a Boolean, the hint (its saved phase), or True without one."""
-        if var.sort is Sort.BOOL:
+        if var.sort is BOOL:
             return True if hint is None else hint
         return self.get(var.id).pick_value(hint)
 

@@ -10,73 +10,96 @@ node, remembered on both nodes so that `mk_not(mk_not(x)) is x`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .terms import Literal
 
 
-@dataclass(frozen=True, slots=True)
 class BoolExpr:
-    # The node's negation once `mk_not` has built it; outside equality.
-    neg: Optional[BoolExpr] = field(
-        default=None, compare=False, repr=False, kw_only=True)
-    # The structural hash once computed; outside equality.
-    hash_: Optional[int] = field(
-        default=None, init=False, compare=False, repr=False)
+    """A node, equal to another of its class with equal fields.
 
-
-def _hash_once(cls):
-    """Keep the structural hash of each ``cls`` node in its ``hash_`` slot.
-
-    A frozen dataclass hashes its fields, and so the whole subtree, on
-    every call; with the hash kept, a node's first hash costs its own
-    fields and each later one nothing.
+    Each node class names its fields in `_fields` and returns their values
+    from `_key`.  Nodes are values: nothing changes a field after
+    construction.  `neg` and `hash_` are caches outside equality, set at
+    most once: the node's negation once `mk_not` has built it, and its
+    structural hash.
     """
-    structural = cls.__hash__
+
+    __slots__ = ("neg", "hash_")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     def __hash__(self):
+        """The structural hash, kept in `hash_`.
+
+        Hashing the fields hashes the whole subtree, so without the kept
+        hash the `defs` memo of clausify would be quadratic in depth; with
+        it, a node's first hash costs its own fields and each later one
+        nothing.
+        """
         h = self.hash_
         if h is None:
-            h = structural(self)
-            object.__setattr__(self, "hash_", h)
+            h = self.hash_ = hash(self._key())
         return h
 
-    cls.__hash__ = __hash__
-    return cls
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
 class BConst(BoolExpr):
-    value: bool
+    __slots__ = ("value",)
+    _fields = ("value",)
+
+    def __init__(self, value: bool):
+        self.value = value
+        self.neg = self.hash_ = None
+
+    def _key(self) -> tuple:
+        return (self.value,)
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
-class And(BoolExpr):
-    args: tuple
+class _Nary(BoolExpr):
+    __slots__ = ("args",)
+    _fields = ("args",)
+
+    def __init__(self, args: tuple):
+        self.args = args
+        self.neg = self.hash_ = None
+
+    def _key(self) -> tuple:
+        return (self.args,)
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
-class Or(BoolExpr):
-    args: tuple
+class And(_Nary):
+    __slots__ = ()
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
+class Or(_Nary):
+    __slots__ = ()
+
+
 class Ite(BoolExpr):
-    cond: BoolExpr
-    then: BoolExpr
-    els: BoolExpr
+    __slots__ = ("cond", "then", "els")
+    _fields = ("cond", "then", "els")
+
+    def __init__(self, cond: BoolExpr, then: BoolExpr, els: BoolExpr):
+        self.cond = cond
+        self.then = then
+        self.els = els
+        self.neg = self.hash_ = None
+
+    def _key(self) -> tuple:
+        return (self.cond, self.then, self.els)
 
 
 def _pair(node: BoolExpr, dual: BoolExpr) -> BoolExpr:
     """Record ``node`` and ``dual`` as each other's negation; returns dual."""
-    # `neg` is a cache outside equality and hashing: setting it keeps the
-    # nodes immutable as values.
-    object.__setattr__(node, "neg", dual)
-    object.__setattr__(dual, "neg", node)
+    node.neg = dual
+    dual.neg = node
     return dual
 
 

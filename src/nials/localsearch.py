@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .costfn import CostClause, CostFunction, IncrementalCost
 from .feasibility import solution_set
 from .intervals import IntervalSet, nearest_to_zero
-from .terms import Sort, Variable
+from .terms import BOOL, INT, Variable
 
 BOOL_FLIPS = "bool-flips"
 FS_JUMPS = "fs-jumps"
@@ -64,27 +63,36 @@ def _round_half_away(x: float) -> int:
     return -int(-x + 0.5)
 
 
-@dataclass
 class LsProblem:
     """Inputs of one local-search run."""
 
-    vars: list                      # the variables to move, initial visit order
-    values: dict                    # var id -> starting value, every variable
-    feasible: dict                  # int var id -> IntervalSet snapshot
-    cost: CostFunction              # variables not in `vars` folded in
-    budget: int                     # max move evaluations
-    deadline: Optional[float] = None    # time.monotonic() to stop at
+    __slots__ = ("vars", "values", "feasible", "cost", "budget", "deadline")
+
+    def __init__(self, vars: list, values: dict, feasible: dict,
+                 cost: CostFunction, budget: int,
+                 deadline: Optional[float] = None):
+        self.vars = vars            # the variables to move, initial visit order
+        self.values = values        # var id -> starting value, every variable
+        self.feasible = feasible    # int var id -> IntervalSet snapshot
+        self.cost = cost            # variables not in `vars` folded in
+        self.budget = budget        # max move evaluations
+        self.deadline = deadline    # time.monotonic() to stop at
 
 
-@dataclass
 class LsResult:
-    values: dict                    # var id -> final value, every variable
-    cost: int
-    initial_cost: int
-    activity: dict                  # var id -> cost decrease from accepted moves
-    moves_tried: int
-    moves_accepted: int
-    reached_zero: bool
+    __slots__ = ("values", "cost", "initial_cost", "activity", "moves_tried",
+                 "moves_accepted", "reached_zero")
+
+    def __init__(self, values: dict, cost: int, initial_cost: int,
+                 activity: dict, moves_tried: int, moves_accepted: int,
+                 reached_zero: bool):
+        self.values = values        # var id -> final value, every variable
+        self.cost = cost
+        self.initial_cost = initial_cost
+        self.activity = activity    # var id -> cost decrease from accepted moves
+        self.moves_tried = moves_tried
+        self.moves_accepted = moves_accepted
+        self.reached_zero = reached_zero
 
 
 def _flip(alpha: bool):
@@ -114,8 +122,8 @@ class MoveEngine:
         was accepted.  It stops when the visit is over.
         """
         if mode == BOOL_FLIPS:
-            return _flip(alpha) if var.sort is Sort.BOOL else None
-        if var.sort is not Sort.INT:
+            return _flip(alpha) if var.sort is BOOL else None
+        if var.sort is not INT:
             return None
         fs = feasible.get(var.id, IntervalSet.full())
         if mode == HILL_CLIMB:

@@ -21,7 +21,8 @@ from . import formula_ast as fa
 from .clausify import clausify
 from .core import Answer, Solver, SolverConfig
 from .errors import InternalError, ParseError, SortError, UnsupportedError
-from .terms import EQ, LEQ, LT, NEQ, Literal, Polynomial, Sort, TermStore
+from .terms import (BOOL, EQ, INT, LEQ, LT, NEQ, Literal, Polynomial, Sort,
+                    TermStore)
 
 Sexpr = Union[str, list]
 
@@ -178,7 +179,7 @@ class Compiler:
                 raise UnsupportedError(f"define-fun with arity > 0: {name}")
             self._check_new_symbol(name)
             value = self.term(body, {})
-            if (self._sort(sort) is Sort.INT) != isinstance(value, Polynomial):
+            if (self._sort(sort) is INT) != isinstance(value, Polynomial):
                 raise SortError(f"define-fun {name}: body sort mismatch")
             self.macros[name] = value
         elif head == "check-sat":
@@ -195,9 +196,9 @@ class Compiler:
 
     def _sort(self, s: Sexpr) -> Sort:
         if s == "Int":
-            return Sort.INT
+            return INT
         if s == "Bool":
-            return Sort.BOOL
+            return BOOL
         raise UnsupportedError(f"unsupported sort {print_sexpr(s)}")
 
     # -- term level ---------------------------------------------------------
@@ -265,7 +266,7 @@ class Compiler:
         var = self.store.lookup_var(name)
         if var is not None:
             value = self._variables[name] = (
-                Polynomial.var(var.id) if var.sort is Sort.INT
+                Polynomial.var(var.id) if var.sort is INT
                 else Literal(True, bvar=var))
             return value
         if name in self.macros:
@@ -350,7 +351,7 @@ class Compiler:
         if then.__class__ is not Polynomial:
             return fa.mk_ite(cond, then, els)
         # Integer ite: fresh variable constrained to the chosen branch.
-        vp = Polynomial.var(self.store.fresh_var("ite", Sort.INT).id)
+        vp = Polynomial.var(self.store.fresh_var("ite", INT).id)
         is_then, is_els = (Literal(True, atom=self.store.mk_atom(vp, EQ, p))
                            for p in (then, els))
         self.side.append(fa.mk_or([fa.mk_not(cond), is_then]))
@@ -444,7 +445,7 @@ def solve(script: Script, config: Optional[SolverConfig] = None):
 def format_model(model) -> list[str]:
     lines = ["("]
     for name, sort, value in model:
-        if sort is Sort.INT:
+        if sort is INT:
             lines.append(f"  (define-fun {name} () Int {_format_int(value)})")
         else:
             lines.append(f"  (define-fun {name} () Bool "
@@ -458,7 +459,7 @@ def _script_model(comp: Compiler, solver: Solver):
     values = {}
     model = []
     for var in comp.store.variables:
-        v = solver.model.get(var.id, 0 if var.sort is Sort.INT else True)
+        v = solver.model.get(var.id, 0 if var.sort is INT else True)
         values[var.id] = v
         if not var.is_aux:
             model.append((var.name, var.sort, v))

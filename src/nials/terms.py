@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import SortError
@@ -44,14 +43,29 @@ class Rel(enum.Enum):
 # The members as module names, for hot code: reading an attribute of an
 # Enum class costs a metaclass hook call.
 EQ, NEQ, LEQ, LT = Rel.EQ, Rel.NEQ, Rel.LEQ, Rel.LT
+INT, BOOL = Sort.INT, Sort.BOOL
 
 
-@dataclass(frozen=True)
 class Variable:
-    id: int
-    name: str
-    sort: Sort
-    is_aux: bool = False
+    """A declared or auxiliary variable; equality and hash follow its
+    fields, which nothing changes after construction."""
+
+    __slots__ = ("id", "name", "sort", "is_aux")
+
+    def __init__(self, id: int, name: str, sort: Sort, is_aux: bool = False):
+        self.id = id
+        self.name = name
+        self.sort = sort
+        self.is_aux = is_aux
+
+    def __eq__(self, other):
+        if other.__class__ is not Variable:
+            return NotImplemented
+        return (self.id == other.id and self.name == other.name
+                and self.sort is other.sort and self.is_aux == other.is_aux)
+
+    def __hash__(self):
+        return hash((self.id, self.name, self.sort, self.is_aux))
 
     def __repr__(self):
         return self.name

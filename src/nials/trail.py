@@ -16,7 +16,6 @@ had when its assignment was undone.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DuplicateAssignment
@@ -28,16 +27,23 @@ class Reason(enum.Enum):
     FEASIBILITY_SINGLETON = "feasibility-singleton"
 
 
-@dataclass(slots=True)
 class TrailElement:
-    level: int
-    pos: int
-    lit: Optional[Literal] = None          # for literal elements
-    var: Optional[Variable] = None         # for model assignments
-    value: Optional[int] = None
-    decision: bool = False                 # a guess, not a propagation
-    # Clause, Reason.SEMANTIC, or (Reason.FEASIBILITY_SINGLETON, literals)
-    reason: object = None
+    __slots__ = ("level", "pos", "lit", "var", "value", "decision", "reason")
+
+    def __init__(self, level: int, pos: int,
+                 lit: Optional[Literal] = None,     # for literal elements
+                 var: Optional[Variable] = None,    # for model assignments
+                 value: Optional[int] = None,
+                 decision: bool = False,    # a guess, not a propagation
+                 reason=None):
+        self.level = level
+        self.pos = pos
+        self.lit = lit
+        self.var = var
+        self.value = value
+        self.decision = decision
+        # Clause, Reason.SEMANTIC, or (Reason.FEASIBILITY_SINGLETON, literals)
+        self.reason = reason
 
     def __repr__(self):
         tag = "d" if self.decision else "p"

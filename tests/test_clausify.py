@@ -260,6 +260,41 @@ class TestNegationNormalForm:
                    for i, n in enumerate(nodes))
 
 
+class TestNodes:
+    """Nodes are values: equality and hash follow class and fields."""
+
+    def literals(self):
+        store = TermStore()
+        _, bools = setup_vars(store, 0, 3)
+        return [Literal(True, bvar=v) for v in bools]
+
+    def test_independent_trees_equal(self):
+        a, b, c = self.literals()
+
+        def build():
+            return fa.Ite(c, fa.And((a, fa.Or((b, c.negate())))),
+                          fa.Or((a.negate(), fa.BConst(False))))
+
+        first, second = build(), build()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert fa.BConst(True) == fa.TRUE
+        assert hash(fa.BConst(True)) == hash(fa.TRUE)
+        assert fa.TRUE != fa.FALSE
+        assert first != fa.Ite(c, first.then, fa.Or((a.negate(), b)))
+
+    def test_class_is_part_of_equality(self):
+        a, b, _ = self.literals()
+        assert fa.And((a, b)) != fa.Or((a, b))
+        assert fa.And((a,)) != a and a != fa.And((a,))
+
+    def test_repr_names_fields(self):
+        a, b, c = self.literals()
+        assert repr(fa.Or((a, b.negate()))) == "Or(args=(b0, ~b1))"
+        assert repr(fa.Ite(a, b, c)) == "Ite(cond=b0, then=b1, els=b2)"
+        assert repr(fa.FALSE) == "BConst(value=False)"
+
+
 def clause_digest(formulas):
     """SHA-256 over clause skeys and variable ids and names."""
     h = hashlib.sha256()

@@ -190,6 +190,16 @@ class TestSolveFile:
         assert "internal error" in err
 
 
+    def test_unexpected_exception_exit_3(self, files, monkeypatch):
+        def boom(script, config=None):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(smtlib, "solve", boom)
+        code, out, err = run_main([files["ex1"]])
+        assert code == 3
+        assert out == ""
+        assert f"{files['ex1']}: internal error: RuntimeError: boom" in err
+        assert "Traceback" in err
+
     def test_irreducible_analysis_is_internal_error(self, tmp_path,
                                                    monkeypatch):
         # With every conflict literal irreducible, analysis cannot reduce
@@ -322,6 +332,13 @@ class TestBenchDir:
 
 
 class TestMain:
+    def test_config_defaults_match_parser(self, files):
+        args = cli.build_parser().parse_args([files["ex1"]])
+        assert vars(cli.config_from_args(args)) == vars(nials.SolverConfig())
+        assert sorted(vars(nials.SolverConfig())) == [
+            "acc", "ls_budget_per_var", "ls_enabled", "ls_threshold_base",
+            "max_conflicts", "timeout_ms"]
+
     def test_main_returns_exit_code(self, files, capsys):
         assert cli.main([files["ex1"]]) == 0
         captured = capsys.readouterr()

@@ -10,7 +10,7 @@ from nials import localsearch
 from nials.costfn import IncrementalCost, compile_clauses
 from nials.intervals import IntervalSet
 from nials.localsearch import (BOOL_FLIPS, FS_JUMPS, HILL_CLIMB, LsProblem,
-                               MoveEngine, run)
+                               LsResult, MoveEngine, run)
 from nials.terms import Clause, Literal, Polynomial, Rel, Sort, TermStore
 
 P = Polynomial
@@ -153,6 +153,24 @@ class TestFsJumps:
         # the walk keeps going right until intervals run out.
         assert 100 in path
         assert alpha == 100
+
+
+class TestRecords:
+    def test_keyword_construction(self):
+        cost = compile_clauses([])
+        problem = LsProblem(vars=[], values={}, feasible={}, cost=cost,
+                            budget=7)
+        assert problem.deadline is None
+        problem = LsProblem(vars=[], values={0: 1}, feasible={}, cost=cost,
+                            budget=7, deadline=2.5)
+        assert (problem.values, problem.cost, problem.budget,
+                problem.deadline) == ({0: 1}, cost, 7, 2.5)
+        result = LsResult(values={0: 1}, cost=0, initial_cost=3,
+                          activity={0: 3}, moves_tried=4, moves_accepted=1,
+                          reached_zero=True)
+        assert (result.values, result.cost, result.initial_cost,
+                result.activity, result.moves_tried, result.moves_accepted,
+                result.reached_zero) == ({0: 1}, 0, 3, {0: 3}, 4, 1, True)
 
 
 class TestRunLoop:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import (RELS, excl_pattern, lit_evaluate, narrowed_coeffs,
                      random_poly)
 from nials.terms import (Atom, Clause, Literal, Polynomial, Rel, Sort,
-                         TermStore, normalize_poly)
+                         TermStore, Variable, normalize_poly)
 
 P = Polynomial
 
@@ -201,6 +201,19 @@ class TestLiteralsAndClauses:
     def test_clause_variables(self):
         lit = Literal(True, atom=self.atom(P.var(self.x.id)))
         assert Clause([lit]).variables() == {self.x.id}
+
+
+class TestVariable:
+    def test_equality_and_hash_follow_fields(self):
+        x = Variable(3, "x", Sort.INT)
+        assert x == Variable(3, "x", Sort.INT, False)
+        assert hash(x) == hash(Variable(3, "x", Sort.INT))
+        for other in (Variable(4, "x", Sort.INT), Variable(3, "y", Sort.INT),
+                      Variable(3, "x", Sort.BOOL),
+                      Variable(3, "x", Sort.INT, True)):
+            assert x != other
+        assert x != "x"
+        assert repr(x) == "x"
 
 
 class TestTermStore:
