@@ -21,9 +21,7 @@ from . import smtlib
 from .core import SolverConfig, Stats
 from .errors import InternalError, NialsError, ParseError
 
-CSV_COLUMNS = ("name", "answer", "wall_ms", "conflicts", "decisions",
-               "theory_assignments", "ls_calls", "ls_moves_accepted",
-               "ls_zero", "restarts")
+CSV_COLUMNS = ("name", "answer", "wall_ms", *Stats.__slots__)
 
 
 def _count(text: str) -> int:
@@ -152,7 +150,7 @@ def solve_file(config: SolverConfig, path: str, out=None, err=None,
 
 
 def _bench_one(config: SolverConfig, path: str, err) -> dict:
-    """One CSV row; it holds every `Stats` key, the writer picks columns.
+    """One CSV row: name, answer, wall time and every `Stats` key.
 
     A file that cannot be read or solved gives an `error` row and a
     message on `err`; an unexpected exception also gives its traceback,
@@ -185,8 +183,7 @@ def bench_dir(config: SolverConfig, directory: str, out=None, err=None,
     rows = [_bench_one(config, os.path.join(directory, n), err)
             for n in names]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n",
-                            extrasaction="ignore")
+    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow(row)

@@ -1,18 +1,19 @@
 """Exact integer solution sets of univariate polynomial constraints.
 
 ``solve_univariate_coeffs`` maps ``p(x) ⋈ 0`` to a canonical IntervalSet of
-its integer solutions.  All arithmetic is on integers.  The squarefree part
-of ``p`` is ``p / gcd(p, p')``, with the gcd taken by a primitive
-pseudo-remainder sequence and the quotient by exact integer division.  Its
-real roots are counted with a Sturm chain of primitive pseudo-remainders
-and bracketed by bisection over integer endpoints, down to unit brackets;
-the integer restriction then follows from sign tests at finitely many
-integers (signs are constant between bracketed roots).
+its integer solutions.  All arithmetic is on integers.  Constant and linear
+constraints are solved directly.  Above degree 1, ``_brackets`` walks the
+derivative chain p, p′, p″, … from the linear end up and collects integers
+that bracket every real root of each: between two consecutive brackets of
+p′ that are at least 2 apart, p is monotone, so a sign change there is
+exactly one root, found by integer bisection.  Every root lies strictly
+inside the Cauchy bound ``2 + max|c| // |lead|`` of p, and by Gauss–Lucas so
+does every root of its derivatives.  The sign of p is constant between
+consecutive brackets, so one test per segment gives the solution set.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .intervals import IntervalSet
@@ -38,135 +39,32 @@ def _derivative(cs):
     return [i * c for i, c in enumerate(cs)][1:]
 
 
-def _primitive(cs):
-    """``cs`` divided by the gcd of its coefficients (a positive number)."""
-    g = math.gcd(*cs)
-    return [c // g for c in cs] if g > 1 else cs
+def _brackets(cs: list, bound: int) -> list:
+    """Sorted integers holding the floor and ceiling of each real root of
+    ``cs`` (degree ≥ 2) and of its derivatives, all inside (-bound, bound).
 
-
-def _prem(a, b):
-    """Pseudo-remainder of a by b: ``lc(b)^k · a mod b`` for some k ≥ 0.
-
-    Returns ``(r, k)``; ``r`` is ``lc(b)^k`` times the rational remainder.
-    The leading coefficient is multiplied in only where a step needs it.
-    """
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    k = 0
-    while r and len(r) - 1 >= db:
-        lr = r[-1]
-        shift = len(r) - 1 - db
-        if lr % lb == 0:
-            q = lr // lb
-        else:
-            r = [lb * c for c in r]
-            q = lr
-            k += 1
-        for i in range(db):
-            r[shift + i] -= q * b[i]
-        r.pop()
-        _trim(r)
-    return r, k
-
-
-def _primitive_gcd(a, b):
-    """Primitive gcd of two nonzero integer polynomials (sign unspecified)."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        r, _ = _prem(a, b)
-        a, b = b, (_primitive(r) if r else r)
-    return a
-
-
-def _div_exact(a, b):
-    """Exact quotient a / b over ℤ; b divides a and has an integral quotient."""
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [0] * (len(a) - db)
-    while r and len(r) - 1 >= db:
-        shift = len(r) - 1 - db
-        c = r[-1] // lb
-        q[shift] = c
-        for i in range(db):
-            r[shift + i] -= c * b[i]
-        r.pop()
-        _trim(r)
-    return q
-
-
-def _sturm_chain(cs):
-    """Sturm chain of a squarefree polynomial, every element primitive.
-
-    Each next element is ``-sign(lc(b)^k) · prem(a, b) / content``: a
-    positive multiple of the negated rational remainder, so the sign
-    sequence at every point is that of the classical chain.
+    Each level scans the gaps between the points found so far; a root in a
+    unit gap already has both neighbours among them.
     """
     chain = [cs]
-    d = _derivative(cs)
-    if d:
-        chain.append(_primitive(d))
-        while True:
-            a, b = chain[-2], chain[-1]
-            r, k = _prem(a, b)
-            if not r:
-                break
-            g = math.gcd(*r)
-            if b[-1] > 0 or k % 2 == 0:     # lc(b)^k > 0
-                g = -g
-            chain.append([c // g for c in r])
-    return chain
-
-
-def _variations(chain, x) -> int:
-    count = 0
-    prev = 0
-    for cs in chain:
-        s = _eval_poly(cs, x)
-        s = (s > 0) - (s < 0)
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def _isolate_roots(cs) -> list:
-    """Unit brackets (a, a + 1] holding every real root of a squarefree poly.
-
-    Bisects integer brackets (a, b] from the integer Cauchy bound;
-    ``V(a) - V(b)`` counts the distinct roots in (a, b].
-    """
-    chain = _sturm_chain(cs)
-    bound = 2 + max(abs(c) for c in cs) // abs(cs[-1])
-    brackets = []
-    stack = [(-bound, _variations(chain, -bound),
-              bound, _variations(chain, bound))]
-    while stack:
-        a, va, b, vb = stack.pop()
-        if va == vb:
-            continue
-        if b - a == 1:
-            brackets.append(a)
-            continue
-        mid = (a + b) // 2
-        vm = _variations(chain, mid)
-        stack.append((a, va, mid, vm))
-        stack.append((mid, vm, b, vb))
-    return brackets
-
-
-def _breakpoints(cs) -> list:
-    """Sorted integers bracketing every real root (floor/ceil superset)."""
-    der = _derivative(cs)
-    g = _primitive_gcd(cs, der)
-    # Squarefree part p / gcd(p, p'): by Gauss's lemma the quotient by a
-    # primitive divisor is integral.
-    sf = _primitive(_div_exact(cs, g)) if len(g) > 1 else _primitive(cs)
-    pts: set[int] = set()
-    for a in _isolate_roots(sf):
-        pts.add(a)
-        pts.add(a + 1)
+    while len(chain[-1]) > 2:
+        chain.append(_derivative(chain[-1]))
+    b, a = chain.pop()
+    pts = {-b // a, -(b // a)}      # floor and ceiling of -b/a
+    for p in reversed(chain):
+        ends = [-bound, *sorted(pts), bound]
+        vals = [_eval_poly(p, x) for x in ends]
+        for i in range(len(ends) - 1):
+            if vals[i] * vals[i + 1] < 0:
+                lo, hi = ends[i], ends[i + 1]
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if vals[i] * _eval_poly(p, mid) > 0:
+                        lo = mid
+                    else:
+                        hi = mid
+                pts.add(lo)
+                pts.add(hi)
     return sorted(pts)
 
 
@@ -206,10 +104,9 @@ def _solve_linear(b: int, a: int, rel: Rel) -> IntervalSet:
 
 
 def _solve_general(cs: list, rel: Rel) -> IntervalSet:
-    pts = _breakpoints(cs)
-    if not pts:
-        # No real roots: sign is constant everywhere.
-        return IntervalSet.full() if rel.holds(_eval_poly(cs, 0)) else IntervalSet.empty()
+    # Cauchy bound: every root of cs, and by Gauss–Lucas of each of its
+    # derivatives, lies strictly inside (-bound, bound).
+    pts = _brackets(cs, 2 + max(abs(c) for c in cs) // abs(cs[-1]))
     segments = []  # (lo, hi, representative)
     segments.append((None, pts[0] - 1, pts[0] - 1))
     for i, c in enumerate(pts):

@@ -247,6 +247,13 @@ class TestBenchDir:
         assert data["bad.smt2"][1] == "error"
         assert len(rows) == 4
 
+    def test_csv_header_is_stats_keys(self, files, tmp_path):
+        # The CSV carries the same counters as --print-stats.
+        out_path = str(tmp_path / "results.csv")
+        run_main([files["dir"], "--csv", out_path])
+        assert self.read_csv(out_path)[0] == \
+            ["name", "answer", "wall_ms", *core.Stats().as_dict()]
+
     def test_rows_sorted_by_name(self, files, tmp_path):
         out_path = str(tmp_path / "results.csv")
         run_main([files["dir"], "--csv", out_path])

@@ -175,6 +175,58 @@ class TestRandomizedOracle:
             check_roots(coeffs, roots, probes)
 
 
+def check_rational_roots(coeffs, roots):
+    """`check_roots`, probing every integer within 2 of each rational root
+    and just outside the Cauchy bound."""
+    bound = 2 + max(abs(c) for c in coeffs) // abs(coeffs[-1])
+    probes = {-bound - 1, bound + 1}
+    for r in roots:
+        probes |= set(range(math.ceil(r - 2), math.floor(r + 2) + 1))
+    check_roots(coeffs, [int(r) for r in roots if r.denominator == 1], probes)
+
+
+class TestRationalRootProducts:
+    """Products of factors q·x − p, roots repeated up to three times."""
+
+    def test_explicit_product(self):
+        # (2x − 1)²(3x + 2)³: a double root 1/2 and a triple root −2/3.
+        coeffs = [1]
+        for factor, m in (([-1, 2], 2), ([2, 3], 3)):
+            for _ in range(m):
+                coeffs = poly_mul(coeffs, factor)
+        check_rational_roots(coeffs, [Fraction(1, 2), Fraction(-2, 3)])
+        assert solve_univariate_coeffs(tuple(coeffs), Rel.LEQ) == \
+            IntervalSet.range(None, -1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_products(self, seed):
+        rng = random.Random(300 + seed)
+        for _ in range(40):
+            coeffs = [rng.choice((-3, -2, -1, 1, 2, 3))]
+            if rng.random() < 0.5:
+                # A root-free quadratic factor a·x² + b·x + c.
+                a, c = rng.randint(1, 5), rng.randint(1, 30)
+                b = rng.randint(-math.isqrt(4 * a * c - 1),
+                                math.isqrt(4 * a * c - 1))
+                coeffs = poly_mul(coeffs, [c, b, a])
+            roots = []
+            while True:
+                q, p, m = rng.randint(1, 4), rng.randint(-30, 30), \
+                    rng.randint(1, 3)
+                if len(coeffs) - 1 + m > 12:
+                    break
+                for _ in range(m):
+                    coeffs = poly_mul(coeffs, [-p, q])
+                roots.append(Fraction(p, q))
+            check_rational_roots(coeffs, roots)
+
+
+def test_sparse_high_degree():
+    # x^1100 − 5 ≤ 0: a derivative chain 1100 polynomials long.
+    coeffs = (-5,) + (0,) * 1099 + (1,)
+    assert members(solve_univariate_coeffs(coeffs, Rel.LEQ)) == [-1, 0, 1]
+
+
 def test_polynomial_wrapper():
     x = Polynomial.var(3)
     p = x * x - Polynomial.const(4)
