@@ -2,10 +2,12 @@
 
 A single trail carries Boolean assignments and integer model assignments.
 Propagation combines clause-level Boolean constraint propagation, semantic
-evaluation of fully assigned atoms, and per-variable feasibility narrowing
-from unit constraints.  Conflicts are explained with exclusion literals
-(negated `x = value` atoms) and resolved to a single literal at the
-conflict level before backjumping.
+evaluation of fully assigned atoms, per-variable feasibility narrowing
+from unit constraints, and, at level 0, the bounds that literals over two
+or more variables imply over the hulls of those sets (`bounds.revise`).
+Conflicts are explained with exclusion literals (negated `x = value`
+atoms) and resolved to a single literal at the conflict level before
+backjumping.
 """
 
 from __future__ import annotations
@@ -13,13 +15,16 @@ from __future__ import annotations
 import enum
 import heapq
 import time
+from collections import deque
 from typing import Optional
 
+from .bounds import hull, revise
 from .bridge import LsController
 from .errors import InternalError
 from .feasibility import FeasibilityMap
 from .localsearch import DEFAULT_ACC
-from .terms import BOOL, Clause, Formula, Literal, TermStore, Variable
+from .terms import (BOOL, LEQ, Clause, Formula, Literal, Polynomial,
+                    TermStore, Variable)
 from .trail import Reason, Trail
 
 
@@ -35,12 +40,13 @@ class Stats:
     __slots__ = ("conflicts", "decisions", "propagations",
                  "theory_assignments", "ls_calls", "ls_moves_accepted",
                  "ls_zero",     # local-search calls that reached cost 0
-                 "restarts")
+                 "restarts",
+                 "bounds")      # level-0 bound literals from hull revision
 
     def __init__(self):
         self.conflicts = self.decisions = self.propagations = 0
         self.theory_assignments = self.ls_calls = self.ls_moves_accepted = 0
-        self.ls_zero = self.restarts = 0
+        self.ls_zero = self.restarts = self.bounds = 0
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__slots__}
@@ -73,6 +79,10 @@ class SolverConfig:
 
 _ACTIVITY_DECAY = 0.95
 _ACTIVITY_RESCALE = 1e100
+# Hull revisions per propagation call at level 0.  A revision may narrow a
+# hull by a single unit (x < y and y < x over a wide box), so revising
+# runs on from where it stopped at the next level-0 fixpoint instead.
+BOUND_REVISIONS = 64
 
 
 class Solver:
@@ -93,6 +103,12 @@ class Solver:
         self._settled: set[int] = set()
         self._root_unsat = False
         self.qhead = 0
+        # Level-0 literals over two or more variables, by variable, and
+        # those due for revision since a hull of theirs moved.
+        self._hull_lits: dict[int, list] = {}
+        self._revise: deque = deque()
+        self._queued: set[int] = set()     # skeys in _revise
+        self._revisions_left = 0
         self.activity: dict[int, float] = {}
         self._var_inc = 1.0
         self._heap: list = []
@@ -154,6 +170,7 @@ class Solver:
     def propagate(self):
         """Run to fixpoint; returns conflict clause literals or None."""
         trail = self.trail
+        self._revisions_left = BOUND_REVISIONS
         while True:
             while self.qhead < len(trail.elements):
                 elem = trail.elements[self.qhead]
@@ -162,11 +179,20 @@ class Solver:
                     c = self._on_assignment(elem)
                 elif elem.lit.atom is not None:
                     c = self._check_atom(elem.lit.atom)
+                    if not trail.level and c is None:
+                        self._watch_hulls(elem.lit)
                 else:
                     c = None
                 if c is not None:
                     return c
             c = self._bcp_scan()
+            if c is not None:
+                return c
+            if self.qhead < len(trail.elements):
+                continue
+            if trail.level:
+                return None
+            c = self._propagate_bounds()
             if c is not None:
                 return c
             if self.qhead >= len(trail.elements):
@@ -243,6 +269,74 @@ class Solver:
                 if u != vid:
                     lits.append(self._excl_neg(u))
         return lits
+
+    # -- level-0 bounds -----------------------------------------------------
+
+    def _watch_hulls(self, lit: Literal):
+        """Revise a level-0 literal over two or more unassigned variables
+        now, and again whenever one of their hulls moves."""
+        atom = lit.atom
+        if len(atom.vars) < 2 or atom.id in self._settled:
+            return
+        for vid in atom.vars:
+            self._hull_lits.setdefault(vid, []).append(lit)
+        self._queued.add(lit.skey)
+        self._revise.append(lit)
+
+    def _propagate_bounds(self):
+        """Revise the level-0 literals due, until one enters bounds on the
+        trail, the revisions of this propagation call run out, or the
+        deadline passes.  Returns conflict literals or None."""
+        feas, queue, queued = self.feas, self._revise, self._queued
+        for vid in feas.moved:
+            for lit in self._hull_lits.get(vid, ()):
+                if lit.skey not in queued:
+                    queued.add(lit.skey)
+                    queue.append(lit)
+        feas.moved.clear()
+        while queue and self._revisions_left > 0:
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                return None
+            lit = queue.popleft()
+            queued.discard(lit.skey)
+            atom = lit.atom
+            if atom.id in self._settled:
+                continue
+            self._revisions_left -= 1
+            hulls = {vid: hull(feas.get(vid)) for vid in atom.vars}
+            found = revise(atom, lit.positive, hulls)
+            if found is None:
+                return self._hull_clause(None, lit, atom.vars).literals
+            for vid, lo, hi, own in found:
+                h_lo, h_hi = hulls[vid]
+                used = [u for u in atom.vars if own or u != vid]
+                x = Polynomial.var(vid)
+                if lo > h_lo:
+                    self._enter_bound(self.store.mk_atom(
+                        Polynomial.const(lo), LEQ, x), lit, used)
+                if hi < h_hi:
+                    self._enter_bound(self.store.mk_atom(
+                        x, LEQ, Polynomial.const(hi)), lit, used)
+            if found:
+                return None
+        return None
+
+    def _enter_bound(self, atom, lit: Literal, used: list):
+        bound = Literal(True, atom=atom)
+        self.trail.push_propagation(bound, self._hull_clause(bound, lit, used))
+        self.stats.bounds += 1
+        self.stats.propagations += 1
+
+    def _hull_clause(self, bound, lit: Literal, vids) -> Clause:
+        """Attach and return the learned clause ``bound ∨ ¬lit ∨ …``, with
+        the negated level-0 literals behind the hulls of ``vids``; without
+        a bound, the clause is false at level 0."""
+        lits = [lit.negate()] if bound is None else [bound, lit.negate()]
+        for vid in vids:
+            lits += self._explain(self.feas.hull_reasons(vid), vid)
+        clause = Clause(lits, learned=True)
+        self._attach_clause(clause)
+        return clause
 
     def _bcp_scan(self):
         lit_elem = self.trail.lit_elem

@@ -56,15 +56,40 @@ class FeasibilityMap:
         self._sets: dict[int, IntervalSet] = {}
         # The literals narrowed into each set above level 0, in order.
         self._contribs: dict[int, list] = {}
+        # The same at level 0, which nothing undoes, each with the set of
+        # integers it allows: (literal, solution set).
+        self._root: dict[int, list] = {}
         # One entry per narrowing above level 0:
         # (level, vid, previous set, previous contribution count).
         self._undo: list[tuple] = []
+        # Variables whose set's hull (least and greatest member) a level-0
+        # narrowing moved, for the reader to take and clear.
+        self.moved: list[int] = []
 
     def get(self, vid: int) -> IntervalSet:
         return self._sets.get(vid, IntervalSet.full())
 
     def contributions(self, vid: int) -> tuple:
         return tuple(self._contribs.get(vid, ()))
+
+    def hull_reasons(self, vid: int) -> list:
+        """Level-0 literals, latest first, that alone give F(vid) at level 0
+        its least and greatest member.
+
+        A literal is kept when it removes points outside F's hull that the
+        literals kept so far let in, until none is left.
+        """
+        ivs = self.get(vid).intervals
+        rest = IntervalSet.range(ivs[0][0], ivs[-1][1]).complement()
+        out = []
+        for lit, allowed in reversed(self._root.get(vid, ())):
+            if rest.is_empty():
+                break
+            s = rest.intersect(allowed)
+            if s != rest:
+                rest = s
+                out.append(lit)
+        return out
 
     def pick(self, var: Variable, hint):
         """The value to give an unassigned variable: for an integer, the
@@ -80,17 +105,23 @@ class FeasibilityMap:
         and return the narrowed set.
 
         Level-0 constraints are implied by the formula and never appear in
-        conflict explanations, so only deeper literals are recorded (and
-        undone).
+        conflict explanations; they are kept apart, for the explanations
+        of level-0 bounds, and are never undone.
         """
         vid = var.id
         cur = self.get(vid)
-        new = cur.intersect(unit_solution_set(lit, vid, trail.values))
+        allowed = unit_solution_set(lit, vid, trail.values)
+        new = cur.intersect(allowed)
         self._sets[vid] = new
         if trail.level > 0:
             contribs = self._contribs.setdefault(vid, [])
             self._undo.append((trail.level, vid, cur, len(contribs)))
             contribs.append(lit)
+        else:
+            self._root.setdefault(vid, []).append((lit, allowed))
+            ivs, old = new.intervals, cur.intervals
+            if ivs and (ivs[0][0], ivs[-1][1]) != (old[0][0], old[-1][1]):
+                self.moved.append(vid)
         return new
 
     def backtrack_to(self, level: int):

@@ -10,10 +10,14 @@ exactly one root, found by integer bisection.  Every root lies strictly
 inside the Cauchy bound ``2 + max|c| // |lead|`` of p, and by Gauss–Lucas so
 does every root of its derivatives.  The sign of p is constant between
 consecutive brackets, so one test per segment gives the solution set.
+When every exponent of p is a multiple of g > 1, p(x) = q(x^g), and the
+chain walks q instead: brackets of q's roots map back to x through the
+integer g-th roots of `iroot`.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .intervals import IntervalSet
@@ -39,9 +43,43 @@ def _derivative(cs):
     return [i * c for i, c in enumerate(cs)][1:]
 
 
+def iroot(n: int, k: int) -> int:
+    """⌊n^(1/k)⌋ for n ≥ 0 and k ≥ 1, by integer Newton steps from above."""
+    if k == 1 or n < 2:
+        return n
+    if k == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // k)       # 2^⌈bits/k⌉ > the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _root_brackets(us: list, g: int) -> list:
+    """Sorted integers holding the floor and ceiling of every real x with
+    x^g = u for each u of ``us``, plus 0.
+
+    If ``us`` holds the floor a and ceiling b of a root u of q, the roots x
+    of q(x^g) = 0 over u lie between the g-th roots of a and b, and no
+    integer lies strictly between ⌊a^(1/g)⌋ and ⌈b^(1/g)⌉.
+    """
+    pts = {0}
+    for u in us:
+        if u < 0 and g % 2 == 0:
+            continue
+        r = iroot(abs(u), g)
+        ends = (r, r + (r ** g != abs(u)))
+        pts.update(-e if u < 0 else e for e in ends)
+        if g % 2 == 0:
+            pts.update(-e for e in ends)
+    return sorted(pts)
+
+
 def _brackets(cs: list, bound: int) -> list:
     """Sorted integers holding the floor and ceiling of each real root of
-    ``cs`` (degree ≥ 2) and of its derivatives, all inside (-bound, bound).
+    ``cs`` (degree ≥ 1) and of its derivatives, all inside (-bound, bound).
 
     Each level scans the gaps between the points found so far; a root in a
     unit gap already has both neighbours among them.
@@ -105,8 +143,17 @@ def _solve_linear(b: int, a: int, rel: Rel) -> IntervalSet:
 
 def _solve_general(cs: list, rel: Rel) -> IntervalSet:
     # Cauchy bound: every root of cs, and by Gauss–Lucas of each of its
-    # derivatives, lies strictly inside (-bound, bound).
-    pts = _brackets(cs, 2 + max(abs(c) for c in cs) // abs(cs[-1]))
+    # derivatives, lies strictly inside (-bound, bound); q has the same
+    # coefficients, so the same bound.
+    bound = 2 + max(abs(c) for c in cs) // abs(cs[-1])
+    g = 0
+    for e, c in enumerate(cs):
+        if c:
+            g = math.gcd(g, e)
+    if g > 1:
+        pts = _root_brackets(_brackets(cs[::g], bound), g)
+    else:
+        pts = _brackets(cs, bound)
     segments = []  # (lo, hi, representative)
     segments.append((None, pts[0] - 1, pts[0] - 1))
     for i, c in enumerate(pts):

@@ -412,8 +412,9 @@ def test_criterion_7_threshold_schedule(capsys):
 
 
 def guidance_instance(E, D, T=10 ** 6):
-    """x, z in [-E, D] u {T} with z^2 >= 1 and x*z >= T^2: only (T, T)
-    works, and the left region forces one exclusion conflict per value."""
+    """x, z in [-E, D] u {T} with z^2 >= 1 and x*z >= T^2: for E < T only
+    (T, T) works, and for E = T (-E, -E) works too; the left region
+    forces one exclusion conflict per value."""
     store = TermStore()
     x = store.new_var("x", Sort.INT)
     z = store.new_var("z", Sort.INT)

@@ -114,7 +114,7 @@ class TestSolveFile:
         keys = [l[2:].split("=", 1)[0] for l in stat_lines]
         assert keys == ["conflicts", "decisions", "propagations",
                         "theory_assignments", "ls_calls", "ls_moves_accepted",
-                        "ls_zero", "restarts", "answer", "wall_ms"]
+                        "ls_zero", "restarts", "bounds", "answer", "wall_ms"]
         values = dict(l[2:].split("=", 1) for l in stat_lines)
         assert values["answer"] == "unsat"
         float(values["wall_ms"])
@@ -158,8 +158,8 @@ class TestSolveFile:
         p = tmp_path / "hard.smt2"
         p.write_text(
             "(set-logic QF_NIA)(declare-const x Int)(declare-const y Int)"
-            "(assert (<= 1 x))(assert (<= x 1000))"
-            "(assert (<= 1 y))(assert (<= y 1000))"
+            "(assert (<= (- 1000) x))(assert (<= x 1000))"
+            "(assert (<= (- 1000) y))(assert (<= y 1000))"
             "(assert (= (* x y) 1009))(check-sat)")
         code, out, _ = run_main([str(p), "--max-conflicts", "5"])
         assert code == 0
@@ -433,9 +433,8 @@ FOUR_VARS = """(set-logic QF_NIA)
 (declare-const z Int)
 (declare-const w Int)
 (assert (> (+ z w) 3))
-(assert (= (* x y) 7))
-(assert (> x 7))
-(assert (> y 7))
+(assert (= (* x x) (* 2 y y)))
+(assert (> y 0))
 (check-sat)
 """
 

@@ -125,15 +125,16 @@ class TestSmallFormulas:
 
 class TestLimits:
     def hard_instance(self, bound=1000):
-        """x, y in [1, bound] with x*y = p for a prime p > bound: unsat,
-        and every conflict rules out a single candidate value."""
+        """x, y in [-bound, bound] with x*y = p for a prime p > bound:
+        unsat, and every conflict rules out a single candidate value.  The
+        hulls contain 0, so level-0 bound propagation narrows nothing."""
         store = TermStore()
         x = store.new_var("x", Sort.INT)
         y = store.new_var("y", Sort.INT)
         px, py = P.var(x.id), P.var(y.id)
         clauses = [Clause([Literal(True, atom=store.mk_atom(
             px * py, Rel.EQ, P.const(1009)))])]
-        clauses += box_clauses(store, [x, y], 1, bound)
+        clauses += box_clauses(store, [x, y], -bound, bound)
         return store, clauses, [x, y]
 
     def test_max_conflicts_yields_unknown(self):
@@ -157,7 +158,7 @@ class TestStats:
     def test_keys_order(self):
         assert list(Stats().as_dict()) == [
             "conflicts", "decisions", "propagations", "theory_assignments",
-            "ls_calls", "ls_moves_accepted", "ls_zero", "restarts"]
+            "ls_calls", "ls_moves_accepted", "ls_zero", "restarts", "bounds"]
 
     def test_counts_move(self):
         store, clauses, variables = example_formula()
@@ -273,10 +274,10 @@ class TestPinnedSearch:
     """
 
     def stats(self, conflicts, decisions, propagations, theory, ls_calls,
-              ls_moves, ls_zero=0, restarts=0):
+              ls_moves, ls_zero=0, restarts=0, bounds=0):
         return dict(zip(Stats().as_dict(), (conflicts, decisions, propagations,
                                             theory, ls_calls, ls_moves,
-                                            ls_zero, restarts)))
+                                            ls_zero, restarts, bounds)))
 
     def test_smtlib_example(self):
         from test_smtlib import EXAMPLE
@@ -296,6 +297,8 @@ class TestPinnedSearch:
         assert solver.stats.as_dict() == self.stats(50, 50, 58, 50, 1, 3, 1)
 
     def test_capped_product_probe(self):
+        # x, y ≥ 7 puts x·y in [49, +inf), so bound propagation refutes
+        # x·y = 6 at level 0, long before the cap.
         from nials import smtlib
         script = smtlib.parse(
             "(set-logic QF_NIA)(declare-const x Int)(declare-const y Int)"
@@ -303,8 +306,8 @@ class TestPinnedSearch:
             "(check-sat)")
         ans, model, solver = smtlib.solve(script,
                                           SolverConfig(max_conflicts=300))
-        assert ans is Answer.UNKNOWN and model is None
-        assert solver.stats.as_dict() == self.stats(300, 300, 303, 300, 3, 0)
+        assert ans is Answer.UNSAT and model is None
+        assert solver.stats.as_dict() == self.stats(1, 0, 3, 0, 0, 0)
 
     @pytest.mark.parametrize("seed, answer, ints, bools, stats", [
         (23, Answer.SAT, {0: 1, 1: -8, 2: 2, 3: 1},
@@ -325,9 +328,10 @@ class TestPinnedSearch:
         """SHA-256 over the answer, every `Stats` field, the learned-clause
         skeys in order and the model of seeded boxed-like and planted-like
         instances and a product probe, with LS on (called early and often)
-        and off.  Recorded when local search began to restart the search
-        and to answer sat at cost 0 (the LS-off runs are as before); a
-        faster core must reproduce it move for move."""
+        and off.  Recorded when level-0 bound propagation landed (the
+        product probe is now unsat at level 0, and 7 of the 20 other
+        instances derive bounds); a faster core must reproduce it move
+        for move."""
         def instances():
             rng = random.Random(2024)
             for _ in range(10):
@@ -354,4 +358,4 @@ class TestPinnedSearch:
                                [kv for kv in model if type(kv[1]) is bool],
                                )).encode())
         assert h.hexdigest() == (
-            "0c99d162854f6c3be6474775143db4f1ab58eb4b77b90efb38e09a71303e57f6")
+            "2c2e9978f2118a80c7a20715aec79e63a9b64266ac3f097a7c0ef1a264ae4073")

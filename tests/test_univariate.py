@@ -9,7 +9,7 @@ import pytest
 from nials.feasibility import unit_solution_set
 from nials.intervals import IntervalSet
 from nials.terms import Atom, Literal, Polynomial, Rel
-from nials.univariate import solve_univariate_coeffs
+from nials.univariate import iroot, solve_univariate_coeffs
 
 RELS = (Rel.EQ, Rel.NEQ, Rel.LEQ, Rel.LT)
 
@@ -225,6 +225,43 @@ def test_sparse_high_degree():
     # x^1100 − 5 ≤ 0: a derivative chain 1100 polynomials long.
     coeffs = (-5,) + (0,) * 1099 + (1,)
     assert members(solve_univariate_coeffs(coeffs, Rel.LEQ)) == [-1, 0, 1]
+
+
+@pytest.mark.parametrize("deg", [1500, 1501])
+def test_sparse_high_degree_is_solved_in_x_to_the_gcd(deg):
+    # x^deg − 5 is u − 5 in u = x^deg: one linear solve, not a chain of
+    # deg derivatives.
+    coeffs = (-5,) + (0,) * (deg - 1) + (1,)
+    got = solve_univariate_coeffs(coeffs, Rel.LEQ)
+    if deg % 2:
+        assert got == IntervalSet.range(None, 1)
+    else:
+        assert members(got) == [-1, 0, 1]
+    assert solve_univariate_coeffs(coeffs, Rel.EQ).is_empty()
+
+
+@pytest.mark.parametrize("rel", RELS)
+def test_mixed_gcd(rel):
+    # x^6 − 3x^3 + 2 = (x³ − 1)(x³ − 2): gcd 3, roots 1 and 2^(1/3); and
+    # x^8 − 17x^4 + 16 = (x⁴ − 1)(x⁴ − 16): gcd 4, roots ±1 and ±2.
+    for coeffs in ((2, 0, 0, -3, 0, 0, 1),
+                   (16, 0, 0, 0, -17, 0, 0, 0, 1)):
+        got = solve_univariate_coeffs(coeffs, rel)
+        for v in range(-20, 21):
+            value = sum(c * v ** i for i, c in enumerate(coeffs))
+            assert (v in got) == rel.holds(value), (coeffs, v)
+
+
+def test_iroot():
+    rng = random.Random(12)
+    cases = [(n, k) for n in range(200) for k in range(1, 7)]
+    cases += [(rng.randrange(10 ** rng.randint(1, 60)), rng.randint(1, 9))
+              for _ in range(2000)]
+    cases += [(r ** k + d, k) for r in (2, 3, 10 ** 20 + 7)
+              for k in (2, 3, 5, 1100) for d in (-1, 0, 1)]
+    for n, k in cases:
+        r = iroot(n, k)
+        assert r ** k <= n < (r + 1) ** k, (n, k, r)
 
 
 def test_polynomial_wrapper():
