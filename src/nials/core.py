@@ -8,6 +8,19 @@ or more variables imply over the hulls of those sets (`bounds.revise`).
 Conflicts are explained with exclusion literals (negated `x = value`
 atoms) and resolved to a single literal at the conflict level before
 backjumping.
+
+Boolean propagation watches two literals per clause (Moskewicz et al.,
+Chaff, DAC 2001; Eén & Sörensson, MiniSat, SAT 2003).  The watch
+positions sit in a list beside `clauses`, so `Clause.literals` keeps its
+order.  A pass visits, in attach order, the clauses woken by a watch that
+became false, which gives the pushes and the conflict of a scan over
+every clause in that order: a literal the pass pushes wakes the later
+clauses for this pass and the earlier ones for the next.  A false watch
+stays only beside a true one assigned no later, so backtracking keeps
+the watches valid.  The theory side skips the checks that cannot act: a
+literal pushed by evaluation (`Reason.SEMANTIC`) is not evaluated again,
+and an assignment does not re-check an atom with two unassigned
+variables, or with one and no literal on the trail.
 """
 
 from __future__ import annotations
@@ -97,7 +110,14 @@ class Solver:
         self.trail = Trail()
         self.feas = FeasibilityMap()
         self.clauses: list[Clause] = []
-        self.active: list[Clause] = []
+        # Two watched literals: the watch positions of clause i at 2i and
+        # 2i + 1, and the indices of the clauses watching each
+        # `Literal.skey`.  `_woken` holds the clauses due for the next
+        # pass; `_bcp_head` is the first trail element not yet woken from.
+        self._watch: list = []
+        self._watchers: dict[int, set] = {}
+        self._woken: set[int] = set()
+        self._bcp_head = 0
         self.occurs: dict[int, list] = {}
         self._registered: set[int] = set()
         self._settled: set[int] = set()
@@ -125,12 +145,36 @@ class Solver:
 
     # -- clause and atom bookkeeping ----------------------------------------
 
-    def _attach_clause(self, clause: Clause):
-        if not clause.literals:
-            self._root_unsat = True
+    def _attach_clause(self, clause: Clause, p: int = 0, q: int = 1):
+        """Watch the literals at positions p and q.  The pair must be
+        valid once the caller's pushes are made: neither false, or a false
+        one beside a true one assigned no later.  The first two are valid
+        for an input clause (a literal already on the trail wakes it) and
+        for a level-0 bound's clause (the bound, then a level-0 literal
+        negated); a learned clause passes its own.  A unit clause is due
+        for the next pass."""
+        lits = clause.literals
+        i = len(self.clauses)
         self.clauses.append(clause)
-        self.active.append(clause)
-        for lit in clause:
+        if len(lits) > 1:
+            watched = (lits[p].skey, lits[q].skey)
+        elif lits:
+            p = q = 0
+            watched = (lits[0].skey,)
+            self._woken.add(i)
+        else:
+            p = q = 0
+            watched = ()
+            self._root_unsat = True
+        self._watch += (p, q)
+        watchers = self._watchers
+        for skey in watched:
+            ws = watchers.get(skey)
+            if ws is None:
+                watchers[skey] = {i}
+            else:
+                ws.add(i)
+        for lit in lits:
             if lit.atom is not None:
                 self._register_atom(lit.atom)
 
@@ -170,6 +214,7 @@ class Solver:
     def propagate(self):
         """Run to fixpoint; returns conflict clause literals or None."""
         trail = self.trail
+        semantic = Reason.SEMANTIC
         self._revisions_left = BOUND_REVISIONS
         while True:
             while self.qhead < len(trail.elements):
@@ -177,7 +222,8 @@ class Solver:
                 self.qhead += 1
                 if elem.var is not None:
                     c = self._on_assignment(elem)
-                elif elem.lit.atom is not None:
+                elif (elem.lit.atom is not None
+                      and elem.reason is not semantic):
                     c = self._check_atom(elem.lit.atom)
                     if not trail.level and c is None:
                         self._watch_hulls(elem.lit)
@@ -185,7 +231,7 @@ class Solver:
                     c = None
                 if c is not None:
                     return c
-            c = self._bcp_scan()
+            c = self._bcp()
             if c is not None:
                 return c
             if self.qhead < len(trail.elements):
@@ -202,60 +248,87 @@ class Solver:
         occ = self.occurs.get(elem.var.id)
         if not occ:
             return None
+        vals = self.trail.values
+        lit_elem = self.trail.lit_elem
+        settled = self._settled
         keep = []
         conflict = None
         for i, atom in enumerate(occ):
-            if atom.id in self._settled:
+            if atom.id in settled:
                 continue
-            conflict = self._check_atom(atom)
-            if atom.id not in self._settled:
-                keep.append(atom)
-            if conflict is not None:
-                keep.extend(a for a in occ[i + 1:]
-                            if a.id not in self._settled)
-                break
+            # Only an atom with no unassigned variable, or with one and its
+            # literal on the trail, can act; keep the others unchecked.
+            free = None
+            for v in atom.vars:
+                if v not in vals:
+                    if free is not None:
+                        break
+                    free = v
+            else:
+                entry = lit_elem.get(atom.key)
+                if free is None:
+                    conflict = self._evaluate_atom(atom, entry)
+                elif entry is not None:
+                    conflict = self._narrow_atom(atom, free, entry)
+                if atom.id not in settled:
+                    keep.append(atom)
+                if conflict is not None:
+                    keep.extend(a for a in occ[i + 1:] if a.id not in settled)
+                    break
+                continue
+            keep.append(atom)
         self.occurs[elem.var.id] = keep
         return conflict
 
     def _check_atom(self, atom):
-        """React to an atom whose assignment state may have changed.
-
-        Handles semantic evaluation, consistency of asserted vs evaluated
-        truth, and unit feasibility narrowing.  Returns conflict clause
-        literals or None.
-        """
-        trail = self.trail
-        vals = trail.values
+        """React to an atom whose assignment state may have changed:
+        evaluate it once every variable has a value, or narrow its one
+        unassigned variable while its literal is on the trail.  Returns
+        conflict clause literals or None."""
+        vals = self.trail.values
         unassigned = [v for v in atom.vars if v not in vals]
-        entry = trail.lit_elem.get(atom.key)
+        entry = self.trail.lit_elem.get(atom.key)
         if not unassigned:
-            t = atom.evaluate(vals)
-            if trail.level == 0:
-                self._settled.add(atom.id)
-            if entry is None:
-                trail.push_propagation(Literal(t, atom=atom), Reason.SEMANTIC)
-                self.stats.propagations += 1
-            elif t != entry.lit.positive:
-                lits = [self._excl_neg(v) for v in atom.vars]
-                lits.append(Literal(t, atom=atom))
-                return lits
-            return None
+            return self._evaluate_atom(atom, entry)
         if entry is not None and len(unassigned) == 1:
-            vid = unassigned[0]
-            var = self.store.var_by_id(vid)
-            fs = self.feas.assert_unit_constraint(var, entry.lit, trail)
-            if trail.level == 0:
-                self._settled.add(atom.id)
-            if fs.is_empty():
-                return self._explain(self.feas.contributions(vid), vid)
-            v = fs.singleton_value()
-            if v is not None:
-                trail.push_model_assignment(
-                    var, v, decision=False,
-                    reason=(Reason.FEASIBILITY_SINGLETON,
-                            self.feas.contributions(vid)))
-                self.stats.theory_assignments += 1
-                self.stats.propagations += 1
+            return self._narrow_atom(atom, unassigned[0], entry)
+        return None
+
+    def _evaluate_atom(self, atom, entry):
+        """Assign a fully assigned atom's literal, or report the clash
+        with the one on the trail (`entry`)."""
+        trail = self.trail
+        t = atom.evaluate(trail.values)
+        if trail.level == 0:
+            self._settled.add(atom.id)
+        if entry is None:
+            trail.push_propagation(Literal(t, atom=atom), Reason.SEMANTIC)
+            self.stats.propagations += 1
+        elif t != entry.lit.positive:
+            lits = [self._excl_neg(v) for v in atom.vars]
+            lits.append(Literal(t, atom=atom))
+            return lits
+        return None
+
+    def _narrow_atom(self, atom, vid: int, entry):
+        """Narrow the feasible set of `vid`, the atom's one unassigned
+        variable, by the literal on the trail (`entry`); assign `vid` if
+        one value is left."""
+        trail = self.trail
+        var = self.store.var_by_id(vid)
+        fs = self.feas.assert_unit_constraint(var, entry.lit, trail)
+        if trail.level == 0:
+            self._settled.add(atom.id)
+        if fs.is_empty():
+            return self._explain(self.feas.contributions(vid), vid)
+        v = fs.singleton_value()
+        if v is not None:
+            trail.push_model_assignment(
+                var, v, decision=False,
+                reason=(Reason.FEASIBILITY_SINGLETON,
+                        self.feas.contributions(vid)))
+            self.stats.theory_assignments += 1
+            self.stats.propagations += 1
         return None
 
     def _explain(self, contributions, vid: int):
@@ -338,37 +411,107 @@ class Solver:
         self._attach_clause(clause)
         return clause
 
-    def _bcp_scan(self):
-        lit_elem = self.trail.lit_elem
-        keep = []
-        conflict = None
-        active = self.active
-        for i, clause in enumerate(active):
-            true_level = None
-            unassigned_lit = None
-            n_unassigned = 0
-            for lit in clause.literals:
-                elem = lit_elem.get(lit.key)
-                if elem is None:
-                    n_unassigned += 1
-                    unassigned_lit = lit
-                elif elem.lit.positive == lit.positive:
-                    true_level = elem.level
-                    break
-            if true_level is not None:
-                if true_level > 0:
-                    keep.append(clause)
+    def _bcp(self):
+        """One pass of Boolean constraint propagation; returns conflict
+        clause literals or None.
+
+        The pass visits, in attach order, the clauses due: new unit
+        clauses, and those with a watch that became false since the last
+        pass.  A literal the pass pushes wakes later clauses for this pass
+        and earlier ones for the next, as a scan over every clause in
+        attach order would see them.  A clause is unit when exactly one of
+        its literals has no `lit_elem` entry and none is true; the first
+        clause found all false is the conflict.
+        """
+        elements = self.trail.elements
+        watchers = self._watchers
+        woken = self._woken
+        for elem in elements[self._bcp_head:]:
+            lit = elem.lit
+            if lit is not None:
+                ws = watchers.get(lit.skey ^ 1)
+                if ws:
+                    woken.update(ws)
+        self._bcp_head = len(elements)
+        if not woken:
+            return None
+        heap = sorted(woken)
+        woken.clear()
+        trail = self.trail
+        lit_elem = trail.lit_elem
+        clauses = self.clauses
+        watch = self._watch
+        pop, push = heapq.heappop, heapq.heappush
+        last = -1
+        while heap:
+            i = pop(heap)
+            if i == last:
                 continue
-            keep.append(clause)
-            if n_unassigned == 0:
-                conflict = list(clause.literals)
-                keep.extend(active[i + 1:])
-                break
-            if n_unassigned == 1:
-                self.trail.push_propagation(unassigned_lit, clause)
-                self.stats.propagations += 1
-        self.active = keep
-        return conflict
+            last = i
+            lits = clauses[i].literals
+            p, q = watch[2 * i], watch[2 * i + 1]
+            lp, lq = lits[p], lits[q]
+            ep, eq = lit_elem.get(lp.key), lit_elem.get(lq.key)
+            p_false = ep is not None and ep.lit.positive != lp.positive
+            q_false = eq is not None and eq.lit.positive != lq.positive
+            if q_false and not p_false:
+                p, q, ep, eq, p_false, q_false = q, p, eq, ep, True, False
+            if not p_false:
+                if p != q or ep is not None:
+                    continue        # no watch is false, or a unit clause true
+            elif not q_false and eq is not None and eq.level <= ep.level:
+                # A true watch may stand beside a false one that became
+                # false no earlier: backtracking frees the true one first.
+                continue
+            # Keep q unless it is false, and find literals that are not
+            # false for the rest; f1 and f2 are the false ones assigned last.
+            a = -1 if q_false else q
+            b = f1 = f2 = l1 = l2 = -1
+            for k, lit in enumerate(lits):
+                if k == a:
+                    continue
+                e = lit_elem.get(lit.key)
+                if e is None or e.lit.positive == lit.positive:
+                    if a < 0:
+                        a = k
+                    else:
+                        b = k
+                        break
+                elif e.level > l1:
+                    f2, l2, f1, l1 = f1, l1, k, e.level
+                elif e.level > l2:
+                    f2, l2 = k, e.level
+            conflict = a < 0
+            if conflict:
+                a, b = f1, f2 if f2 >= 0 else f1
+            elif b < 0:
+                b = f1 if f1 >= 0 else a
+                lit = lits[a]
+                if lit.key not in lit_elem:
+                    trail.push_propagation(lit, clauses[i])
+                    self.stats.propagations += 1
+                    for j in watchers.get(lit.skey ^ 1, ()):
+                        if j > i:
+                            push(heap, j)
+                        else:
+                            woken.add(j)
+            if (a != p or b != q) and (a != q or b != p):
+                for k in (p, q):
+                    if k != a and k != b:
+                        watchers[lits[k].skey].discard(i)
+                for k in (a, b):
+                    if k != p and k != q:
+                        ws = watchers.get(lits[k].skey)
+                        if ws is None:
+                            watchers[lits[k].skey] = {i}
+                        else:
+                            ws.add(i)
+                watch[2 * i], watch[2 * i + 1] = a, b
+            if conflict:
+                self._bcp_head = len(elements)
+                return list(lits)
+        self._bcp_head = len(elements)
+        return None
 
     # -- conflict analysis --------------------------------------------------
 
@@ -419,8 +562,10 @@ class Solver:
     def _analyze(self, conflict_lits):
         """Reduce to a single literal at the conflict level.
 
-        Returns (learned literals, asserting literal, backjump level) or
-        None when the conflict is at level 0 (unsatisfiable).
+        Returns the learned literals, the position of the asserting one,
+        the backjump level and the position of a literal falsified at that
+        level (-1 if none), or None when the conflict is at level 0
+        (unsatisfiable).
         """
         trail = self.trail
         cur: dict[int, tuple] = {}
@@ -460,18 +605,19 @@ class Solver:
             if not resolved:
                 raise InternalError(
                     "multiple irreducible literals at conflict level")
-        learned = [lit for lit, _ in cur.values()]
-        uip = None
+        learned = []
+        uip = partner = -1
         backjump = 0
         for lit, pos in cur.values():
             lv = level_of(pos)
             if lv == conflict_level:
-                uip = lit
-            else:
-                backjump = max(backjump, lv)
-        if uip is None:
+                uip = len(learned)
+            elif lv > backjump:
+                backjump, partner = lv, len(learned)
+            learned.append(lit)
+        if uip < 0:
             raise InternalError("no literal left at the conflict level")
-        return learned, uip, backjump
+        return learned, uip, backjump, partner
 
     def _resolve_conflict(self, conflict_lits) -> bool:
         """Learn from a conflict; False means the formula is unsatisfiable."""
@@ -479,14 +625,16 @@ class Solver:
         res = self._analyze(conflict_lits)
         if res is None:
             return False
-        learned, uip, backjump = res
+        learned, uip, backjump, partner = res
         clause = Clause(learned, learned=True)
-        self._attach_clause(clause)
+        # The backjump leaves the partner unassigned, or false at the
+        # level where the UIP becomes true.
+        self._attach_clause(clause, uip, partner)
         for vid in sorted(clause.variables()):
             self.bump_var(vid)
         self._decay_activity()
         self._backtrack(backjump)
-        self.trail.push_propagation(uip, clause)
+        self.trail.push_propagation(learned[uip], clause)
         self.stats.propagations += 1
         return True
 
@@ -498,7 +646,12 @@ class Solver:
         """
         undone = self.trail.backtrack_to(level)
         self.feas.backtrack_to(level)
-        self.qhead = min(self.qhead, len(self.trail.elements))
+        n = len(self.trail.elements)
+        if self.qhead > n:
+            self.qhead = n
+        if self._bcp_head > n:
+            self._bcp_head = n
+        self._woken.clear()     # every wake due came from an undone level
         for vid in undone:
             if vid in self._decidable:
                 heapq.heappush(self._heap,

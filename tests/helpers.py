@@ -108,6 +108,26 @@ def excl_pattern(atom):
     return vid, -p.terms.get((), 0)
 
 
+def scan_clauses(clauses, lit_elem):
+    """The clauses that a full scan in order would act on under the trail's
+    `lit_elem`: those with no true literal and at most one literal
+    without an entry (unit, or all false).  Reference for the watches
+    of `Solver._bcp`, which must leave none at a propagation fixpoint."""
+    acting = []
+    for clause in clauses:
+        open_lits = 0
+        for lit in clause.literals:
+            elem = lit_elem.get(lit.key)
+            if elem is None:
+                open_lits += 1
+            elif elem.lit.positive == lit.positive:
+                break
+        else:
+            if open_lits <= 1:
+                acting.append(clause)
+    return acting
+
+
 def clauses_sat(clauses, iv, bv):
     return all(any(lit_evaluate(lit, iv, bv) for lit in c) for c in clauses)
 

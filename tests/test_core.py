@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import (box_clauses, brute_force, clauses_sat, planted_instance,
-                     product_probe, random_instance)
+                     product_probe, random_instance, scan_clauses)
 from nials import localsearch
 from nials.core import Answer, Solver, SolverConfig, Stats
 from nials.errors import InternalError
@@ -222,6 +222,58 @@ class TestLearnedLemmas:
         assert checked > 0
 
 
+class TestWatches:
+    """At every propagation fixpoint, the full scan of `scan_clauses`
+    finds no clause unit or all false: the watches missed nothing."""
+
+    @pytest.fixture
+    def fixpoints(self, monkeypatch):
+        """Check every `propagate()` that returns None; count the learned
+        clauses each check covered."""
+        covered = []
+        real = Solver.propagate
+
+        def propagate(solver):
+            conflict = real(solver)
+            if conflict is None:
+                assert scan_clauses(solver.clauses,
+                                    solver.trail.lit_elem) == []
+                covered.append(sum(c.learned for c in solver.clauses))
+            return conflict
+
+        monkeypatch.setattr(Solver, "propagate", propagate)
+        return covered
+
+    @pytest.mark.parametrize("ls_enabled", [True, False])
+    def test_boxed_and_planted(self, ls_enabled, fixpoints):
+        rng = random.Random(505 if ls_enabled else 606)
+        for _ in range(20):
+            store, clauses, ints, bools = random_instance(
+                rng, n_int=4, n_bool=3, n_clauses=14, max_deg=2, coeff=4)
+            clauses += box_clauses(store, ints, -8, 8)
+            solve(store, clauses, ints + bools, max_conflicts=300,
+                  ls_enabled=ls_enabled, ls_threshold_base=5)
+        for n_int, n_clauses in ((6, 40), (20, 150)):
+            for _ in range(5):
+                store, clauses, ints, bools = planted_instance(
+                    rng, n_int=n_int, n_bool=3, n_clauses=n_clauses,
+                    lo=-24, hi=24, max_deg=2, coeff=5)
+                solve(store, clauses, ints + bools, max_conflicts=200,
+                      ls_enabled=ls_enabled, ls_threshold_base=5,
+                      ls_budget_per_var=2)
+        assert len(fixpoints) > 1000 and max(fixpoints) > 100
+
+    def test_hull_clauses(self, fixpoints):
+        from test_bounds import hull_instances
+        for ls_enabled in (True, False):
+            for store, clauses, ints, bools in hull_instances(
+                    random.Random(1601), 150):
+                ans, solver = solve(store, clauses, ints + bools,
+                                    ls_enabled=ls_enabled)
+                assert ans is not Answer.UNKNOWN
+        assert len(fixpoints) > 300 and max(fixpoints) > 0
+
+
 class TestLsAnswers:
     """A local-search call restarts the search, and cost 0 answers sat."""
 
@@ -359,3 +411,29 @@ class TestPinnedSearch:
                                )).encode())
         assert h.hexdigest() == (
             "2c2e9978f2118a80c7a20715aec79e63a9b64266ac3f097a7c0ef1a264ae4073")
+
+    def test_large_planted_digest(self):
+        """SHA-256 as in `test_search_digest`, over planted-like instances
+        with 20 Int variables and 150 clauses and with 35 and 300, where
+        clause propagation does most of the work.  With an LS budget of 2
+        moves per variable every call fails and restarts the search, which
+        then decides every variable again; with the default budget most
+        calls reach cost 0.  Recorded before two watched literals replaced
+        the full clause scan."""
+        rng = random.Random(2025)
+        h = hashlib.sha256()
+        for n_int, n_clauses in ((20, 150), (20, 150), (20, 150),
+                                 (35, 300), (35, 300), (35, 300)):
+            store, clauses, ints, bools = planted_instance(
+                rng, n_int=n_int, n_bool=3, n_clauses=n_clauses, lo=-24,
+                hi=24, max_deg=2, coeff=5)
+            for budget in (2, 100):
+                ans, solver = solve(store, clauses, ints + bools,
+                                    max_conflicts=200, ls_threshold_base=5,
+                                    ls_budget_per_var=budget)
+                learned = [[lit.skey for lit in c]
+                           for c in solver.clauses if c.learned]
+                h.update(repr((ans.value, solver.stats.as_dict(), learned,
+                               sorted(solver.model.items()))).encode())
+        assert h.hexdigest() == (
+            "7fc16872f8eb7bd07d2ed8a23271521c117bbbaa9ded2e2aad3b9add1bfef448")
