@@ -57,14 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable the local-search component")
     p.add_argument("--ls-threshold-base", type=_count,
                    default=SolverConfig.ls_threshold_base, metavar="N",
-                   help="conflicts before the first local-search call")
+                   help="conflicts before the first local-search call "
+                        "(default %(default)s)")
     p.add_argument("--ls-budget", type=_count,
                    default=SolverConfig.ls_budget_per_var, metavar="N",
                    help="moves a local-search call may evaluate, per free "
-                        "variable, over its descent and its critical moves")
+                        "variable, over its descent and its critical moves "
+                        "(default %(default)s)")
     p.add_argument("--acc", type=_acc, default=SolverConfig.acc, metavar="F",
                    help="hill-climbing acceleration constant; the step "
-                        "grows only at 1.5 or more")
+                        "grows only at 1.5 or more (default %(default)s)")
     p.add_argument("--max-conflicts", type=_count, default=None, metavar="N",
                    help="give up with unknown after this many conflicts")
     p.add_argument("--timeout-ms", type=_count, default=None, metavar="N",

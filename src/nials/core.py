@@ -70,7 +70,7 @@ class SolverConfig:
     command line reads too."""
 
     ls_enabled = True
-    ls_threshold_base = 50
+    ls_threshold_base = 20
     ls_budget_per_var = 100
     acc = DEFAULT_ACC
     max_conflicts = None

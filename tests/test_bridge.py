@@ -2,11 +2,11 @@
 
 import random
 
-from helpers import (assignments, clauses_sat, planted_instance,
+from helpers import (assignments, box_clauses, clauses_sat, planted_instance,
                      random_instance)
 from nials.bridge import (TOP_K, LsController, LsSchedule, apply_ls_result,
                           build_initial_assignment, build_ls_formula)
-from nials.core import Solver, SolverConfig
+from nials.core import Answer, Solver, SolverConfig
 from nials.feasibility import FeasibilityMap
 from nials.localsearch import LsResult
 from nials.terms import (Clause, Formula, Literal, Polynomial, Rel, Sort,
@@ -26,6 +26,28 @@ class TestSchedule:
                 points.append(conflicts)
                 sched.advance()
         assert points == [50, 100, 212, 400]
+
+    def test_default_firing_points(self):
+        sched = LsSchedule(SolverConfig().ls_threshold_base)
+        thresholds = [sched.next_threshold]
+        for _ in range(3):
+            sched.advance()
+            thresholds.append(sched.next_threshold)
+        assert thresholds == [20, 40, 85, 160]
+
+    def test_default_first_call_needs_21_conflicts(self):
+        # The seed-17 search of test_core's pinned random CNF.  A cap of 20
+        # ends it as the first call falls due; at 21 the call runs once
+        # and restarts the search.
+        for cap, calls in ((20, 0), (21, 1)):
+            store, clauses, ints, bools = random_instance(
+                random.Random(17), n_int=4, n_bool=3, n_clauses=14,
+                max_deg=2, coeff=4)
+            clauses += box_clauses(store, ints, -8, 8)
+            solver = Solver(store, Formula(clauses, ints + bools),
+                            SolverConfig(max_conflicts=cap))
+            assert solver.check_sat() is Answer.UNKNOWN
+            assert solver.stats.ls_calls == solver.stats.restarts == calls
 
     def test_not_due_before_base(self):
         sched = LsSchedule(50)

@@ -346,7 +346,7 @@ class TestPinnedSearch:
         ans, solver = solve(store, clauses, variables)
         assert ans is Answer.SAT
         assert solver.model == {0: 10 ** 6, 1: 10 ** 6}
-        assert solver.stats.as_dict() == self.stats(50, 50, 58, 50, 1, 3, 1)
+        assert solver.stats.as_dict() == self.stats(20, 20, 28, 20, 1, 3, 1)
 
     def test_capped_product_probe(self):
         # x, y ≥ 7 puts x·y in [49, +inf), so bound propagation refutes
@@ -362,9 +362,9 @@ class TestPinnedSearch:
         assert solver.stats.as_dict() == self.stats(1, 0, 3, 0, 0, 0)
 
     @pytest.mark.parametrize("seed, answer, ints, bools, stats", [
-        (23, Answer.SAT, {0: 1, 1: -8, 2: 2, 3: 1},
-         {4: True, 5: False, 6: True}, (26, 31, 238, 33, 0, 0)),
-        (17, Answer.UNSAT, {}, {}, (1649, 1660, 24702, 1773, 7, 45, 0, 7)),
+        (23, Answer.SAT, {0: -1, 1: 0, 2: 0, 3: 0},
+         {4: True, 5: False, 6: False}, (20, 24, 168, 25, 1, 19, 1, 1)),
+        (17, Answer.UNSAT, {}, {}, (2002, 2021, 30513, 2160, 11, 49, 0, 11)),
     ])
     def test_seeded_random_cnf(self, seed, answer, ints, bools, stats):
         store, clauses, int_vars, bool_vars = random_instance(
