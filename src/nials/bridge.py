@@ -17,6 +17,8 @@ from .costfn import compile_clauses
 from .terms import INT
 
 TOP_K = 10      # variables whose activity is bumped after a call
+LS_THRESHOLD_BASE = 20  # conflicts before the first call
+LS_BUDGET_PER_VAR = 100  # move evaluations per free variable and call
 
 
 class LsSchedule:
@@ -107,11 +109,14 @@ def apply_ls_result(result, free_vars, cache, bump_var):
 
 
 class LsController:
-    """Runs scheduled local-search calls against a solver instance."""
+    """Runs scheduled local-search calls against a solver instance.
 
-    def __init__(self, config):
-        self.config = config
-        self.schedule = LsSchedule(config.ls_threshold_base)
+    Reads `LS_THRESHOLD_BASE` when built and `LS_BUDGET_PER_VAR` and
+    `localsearch.DEFAULT_ACC` on each call, as module attributes.
+    """
+
+    def __init__(self):
+        self.schedule = LsSchedule(LS_THRESHOLD_BASE)
 
     def should_run(self, conflicts: int) -> bool:
         return self.schedule.due(conflicts)
@@ -136,11 +141,11 @@ class LsController:
             values=values,
             feasible=feasible,
             cost=cost,
-            budget=self.config.ls_budget_per_var * len(free),
+            budget=LS_BUDGET_PER_VAR * len(free),
             deadline=solver.deadline,
         )
-        result = localsearch.run(problem,
-                                 localsearch.MoveEngine(self.config.acc))
+        result = localsearch.run(
+            problem, localsearch.MoveEngine(localsearch.DEFAULT_ACC))
         solver.stats.ls_moves_accepted += result.moves_accepted
         solver.stats.ls_zero += result.reached_zero
         apply_ls_result(result, free, trail.cache, solver.bump_var)

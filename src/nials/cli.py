@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
-import math
+import contextlib
 import os
 import sys
 import time
@@ -35,19 +34,6 @@ def _count(text: str) -> int:
     return v
 
 
-def _acc(text: str) -> float:
-    """A finite acceleration constant above zero with a finite reciprocal:
-    hill-climbing multiplies and divides the step by it."""
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (0 < v < math.inf and 1.0 / v < math.inf):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number above 0: {text!r}")
-    return v
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nials",
@@ -55,37 +41,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help=".smt2 file, or a directory to benchmark")
     p.add_argument("--no-ls", action="store_true",
                    help="disable the local-search component")
-    p.add_argument("--ls-threshold-base", type=_count,
-                   default=SolverConfig.ls_threshold_base, metavar="N",
-                   help="conflicts before the first local-search call "
-                        "(default %(default)s)")
-    p.add_argument("--ls-budget", type=_count,
-                   default=SolverConfig.ls_budget_per_var, metavar="N",
-                   help="moves a local-search call may evaluate, per free "
-                        "variable, over its descent and its critical moves "
-                        "(default %(default)s)")
-    p.add_argument("--acc", type=_acc, default=SolverConfig.acc, metavar="F",
-                   help="hill-climbing acceleration constant; the step "
-                        "grows only at 1.5 or more (default %(default)s)")
     p.add_argument("--max-conflicts", type=_count, default=None, metavar="N",
                    help="give up with unknown after this many conflicts")
     p.add_argument("--timeout-ms", type=_count, default=None, metavar="N",
                    help="give up with unknown after this much wall time")
     p.add_argument("--print-model", action="store_true",
-                   help="print a model when the answer is sat")
+                   help="print a model when the answer is sat (single "
+                        "file only)")
     p.add_argument("--print-stats", action="store_true",
-                   help="print solver statistics as '; key=value' lines")
+                   help="print solver statistics as '; key=value' lines "
+                        "(single file only)")
     p.add_argument("--csv", dest="csv_out", default=None, metavar="PATH",
-                   help="write benchmark results to this CSV file")
+                   help="write benchmark results to this CSV file "
+                        "(directory only; default stdout)")
     return p
 
 
 def config_from_args(args) -> SolverConfig:
     return SolverConfig(
         ls_enabled=not args.no_ls,
-        ls_threshold_base=args.ls_threshold_base,
-        ls_budget_per_var=args.ls_budget,
-        acc=args.acc,
         max_conflicts=args.max_conflicts,
         timeout_ms=args.timeout_ms,
     )
@@ -174,34 +148,40 @@ def _bench_one(config: SolverConfig, path: str, err) -> dict:
 
 def bench_dir(config: SolverConfig, directory: str, out=None, err=None,
               csv_out: Optional[str] = None) -> int:
-    """Benchmark every .smt2 file in a directory in turn; writes one CSV."""
+    """Benchmark every .smt2 file in a directory in turn; writes one CSV
+    to `csv_out`, or to `out` without it.  The CSV file is opened before
+    the first file is solved, so a path that cannot be written costs no
+    solving."""
     out = out or sys.stdout
     err = err or sys.stderr
     try:
         names = sorted(n for n in os.listdir(directory) if n.endswith(".smt2"))
+        dest = open(csv_out, "w") if csv_out else contextlib.nullcontext(out)
     except OSError as e:
         print(f"error: {e}", file=err)
         return 2
-    rows = [_bench_one(config, os.path.join(directory, n), err)
-            for n in names]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    if csv_out:
-        with open(csv_out, "w") as f:
-            f.write(buf.getvalue())
-    else:
-        out.write(buf.getvalue())
+    with dest as f:
+        writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        for n in names:
+            writer.writerow(
+                _bench_one(config, os.path.join(directory, n), err))
     return 0
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     config = config_from_args(args)
     if os.path.isdir(args.path):
+        for option, given in (("--print-model", args.print_model),
+                              ("--print-stats", args.print_stats)):
+            if given:
+                parser.error(f"{option} applies to a single file, "
+                             "not to a directory")
         return bench_dir(config, args.path, csv_out=args.csv_out)
+    if args.csv_out is not None:
+        parser.error("--csv applies to a directory, not to a single file")
     return solve_file(config, args.path, print_model=args.print_model,
                       print_stats=args.print_stats)
 

@@ -35,7 +35,6 @@ from .bounds import hull, revise
 from .bridge import LsController
 from .errors import InternalError
 from .feasibility import FeasibilityMap
-from .localsearch import DEFAULT_ACC
 from .terms import (BOOL, LEQ, Clause, Formula, Literal, Polynomial,
                     TermStore, Variable)
 from .trail import Reason, Trail
@@ -66,26 +65,13 @@ class Stats:
 
 
 class SolverConfig:
-    """Solver settings.  The class attributes are the defaults, which the
-    command line reads too."""
+    """Solver settings: local search on or off, and the limits that end
+    a search with unknown."""
 
-    ls_enabled = True
-    ls_threshold_base = 20
-    ls_budget_per_var = 100
-    acc = DEFAULT_ACC
-    max_conflicts = None
-    timeout_ms = None
-
-    def __init__(self, ls_enabled: bool = ls_enabled,
-                 ls_threshold_base: int = ls_threshold_base,
-                 ls_budget_per_var: int = ls_budget_per_var,
-                 acc: float = acc,
-                 max_conflicts: Optional[int] = max_conflicts,
-                 timeout_ms: Optional[int] = timeout_ms):
+    def __init__(self, ls_enabled: bool = True,
+                 max_conflicts: Optional[int] = None,
+                 timeout_ms: Optional[int] = None):
         self.ls_enabled = ls_enabled
-        self.ls_threshold_base = ls_threshold_base
-        self.ls_budget_per_var = ls_budget_per_var
-        self.acc = acc
         self.max_conflicts = max_conflicts
         self.timeout_ms = timeout_ms
 
@@ -137,8 +123,7 @@ class Solver:
             heapq.heappush(self._heap, (0.0, x.id))
         for clause in formula.clauses:
             self._attach_clause(clause)
-        self.ls = (LsController(self.config) if self.config.ls_enabled
-                   else None)
+        self.ls = LsController() if self.config.ls_enabled else None
         self.deadline: Optional[float] = None   # time.monotonic() limit
         self.answer: Optional[Answer] = None
         self.model: dict = {}       # var id -> int or bool, once SAT

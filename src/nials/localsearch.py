@@ -51,7 +51,7 @@ FS_JUMPS = "fs-jumps"
 HILL_CLIMB = "hill-climb"
 MODES = (BOOL_FLIPS, FS_JUMPS, HILL_CLIMB)
 
-DEFAULT_ACC = 1.2
+DEFAULT_ACC = 1.2       # hill-climbing acceleration; steps grow from 1.5 up
 CRITICAL_SAMPLE = 2     # false clauses whose critical moves a step scores
 CRITICAL_PATIENCE = 100  # critical steps without a new lowest cost
 
@@ -156,7 +156,9 @@ class MoveEngine:
                 if cand in fs and (yield cand):
                     alpha, won = cand, delta
             if won is None:
-                self.step_size[vid] = max(1.0, step / self.acc)
+                # Below 1, dividing by `acc` grows the step.
+                self.step_size[vid] = min(max(1.0, step / self.acc),
+                                          self.max_step)
                 return
             self.step_size[vid] = min(float(abs(won)), self.max_step)
 

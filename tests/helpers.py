@@ -1,10 +1,11 @@
 """Shared generators and brute-force oracles for the test suite."""
 
+import contextlib
 import itertools
 
 import pytest
 
-from nials import feasibility
+from nials import bridge, feasibility, localsearch
 from nials.costfn import IncrementalCost
 from nials.feasibility import unit_solution_set
 from nials.intervals import IntervalSet
@@ -12,6 +13,21 @@ from nials.terms import (Atom, Clause, Literal, Polynomial, Rel, Sort,
                          TermStore)
 
 RELS = (Rel.EQ, Rel.NEQ, Rel.LEQ, Rel.LT)
+
+
+@contextlib.contextmanager
+def ls_constants(threshold_base=None, budget_per_var=None, acc=None):
+    """Set the local-search tuning constants given (`bridge.LS_THRESHOLD_BASE`,
+    `bridge.LS_BUDGET_PER_VAR`, `localsearch.DEFAULT_ACC`) for the body of
+    a ``with`` block, and restore them on leaving it."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name, value in (
+                (bridge, "LS_THRESHOLD_BASE", threshold_base),
+                (bridge, "LS_BUDGET_PER_VAR", budget_per_var),
+                (localsearch, "DEFAULT_ACC", acc)):
+            if value is not None:
+                mp.setattr(module, name, value)
+        yield
 
 
 def random_monomial(rng, vids, max_deg):

@@ -2,13 +2,15 @@
 
 import random
 
-from helpers import (assignments, box_clauses, clauses_sat, planted_instance,
-                     random_instance)
-from nials.bridge import (TOP_K, LsController, LsSchedule, apply_ls_result,
+from helpers import (assignments, box_clauses, clauses_sat, ls_constants,
+                     planted_instance, random_instance)
+from nials import localsearch
+from nials.bridge import (LS_BUDGET_PER_VAR, LS_THRESHOLD_BASE, TOP_K,
+                          LsController, LsSchedule, apply_ls_result,
                           build_initial_assignment, build_ls_formula)
 from nials.core import Answer, Solver, SolverConfig
 from nials.feasibility import FeasibilityMap
-from nials.localsearch import LsResult
+from nials.localsearch import DEFAULT_ACC, LsResult
 from nials.terms import (Clause, Formula, Literal, Polynomial, Rel, Sort,
                          TermStore)
 from nials.trail import Trail
@@ -28,7 +30,7 @@ class TestSchedule:
         assert points == [50, 100, 212, 400]
 
     def test_default_firing_points(self):
-        sched = LsSchedule(SolverConfig().ls_threshold_base)
+        sched = LsSchedule(LS_THRESHOLD_BASE)
         thresholds = [sched.next_threshold]
         for _ in range(3):
             sched.advance()
@@ -53,9 +55,29 @@ class TestSchedule:
         sched = LsSchedule(50)
         assert not sched.due(49)
         assert sched.due(50)
-        ls = LsController(SolverConfig(ls_threshold_base=50))
+        with ls_constants(threshold_base=50):
+            ls = LsController()
         assert not ls.should_run(49)
         assert ls.should_run(50)
+
+    def test_controller_reads_constants_per_call(self, monkeypatch):
+        # A call takes its budget and acceleration constant from the module
+        # constants as they stand when it runs.
+        seen = []
+        real_run = localsearch.run
+
+        def spy(problem, engine):
+            seen.append((problem.budget, engine.acc))
+            return real_run(problem, engine)
+
+        monkeypatch.setattr(localsearch, "run", spy)
+        store, clauses, ints, bools = random_instance(
+            random.Random(3), n_int=2, n_bool=1, n_clauses=3)
+        solver = Solver(store, Formula(clauses, ints + bools))
+        with ls_constants(budget_per_var=7, acc=3.0):
+            solver.ls.run(solver)
+        solver.ls.run(solver)
+        assert seen == [(7 * 3, 3.0), (LS_BUDGET_PER_VAR * 3, DEFAULT_ACC)]
 
     def test_disabled_ls_has_no_controller(self):
         formula = Formula([], [])
@@ -239,13 +261,13 @@ class TestLsOnSolver:
             make = planted_instance if i % 2 else random_instance
             store, clauses, ints, bools = make(
                 rng, n_int=3, n_bool=2, n_clauses=6, max_deg=2, coeff=3)
-            solver = Solver(store, Formula(clauses, ints + bools),
-                            SolverConfig(ls_budget_per_var=1000))
+            solver = Solver(store, Formula(clauses, ints + bools))
             if (solver.propagate() is not None
                     or not self.decide_randomly(rng, solver)):
                 continue
             fixed = self.trail_values(solver)
-            result = solver.ls.run(solver)
+            with ls_constants(budget_per_var=1000):
+                result = solver.ls.run(solver)
             if result is None:
                 continue
             calls += 1

@@ -10,6 +10,7 @@ import time
 import pytest
 
 import nials
+from helpers import ls_constants
 from nials import cli, core, localsearch, smtlib
 from nials.errors import DuplicateAssignment
 from nials.trail import Trail
@@ -332,6 +333,20 @@ class TestBenchDir:
         assert [(r[0], r[1]) for r in rows[1:]] == [
             ("bad.smt2", "error"), ("ex1.smt2", "sat")]
 
+    def test_unwritable_csv_solves_nothing(self, files, tmp_path,
+                                           monkeypatch, capsys):
+        def no_solving(script, config=None):
+            raise AssertionError("solved before the CSV file was opened")
+
+        monkeypatch.setattr(smtlib, "solve", no_solving)
+        out_path = str(tmp_path / "missing" / "out.csv")
+        assert cli.main([files["dir"], "--csv", out_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert not os.path.exists(out_path)
+
     def test_stdout_when_no_csv_flag(self, files):
         code, out, _ = run_main([files["dir"]])
         assert code == 0
@@ -343,14 +358,29 @@ class TestMain:
         args = cli.build_parser().parse_args([files["ex1"]])
         assert vars(cli.config_from_args(args)) == vars(nials.SolverConfig())
         assert sorted(vars(nials.SolverConfig())) == [
-            "acc", "ls_budget_per_var", "ls_enabled", "ls_threshold_base",
-            "max_conflicts", "timeout_ms"]
+            "ls_enabled", "max_conflicts", "timeout_ms"]
 
     def test_main_returns_exit_code(self, files, capsys):
         assert cli.main([files["ex1"]]) == 0
         captured = capsys.readouterr()
         assert captured.out.splitlines()[0] == "sat"
         assert cli.main([files["bad"]]) == 2
+
+    @pytest.mark.parametrize("target, option", [
+        ("ex1", "--csv"), ("dir", "--print-model"), ("dir", "--print-stats")])
+    def test_option_for_other_target_is_usage_error(self, files, tmp_path,
+                                                    target, option, capsys):
+        # --csv applies to directory runs only, --print-model and
+        # --print-stats to single files only.
+        out_path = str(tmp_path / "out.csv")
+        argv = [option, out_path] if option == "--csv" else [option]
+        with pytest.raises(SystemExit) as e:
+            cli.main([files[target], *argv])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option in captured.err
+        assert not os.path.exists(out_path)
 
 
 # Local search before the first decision reaches hill-climbing, where the
@@ -378,6 +408,9 @@ THREE_VARS = """(set-logic QF_NIA)
 
 
 class TestAcc:
+    """`localsearch.DEFAULT_ACC` reaches the search through the solver;
+    the acceleration constant is not a command-line option."""
+
     @pytest.fixture
     def paths(self, tmp_path):
         (tmp_path / "two.smt2").write_text(TWO_VARS)
@@ -391,17 +424,15 @@ class TestAcc:
     @pytest.mark.parametrize("acc", ["1e200", "1e-300",
                                      "1.7976931348623157e308"])
     def test_huge_step_answers(self, big, acc):
-        code, out, err = run_main([big["file"], "--acc", acc,
-                                   "--ls-threshold-base", "0",
-                                   "--print-model"])
+        with ls_constants(threshold_base=0, acc=float(acc)):
+            code, out, err = run_main([big["file"], "--print-model"])
         assert code == 0, err
         assert out.splitlines()[0] == "sat"
 
     def test_huge_step_directory_row(self, big, tmp_path):
         csv_path = tmp_path / "out.csv"
-        code, _, err = run_main([big["dir"], "--acc", "1e200",
-                                 "--ls-threshold-base", "0",
-                                 "--csv", str(csv_path)])
+        with ls_constants(threshold_base=0, acc=1e200):
+            code, _, err = run_main([big["dir"], "--csv", str(csv_path)])
         assert code == 0, err
         with open(csv_path, newline="") as f:
             rows = list(csv.DictReader(f))
@@ -411,17 +442,17 @@ class TestAcc:
     @pytest.mark.parametrize("target", ["file", "dir"])
     @pytest.mark.parametrize("acc", ["0", "-1", "inf", "nan"])
     def test_bad_acc_is_usage_error(self, paths, target, acc, capsys):
+        # There is no --acc option, so every value of it is refused.
         with pytest.raises(SystemExit) as e:
-            cli.main([paths[target], f"--acc={acc}", "--ls-threshold-base",
-                      "0"])
+            cli.main([paths[target], f"--acc={acc}"])
         assert e.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--acc" in captured.err
 
     def test_acc_below_one_answers(self, paths, capsys):
-        assert cli.main([paths["file"], "--acc", "0.5",
-                         "--ls-threshold-base", "0"]) == 0
+        with ls_constants(threshold_base=0, acc=0.5):
+            assert cli.main([paths["file"]]) == 0
         assert capsys.readouterr().out.splitlines() == ["sat"]
 
 
@@ -458,11 +489,12 @@ class TestLimits:
         # Each local-search call restarts the search; a threshold that did
         # not grow would call it again before every decision, for good.
         src = os.path.dirname(os.path.dirname(nials.__file__))
-        code = ("import sys; from nials import cli; "
+        code = ("import sys; from nials import bridge, cli; "
+                "bridge.LS_THRESHOLD_BASE = 0; "
                 "sys.exit(cli.main(sys.argv[1:]))")
         proc = subprocess.run(
-            [sys.executable, "-c", code, four["file"], "--ls-threshold-base",
-             "0", "--max-conflicts", "20", "--print-stats"],
+            [sys.executable, "-c", code, four["file"], "--max-conflicts",
+             "20", "--print-stats"],
             env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -471,8 +503,7 @@ class TestLimits:
         assert "; conflicts=20" in lines
 
     @pytest.mark.parametrize("target", ["file", "dir"])
-    @pytest.mark.parametrize("option", ["--ls-threshold-base", "--ls-budget",
-                                        "--max-conflicts", "--timeout-ms"])
+    @pytest.mark.parametrize("option", ["--max-conflicts", "--timeout-ms"])
     def test_negative_limit_is_usage_error(self, four, target, option,
                                            capsys):
         with pytest.raises(SystemExit) as e:
@@ -482,9 +513,22 @@ class TestLimits:
         assert captured.out == ""
         assert option in captured.err
 
+    @pytest.mark.parametrize("option", ["--ls-threshold-base", "--ls-budget",
+                                        "--acc"])
+    def test_removed_ls_option_is_usage_error(self, four, option, capsys):
+        # The local-search tuning settings are module constants
+        # (`bridge.LS_THRESHOLD_BASE`, `bridge.LS_BUDGET_PER_VAR`,
+        # `localsearch.DEFAULT_ACC`), not options.
+        with pytest.raises(SystemExit) as e:
+            cli.main([four["file"], option, "2"])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option in captured.err
+
     def test_zero_limits_answer(self, four, capsys):
-        assert cli.main([four["file"], "--ls-budget", "0",
-                         "--max-conflicts", "0"]) == 0
+        with ls_constants(budget_per_var=0):
+            assert cli.main([four["file"], "--max-conflicts", "0"]) == 0
         assert capsys.readouterr().out.splitlines() == ["unknown"]
 
     def test_timeout_holds_in_critical_phase(self, tmp_path, monkeypatch):
@@ -495,9 +539,8 @@ class TestLimits:
         p.write_text(CYCLE)
         monkeypatch.setattr(localsearch, "CRITICAL_PATIENCE", 10 ** 12)
         t0 = time.monotonic()
-        code, out, err = run_main([str(p), "--ls-threshold-base", "1",
-                                   "--ls-budget", str(10 ** 12),
-                                   "--timeout-ms", "300"])
+        with ls_constants(threshold_base=1, budget_per_var=10 ** 12):
+            code, out, err = run_main([str(p), "--timeout-ms", "300"])
         elapsed = time.monotonic() - t0
         assert code == 0, err
         assert out.splitlines() == ["unknown"]
@@ -518,7 +561,8 @@ class TestZeroCostCheck:
 
     def test_corrupted_result_exit_3(self, files, monkeypatch):
         monkeypatch.setattr(localsearch, "run", self.corrupt(localsearch.run))
-        code, out, err = run_main([files["ex1"], "--ls-threshold-base", "0"])
+        with ls_constants(threshold_base=0):
+            code, out, err = run_main([files["ex1"]])
         assert code == 3
         assert out == ""
         assert "internal error" in err
@@ -527,15 +571,15 @@ class TestZeroCostCheck:
         # `python -O` strips asserts; the check of a zero-cost assignment
         # must still refuse.
         src = os.path.dirname(os.path.dirname(nials.__file__))
-        code = ("import sys; from nials import cli, localsearch; "
+        code = ("import sys; from nials import bridge, cli, localsearch; "
                 "from test_cli import TestZeroCostCheck; "
+                "bridge.LS_THRESHOLD_BASE = 0; "
                 "localsearch.run = "
                 "TestZeroCostCheck.corrupt(localsearch.run); "
                 "sys.exit(cli.main(sys.argv[1:]))")
         tests = os.path.dirname(os.path.abspath(__file__))
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", code, files["ex1"],
-             "--ls-threshold-base", "0"],
+            [sys.executable, "-O", "-c", code, files["ex1"]],
             env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 3, proc.stderr

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from helpers import (box_clauses, brute_force, clauses_sat, planted_instance,
-                     product_probe, random_instance, scan_clauses)
+from helpers import (box_clauses, brute_force, clauses_sat, ls_constants,
+                     planted_instance, product_probe, random_instance,
+                     scan_clauses)
 from nials import localsearch
 from nials.core import Answer, Solver, SolverConfig, Stats
 from nials.errors import InternalError
@@ -17,10 +18,14 @@ from nials.trail import Reason
 P = Polynomial
 
 
-def solve(store, clauses, variables, **cfg):
+def solve(store, clauses, variables, threshold_base=None, budget_per_var=None,
+          **cfg):
+    """Solve with `SolverConfig(**cfg)` and the local-search constants
+    given."""
     formula = Formula(list(clauses), variables)
-    solver = Solver(store, formula, SolverConfig(**cfg))
-    return solver.check_sat(), solver
+    with ls_constants(threshold_base, budget_per_var):
+        solver = Solver(store, formula, SolverConfig(**cfg))
+        return solver.check_sat(), solver
 
 
 def example_formula():
@@ -252,15 +257,15 @@ class TestWatches:
                 rng, n_int=4, n_bool=3, n_clauses=14, max_deg=2, coeff=4)
             clauses += box_clauses(store, ints, -8, 8)
             solve(store, clauses, ints + bools, max_conflicts=300,
-                  ls_enabled=ls_enabled, ls_threshold_base=5)
+                  ls_enabled=ls_enabled, threshold_base=5)
         for n_int, n_clauses in ((6, 40), (20, 150)):
             for _ in range(5):
                 store, clauses, ints, bools = planted_instance(
                     rng, n_int=n_int, n_bool=3, n_clauses=n_clauses,
                     lo=-24, hi=24, max_deg=2, coeff=5)
                 solve(store, clauses, ints + bools, max_conflicts=200,
-                      ls_enabled=ls_enabled, ls_threshold_base=5,
-                      ls_budget_per_var=2)
+                      ls_enabled=ls_enabled, threshold_base=5,
+                      budget_per_var=2)
         assert len(fixpoints) > 1000 and max(fixpoints) > 100
 
     def test_hull_clauses(self, fixpoints):
@@ -284,7 +289,7 @@ class TestLsAnswers:
             store, clauses, ints, bools = planted_instance(
                 rng, n_int=6, n_bool=2, n_clauses=40, max_deg=2, coeff=5)
             ans, solver = solve(store, clauses, ints + bools,
-                                ls_threshold_base=0)
+                                threshold_base=0)
             assert ans is Answer.SAT
             assert clauses_sat(clauses, solver.model, solver.model)
             answered += solver.stats.ls_zero
@@ -297,7 +302,7 @@ class TestLsAnswers:
             coeff=4)
         clauses = clauses + box_clauses(store, ints, -8, 8)
         ans, solver = solve(store, clauses, ints + bools,
-                            ls_threshold_base=5, max_conflicts=200)
+                            threshold_base=5, max_conflicts=200)
         assert solver.stats.restarts >= 1
         assert solver.stats.restarts <= solver.stats.ls_calls
 
@@ -312,10 +317,10 @@ class TestLsAnswers:
 
         monkeypatch.setattr(localsearch, "run", corrupted)
         store, clauses, variables = example_formula()   # z·z > 1
-        solver = Solver(store, Formula(clauses, variables),
-                        SolverConfig(ls_threshold_base=0))
-        with pytest.raises(InternalError, match="does not satisfy"):
-            solver.check_sat()
+        with ls_constants(threshold_base=0):
+            solver = Solver(store, Formula(clauses, variables), SolverConfig())
+            with pytest.raises(InternalError, match="does not satisfy"):
+                solver.check_sat()
         assert solver.answer is None
 
 
@@ -401,7 +406,7 @@ class TestPinnedSearch:
         for ls in (True, False):
             for store, clauses, variables, cap in instances():
                 ans, solver = solve(store, clauses, variables, max_conflicts=cap,
-                                    ls_enabled=ls, ls_threshold_base=5)
+                                    ls_enabled=ls, threshold_base=5)
                 learned = [[lit.skey for lit in c]
                            for c in solver.clauses if c.learned]
                 model = sorted(solver.model.items())
@@ -429,8 +434,8 @@ class TestPinnedSearch:
                 hi=24, max_deg=2, coeff=5)
             for budget in (2, 100):
                 ans, solver = solve(store, clauses, ints + bools,
-                                    max_conflicts=200, ls_threshold_base=5,
-                                    ls_budget_per_var=budget)
+                                    max_conflicts=200, threshold_base=5,
+                                    budget_per_var=budget)
                 learned = [[lit.skey for lit in c]
                            for c in solver.clauses if c.learned]
                 h.update(repr((ans.value, solver.stats.as_dict(), learned,

@@ -1,6 +1,7 @@
 """Local-search move engine and the mode-cycling descent loop."""
 
 import random
+import sys
 import time
 
 import pytest
@@ -368,6 +369,59 @@ class TestCriticalPhase:
             b = run(random_problem(seed, 500))
             assert (a.values, a.cost, a.moves_tried) == \
                 (b.values, b.cost, b.moves_tried)
+
+
+class TestExtremeAcc:
+    """Acceleration constants far from 1 keep every step a finite float
+    below `MoveEngine.max_step`, so hill-climbing never overflows."""
+
+    @staticmethod
+    def over_1000():
+        """(x > 1000 or y > 1000) and (y > 1000 or z = 1) from 0, 0, 0:
+        an accepted hill-climbing move of about `acc` (or 1/acc) units
+        drives the next step towards the float range."""
+        store = TermStore()
+        x, y, z = (store.new_var(n, Sort.INT) for n in "xyz")
+
+        def over(v):
+            return Literal(False, atom=store.mk_atom(
+                P.var(v.id), Rel.LEQ, P.const(1000)))
+
+        clauses = [Clause([over(x), over(y)]),
+                   Clause([over(y), Literal(True, atom=store.mk_atom(
+                       P.var(z.id), Rel.EQ, P.const(1)))])]
+        return int_problem(store, clauses, [x, y, z],
+                           {x.id: 0, y.id: 0, z.id: 0}, budget=300)
+
+    def check(self, problem, acc):
+        engine = MoveEngine(acc)
+        result = run(problem, engine)
+        assert all(s <= engine.max_step for s in engine.step_size.values())
+        assert result.cost == IncrementalCost(problem.cost,
+                                              result.values).value
+        return result
+
+    @pytest.mark.parametrize("acc", [1e200, sys.float_info.max, 1e-300])
+    def test_huge_step_reaches_zero(self, acc):
+        assert self.check(self.over_1000(), acc).reached_zero
+
+    def test_acc_below_one_reaches_zero(self):
+        assert self.check(self.over_1000(), 0.5).reached_zero
+
+    def test_failed_round_keeps_step_below_bound(self):
+        # x = 1, y = 1 and x·y = 7 from 0, 0.  Below 1 a failed round
+        # divides x's step by acc, which grows it, and y's move then
+        # brings hill-climbing back to x at that step.
+        store = TermStore()
+        x, y = (store.new_var(n, Sort.INT) for n in "xy")
+        px, py = P.var(x.id), P.var(y.id)
+        clauses = [Clause([Literal(True, atom=store.mk_atom(
+            p, Rel.EQ, P.const(c)))]) for p, c in ((px, 1), (py, 1),
+                                                  (px * py, 7))]
+        result = self.check(int_problem(store, clauses, [x, y],
+                                        {x.id: 0, y.id: 0}, budget=300),
+                            1e-300)
+        assert result.values == {x.id: 1, y.id: 1}
 
 
 def far_problem(budget):
