@@ -5,7 +5,9 @@ the integers, as in Jovanović, "Solving Nonlinear Integer Arithmetic with
 MCSAT" (VMCAI 2017).  Each variable ranges over a hull [lo, hi], the least
 and greatest member of its feasible set.  Forward, every monomial is
 evaluated over the hulls.  Backward, one monomial is isolated, divided by
-its other factors and taken to an integer k-th root.
+its other factors and taken to an integer k-th root.  The literal is read
+as its `Atom.form` ``p ⋈ 0``: ``p = 0`` and ``p ≤ 0`` narrow, and a
+disequality narrows nothing.
 
 Only hulls are used.  A divisor whose hull contains 0 narrows nothing,
 and no step divides by a union of intervals: on the criterion-8 guidance
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .terms import EQ, LEQ, NEQ
+from .terms import EQ, NEQ
 from .univariate import iroot
 
 INF = float("inf")      # hull ends are ints, or ±INF where unbounded
@@ -132,29 +134,6 @@ def _root(r: tuple, k: int, own: tuple) -> tuple:
     return -top, top, False
 
 
-def _as_leq(atom, positive: bool) -> Optional[tuple]:
-    """The literal as (constant, [(coefficient, monomial)], is_eq) for
-    ``p = 0`` or ``p ≤ 0`` over the integers; None for a disequality."""
-    rel = atom.rel
-    is_eq = rel is EQ or rel is NEQ
-    if is_eq:                   # p = 0, or ¬(p ≠ 0)
-        if positive != (rel is EQ):
-            return None
-        sign, shift = 1, 0
-    elif rel is LEQ:            # ¬(p ≤ 0) is −p + 1 ≤ 0
-        sign, shift = (1, 0) if positive else (-1, 1)
-    else:                       # p < 0 is p + 1 ≤ 0; ¬(p < 0) is −p ≤ 0
-        sign, shift = (1, 1) if positive else (-1, 0)
-    const = shift
-    terms = []
-    for m, c in atom.poly.terms.items():
-        if m:
-            terms.append((sign * c, m))
-        else:
-            const += sign * c
-    return const, terms, is_eq
-
-
 def revise(atom, positive: bool, hulls: dict) -> Optional[list]:
     """The hulls that the literal narrows.
 
@@ -164,10 +143,12 @@ def revise(atom, positive: bool, hulls: dict) -> Optional[list]:
     holds in the hulls, v ∈ [lo, hi], a strict part of v's hull.  ``own``
     tells whether the bound rests on v's own hull besides the others.
     """
-    form = _as_leq(atom, positive)
-    if form is None:
+    p, rel = atom.form(positive)
+    if rel is NEQ:
         return []
-    const, terms, is_eq = form
+    is_eq = rel is EQ
+    const = p.terms.get((), 0)
+    terms = [(c, m) for m, c in p.terms.items() if m]
     # p = const + Σ c·m must meet [0, 0] (is_eq) or [−INF, 0].  The sums
     # keep their finite parts and count their infinite ones, so that each
     # c·m can take its own range back out.

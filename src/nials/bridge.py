@@ -111,8 +111,9 @@ def apply_ls_result(result, free_vars, cache, bump_var):
 class LsController:
     """Runs scheduled local-search calls against a solver instance.
 
-    Reads `LS_THRESHOLD_BASE` when built and `LS_BUDGET_PER_VAR` and
-    `localsearch.DEFAULT_ACC` on each call, as module attributes.
+    Reads `LS_THRESHOLD_BASE` when built and `LS_BUDGET_PER_VAR` on each
+    call, as module attributes; each `localsearch.run` call reads
+    `localsearch.DEFAULT_ACC`.
     """
 
     def __init__(self):
@@ -144,8 +145,7 @@ class LsController:
             budget=LS_BUDGET_PER_VAR * len(free),
             deadline=solver.deadline,
         )
-        result = localsearch.run(
-            problem, localsearch.MoveEngine(localsearch.DEFAULT_ACC))
+        result = localsearch.run(problem)
         solver.stats.ls_moves_accepted += result.moves_accepted
         solver.stats.ls_zero += result.reached_zero
         apply_ls_result(result, free, trail.cache, solver.bump_var)

@@ -88,11 +88,20 @@ def _solve_path(config: SolverConfig, path: str):
     return smtlib.solve(smtlib.parse(text), config)
 
 
-def _unexpected(path: str, e: Exception, err):
-    """Report an exception that no solver error explains, with its
-    traceback."""
+def _report_failure(path: str, e: Exception, err) -> int:
+    """Report an exception raised while solving `path` on `err` and
+    return its exit status: 2 for a file that cannot be read or bad input,
+    3 for an internal error (a solver check that failed, or an exception
+    that no solver error explains, which also gets its traceback)."""
+    if isinstance(e, InternalError):
+        print(f"{path}: internal error: {e}", file=err)
+        return 3
+    if isinstance(e, (OSError, NialsError)):
+        print(f"{path}: error: {e}", file=err)
+        return 2
     print(f"{path}: internal error: {type(e).__name__}: {e}", file=err)
     traceback.print_exc(file=err)
+    return 3
 
 
 def solve_file(config: SolverConfig, path: str, out=None, err=None,
@@ -103,18 +112,8 @@ def solve_file(config: SolverConfig, path: str, out=None, err=None,
     t0 = time.monotonic()
     try:
         answer, model, solver = _solve_path(config, path)
-    except OSError as e:
-        print(f"error: {e}", file=err)
-        return 2
-    except InternalError as e:
-        print(f"{path}: internal error: {e}", file=err)
-        return 3
-    except NialsError as e:
-        print(f"{path}: error: {e}", file=err)
-        return 2
     except Exception as e:
-        _unexpected(path, e, err)
-        return 3
+        return _report_failure(path, e, err)
     wall_ms = (time.monotonic() - t0) * 1000.0
     print(answer.value, file=out)
     if print_model and model is not None:
@@ -128,19 +127,17 @@ def solve_file(config: SolverConfig, path: str, out=None, err=None,
 def _bench_one(config: SolverConfig, path: str, err) -> dict:
     """One CSV row: name, answer, wall time and every `Stats` key.
 
-    A file that cannot be read or solved gives an `error` row and a
-    message on `err`; an unexpected exception also gives its traceback,
-    and the directory run goes on.
+    A file that cannot be read or solved gives an `error` row and the
+    message `solve_file` would print on `err`, and the directory run goes
+    on.
     """
     t0 = time.monotonic()
     ans, stats = "error", Stats()
     try:
         answer, _, solver = _solve_path(config, path)
         ans, stats = answer.value, solver.stats
-    except (OSError, NialsError) as e:
-        print(f"{path}: error: {e}", file=err)
     except Exception as e:
-        _unexpected(path, e, err)
+        _report_failure(path, e, err)
     wall_ms = (time.monotonic() - t0) * 1000.0
     return {"name": os.path.basename(path), "answer": ans,
             "wall_ms": f"{wall_ms:.1f}", **stats.as_dict()}

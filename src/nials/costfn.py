@@ -2,35 +2,35 @@
 
 The cost of an assignment is a nonnegative arbitrary-precision integer that
 is zero exactly on satisfying assignments.  Clauses add and the literals in
-a clause multiply.  A literal costs 0 when it holds; otherwise ``p = 0``
-costs ``|p|``, ``p ≠ 0`` costs 1, ``p ≤ 0`` costs ``p`` and ``p < 0`` costs
-``p + 1`` (for integers, ``p < 0`` and ``p + 1 ≤ 0`` are interchangeable),
-and a false Boolean literal costs 1.
+a clause multiply.  An arithmetic literal is compiled to its `Atom.form`
+``q ⋈ 0``, where negation and strictness are already resolved, so ``⋈`` is
+``=``, ``≠`` or ``≤``.  A literal costs 0 when it holds; otherwise
+``q = 0`` costs ``|q|``, ``q ≠ 0`` costs 1 and ``q ≤ 0`` costs ``q``, and
+a false Boolean literal costs 1.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Optional
 
-from .terms import EQ, LEQ, LT, NEQ, Literal, Rel
+from .terms import EQ, LEQ, NEQ, Rel
 
 
 def _violation(value: int, rel: Rel) -> int:
-    """Cost of ``value ⋈ 0``: 0 when it holds, else how far it is from it."""
+    """Cost of ``value ⋈ 0`` for ``⋈`` among =, ≠ and ≤: 0 when it holds,
+    else how far it is from it."""
     if rel is EQ:
         return abs(value)
     if rel is NEQ:
         return 1 if value == 0 else 0
-    if rel is LEQ:
-        return value if value > 0 else 0
-    return value + 1 if value >= 0 else 0
+    return value if value > 0 else 0
 
 
 class CostClause(NamedTuple):
     """``factor`` times the costs of the clause's unfixed literals."""
 
     factor: int                 # product of the literals folded to constants
-    arith: tuple                # (poly, rel): the literal holds iff poly ⋈ 0
+    arith: tuple                # `Atom.form`s: the literal holds iff poly ⋈ 0
     bools: tuple                # (var id, value that makes the literal hold)
 
 
@@ -41,20 +41,6 @@ class CostFunction:
 
     def __init__(self, clauses: list):
         self.clauses = clauses      # CostClause
-
-
-def _holds_form(lit: Literal):
-    """(poly, rel) such that an atom literal holds iff ``poly ⋈ 0``."""
-    poly, rel = lit.atom.poly, lit.atom.rel
-    if lit.positive:
-        return poly, rel
-    if rel is EQ:
-        return poly, NEQ
-    if rel is NEQ:
-        return poly, EQ
-    if rel is LEQ:
-        return -poly, LT
-    return -poly, LEQ
 
 
 def _compile_clause(lits, fixed) -> Optional[CostClause]:
@@ -70,7 +56,7 @@ def _compile_clause(lits, fixed) -> Optional[CostClause]:
             elif bool(fixed[vid]) == lit.positive:
                 return None
             continue
-        poly, rel = _holds_form(lit)
+        poly, rel = lit.atom.form(lit.positive)
         if fixed and (poly.variables & fixed.keys()):
             poly = poly.substitute(fixed)
         if not poly.is_constant():
@@ -143,11 +129,11 @@ class IncrementalCost:
     Keeps one value per variable (var id -> int or bool), and for every
     literal the value of its polynomial and its cost (0 when it holds);
     a clause costs its factor times the costs of its literals.  A Boolean
-    literal is kept as ``x − want = 0`` over 0/1, and ``p < 0`` as
-    ``p + 1 ≤ 0``.  A move of one variable re-evaluates only the
-    literals that mention it, over the terms that change, and skips every
-    clause that a literal without the variable keeps true.  The indices
-    of the clauses of positive cost are kept in `false_clauses`.
+    literal is kept as ``x − want = 0`` over 0/1.  A move of one variable
+    re-evaluates only the literals that mention it, over the terms that
+    change, and skips every clause that a literal without the variable
+    keeps true.  The indices of the clauses of positive cost are kept in
+    `false_clauses`.
     """
 
     def __init__(self, cost: CostFunction, values: dict):
@@ -184,8 +170,6 @@ class IncrementalCost:
                     v += t
                 for x, ts in lit_terms.items():
                     by_var.setdefault(x, []).append((j, tuple(ts)))
-                if rel is LT:
-                    v, rel = v + 1, LEQ
                 lit_val.append(v)
                 lit_rel.append(rel)
                 lits.append(j)

@@ -42,11 +42,9 @@ def solution_set(poly, rel: Rel, vid: int, values) -> IntervalSet:
 
 def unit_solution_set(lit: Literal, vid: int, values) -> IntervalSet:
     """Integer solutions for the one unassigned variable of a unit literal,
-    the other variables at their trail values."""
-    s = solution_set(lit.atom.poly, lit.atom.rel, vid, values)
-    if not lit.positive:
-        s = s.complement()
-    return s
+    the other variables at their trail values: those of its `Atom.form`."""
+    poly, rel = lit.atom.form(lit.positive)
+    return solution_set(poly, rel, vid, values)
 
 
 class FeasibilityMap:

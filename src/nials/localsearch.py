@@ -103,10 +103,14 @@ class MoveEngine:
     """Move candidates per variable visit, with state across visits.
 
     Keeps the hill-climbing step size of each variable and the variables
-    whose feasible-set sweep is used up.
+    whose feasible-set sweep is used up.  Without `acc`, the acceleration
+    constant is `DEFAULT_ACC` as the module holds it when the engine is
+    built.
     """
 
-    def __init__(self, acc: float = DEFAULT_ACC):
+    def __init__(self, acc: Optional[float] = None):
+        if acc is None:
+            acc = DEFAULT_ACC
         self.acc = acc
         # Steps stay below this bound, so that `step * acc` and
         # `step / acc` are finite floats for every finite positive `acc`.

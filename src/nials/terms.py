@@ -4,6 +4,7 @@ Atoms are normalized to ``p ⋈ 0`` with ``⋈ ∈ {EQ, NEQ, LEQ, LT}``.  Negati
 polarity lives on the literal, never inside the atom.  `Literal` is the one
 literal type from the SMT-LIB frontend to conflict analysis; its integer
 keys are spelled only in this module (`atom_key`, `bool_key`).
+`Atom.form` is the one place where negation and strictness are resolved.
 """
 
 from __future__ import annotations
@@ -266,6 +267,9 @@ class Polynomial:
         return " + ".join(parts)
 
 
+_ONE = Polynomial.const(1)
+
+
 class Atom:
     """Normalized arithmetic atom ``poly ⋈ 0``.
 
@@ -276,7 +280,7 @@ class Atom:
     the atom.  Equality and hash follow ``id``.
     """
 
-    __slots__ = ("id", "poly", "rel", "var_eq", "vars", "key")
+    __slots__ = ("id", "poly", "rel", "var_eq", "vars", "key", "_forms")
 
     def __init__(self, id: int, poly: Polynomial, rel: Rel,
                  var_eq: Optional[tuple] = None):
@@ -286,6 +290,34 @@ class Atom:
         self.var_eq = var_eq
         self.vars = tuple(poly.variables)
         self.key = atom_key(id)
+        self._forms = None      # [negative form, positive form], on demand
+
+    def form(self, positive: bool) -> tuple:
+        """``(q, rel)`` with ``rel`` among EQ, NEQ and LEQ: the literal of
+        this polarity holds exactly at the integer points where
+        ``q rel 0``.
+
+        ``p < 0`` is ``p + 1 ≤ 0``.  Negation swaps EQ and NEQ, turns
+        ``p ≤ 0`` into ``1 − p ≤ 0`` and ``p < 0`` into ``−p ≤ 0``.  The
+        non-constant monomials of ``q`` keep the order of ``p``'s.  Each
+        form is built on first use and kept.
+        """
+        forms = self._forms
+        if forms is None:
+            self._forms = forms = [None, None]
+        f = forms[positive]
+        if f is None:
+            p, rel = self.poly, self.rel
+            if positive:
+                f = (p + _ONE, LEQ) if rel is LT else (p, rel)
+            elif rel is LEQ:
+                f = _ONE - p, LEQ
+            elif rel is LT:
+                f = -p, LEQ
+            else:
+                f = p, NEQ if rel is EQ else EQ
+            forms[positive] = f
+        return f
 
     def evaluate(self, values: Mapping[int, int]) -> bool:
         return self.rel.holds(self.poly.evaluate(values))

@@ -13,6 +13,9 @@ consecutive brackets, so one test per segment gives the solution set.
 When every exponent of p is a multiple of g > 1, p(x) = q(x^g), and the
 chain walks q instead: brackets of q's roots map back to x through the
 integer g-th roots of `iroot`.
+
+Search passes the relations of `Atom.form` (=, ≠, ≤); ``p < 0`` is read
+as ``p + 1 ≤ 0`` on entry.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from functools import lru_cache
 
 from .intervals import IntervalSet
-from .terms import EQ, LT, NEQ, Rel
+from .terms import EQ, LEQ, LT, NEQ, Rel
 
 # Coefficient lists are dense, lowest degree first.
 
@@ -109,7 +112,10 @@ def _brackets(cs: list, bound: int) -> list:
 @lru_cache(maxsize=65536)
 def solve_univariate_coeffs(coeffs: tuple, rel: Rel) -> IntervalSet:
     """Integer solution set of ``p(x) ⋈ 0`` given dense coefficients."""
-    cs = list(coeffs)
+    cs = list(coeffs) or [0]
+    if rel is LT:               # p < 0 is p + 1 ≤ 0 over the integers
+        cs[0] += 1
+        rel = LEQ
     _trim(cs)
     if not cs or len(cs) == 1:
         value = cs[0] if cs else 0
@@ -120,7 +126,8 @@ def solve_univariate_coeffs(coeffs: tuple, rel: Rel) -> IntervalSet:
 
 
 def _solve_linear(b: int, a: int, rel: Rel) -> IntervalSet:
-    """Integer solutions of ``a·x + b ⋈ 0`` with a ≠ 0."""
+    """Integer solutions of ``a·x + b ⋈ 0`` with a ≠ 0 and ``⋈`` among =,
+    ≠ and ≤."""
     if rel is EQ:
         if b % a == 0:
             return IntervalSet.point(-b // a)
@@ -128,17 +135,9 @@ def _solve_linear(b: int, a: int, rel: Rel) -> IntervalSet:
     if rel is NEQ:
         return _solve_linear(b, a, EQ).complement()
     # a·x + b <= 0  <=>  x <= -b/a (a > 0)  or  x >= -b/a (a < 0)
-    strict = rel is LT
     if a > 0:
-        # x <= floor(-b/a), excluding the root itself when strict
-        bound = -b // a  # floor division
-        if strict and a * bound + b == 0:
-            bound -= 1
-        return IntervalSet.range(None, bound)
-    bound = -(-b // -a)  # ceil(-b / a) for a < 0
-    if strict and a * bound + b == 0:
-        bound += 1
-    return IntervalSet.range(bound, None)
+        return IntervalSet.range(None, -b // a)     # floor(-b/a)
+    return IntervalSet.range(-(-b // -a), None)     # ceil(-b/a) for a < 0
 
 
 def _solve_general(cs: list, rel: Rel) -> IntervalSet:

@@ -66,7 +66,8 @@ class TestSchedule:
         seen = []
         real_run = localsearch.run
 
-        def spy(problem, engine):
+        def spy(problem, engine=None):
+            engine = engine or localsearch.MoveEngine()
             seen.append((problem.budget, engine.acc))
             return real_run(problem, engine)
 

@@ -12,7 +12,7 @@ import pytest
 import nials
 from helpers import ls_constants
 from nials import cli, core, localsearch, smtlib
-from nials.errors import DuplicateAssignment
+from nials.errors import DuplicateAssignment, InternalError
 from nials.trail import Trail
 
 EXAMPLE = """(set-logic QF_NIA)
@@ -291,6 +291,28 @@ class TestBenchDir:
         data = {r[0]: r for r in self.read_csv(out_path)[1:]}
         assert data["ex1.smt2"][1] == "error"
         assert data["unsat.smt2"][1] == "unsat"
+
+    def test_internal_error_reported_as_in_single_file(self, files, tmp_path,
+                                                       monkeypatch):
+        # A failed model check is an internal error in a directory run too,
+        # worded as a single-file run words it; the row reads `error` and
+        # the run goes on.
+        def refuse(self, values):
+            raise InternalError("model does not satisfy (x)")
+
+        monkeypatch.setattr(core.Solver, "_set_model", refuse)
+        code, _, single = run_main([files["ex1"]])
+        assert code == 3
+        out_path = str(tmp_path / "results.csv")
+        code, _, err = run_main([files["dir"], "--csv", out_path])
+        assert code == 0
+        data = {r[0]: r[1] for r in self.read_csv(out_path)[1:]}
+        assert data == {"bad.smt2": "error", "ex1.smt2": "error",
+                        "unsat.smt2": "unsat"}
+        message = f"{files['ex1']}: internal error: model does not satisfy (x)"
+        assert single.strip() == message
+        assert message in err.splitlines()
+        assert f"{files['ex1']}: error:" not in err
 
     def test_unexpected_exception_is_error_row(self, tmp_path, monkeypatch):
         for name, text in (("a", EXAMPLE), ("b", EXAMPLE), ("c", UNSAT)):

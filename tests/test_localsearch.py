@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from helpers import random_instance
+from helpers import ls_constants, random_instance
 from nials import localsearch
 from nials.costfn import IncrementalCost, compile_clauses
 from nials.intervals import IntervalSet
@@ -422,6 +422,35 @@ class TestExtremeAcc:
                                         {x.id: 0, y.id: 0}, budget=300),
                             1e-300)
         assert result.values == {x.id: 1, y.id: 1}
+
+
+class TestDefaultAcc:
+    """Without an explicit constant, an engine takes `DEFAULT_ACC` as the
+    module holds it when the engine is built, not when it was imported."""
+
+    def test_engine_reads_constant_when_built(self):
+        with ls_constants(acc=3.0):
+            assert MoveEngine().acc == 3.0
+        assert MoveEngine().acc == localsearch.DEFAULT_ACC
+
+    def climbs(self, acc):
+        """Hill-climbing moves of u that `run` tries on `far_problem`
+        without an engine, with `DEFAULT_ACC` at `acc`."""
+        moves = []
+
+        def on_move(x, alpha, cand, mode, success):
+            if x.name == "u" and mode == HILL_CLIMB:
+                moves.append(cand)
+
+        with ls_constants(acc=acc):
+            result = run(far_problem(1000), on_move=on_move)
+        assert result.reached_zero
+        return len(moves)
+
+    def test_run_without_engine_accelerates(self):
+        # u climbs from 0 to 47: at 1.2 one unit per round, at 3.0 with
+        # growing steps.
+        assert (self.climbs(3.0), self.climbs(1.2)) == (20, 93)
 
 
 def far_problem(budget):

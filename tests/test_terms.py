@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from helpers import (RELS, excl_pattern, lit_evaluate, narrowed_coeffs,
                      random_poly)
+from nials.costfn import _violation, compile_clauses
+from nials.feasibility import unit_solution_set
 from nials.terms import (Atom, Clause, Literal, Polynomial, Rel, Sort,
                          TermStore, Variable, normalize_poly)
+from nials.univariate import solve_univariate_coeffs
 
 P = Polynomial
 
@@ -140,6 +143,83 @@ class TestNormalization:
                 for v in range(-10, 11):
                     assert rel.holds(p.evaluate({0: v})) == \
                         qrel.holds(q.evaluate({0: v}))
+
+
+class TestAtomForm:
+    """`Atom.form` over atoms of every relation, in both polarities, on
+    every point of the box [-3, 3]²."""
+
+    BOX = [{0: a, 1: b} for a in range(-3, 4) for b in range(-3, 4)]
+
+    @staticmethod
+    def literals():
+        store = TermStore()
+        x, y = (P.var(store.new_var(n, Sort.INT).id) for n in "xy")
+        polys = (x * y - P.const(2), x - y + P.const(1), x * x - P.const(4),
+                 P.const(2) * x + P.const(3), y * y - x, P.const(-2) * x)
+        return [Literal(positive, atom=store.mk_atom(p, rel, P.zero()))
+                for p in polys for rel in RELS for positive in (True, False)]
+
+    def test_holds_where_form_holds(self):
+        for lit in self.literals():
+            q, rel = lit.atom.form(lit.positive)
+            assert rel in (Rel.EQ, Rel.NEQ, Rel.LEQ)
+            for vals in self.BOX:
+                assert lit.holds(vals) == rel.holds(q.evaluate(vals)), lit
+
+    def test_violation_zero_exactly_where_literal_holds(self):
+        for lit in self.literals():
+            q, rel = lit.atom.form(lit.positive)
+            for vals in self.BOX:
+                cost = _violation(q.evaluate(vals), rel)
+                assert cost >= 0
+                assert (cost == 0) == lit.holds(vals), (lit, vals)
+
+    def test_compiled_clauses_hold_no_strict_relation(self):
+        lits = self.literals()
+        for fixed in (None, {0: 2}, {1: -1}):
+            cost = compile_clauses([[lit] for lit in lits], fixed)
+            assert cost.clauses
+            assert all(rel is not Rel.LT
+                       for c in cost.clauses for _, rel in c.arith)
+
+    def test_strict_univariate_is_shifted_leq(self):
+        for coeffs in ((), (0,), (-1,), (3, 0), (5, -2), (0, 3), (-4, 0, 1),
+                       (2, -3, 1), (0, 0, 0, 1), (1, 0, -2), (7, 0, 0)):
+            shifted = ((coeffs[0] if coeffs else 0) + 1,) + coeffs[1:]
+            assert solve_univariate_coeffs(coeffs, Rel.LT) == \
+                solve_univariate_coeffs(shifted, Rel.LEQ), coeffs
+
+    def test_negated_narrowing_is_complement(self):
+        # The old definition of narrowing by a negated literal, kept here
+        # as the reference.
+        for lit in self.literals():
+            if not lit.positive:
+                continue
+            for vid in lit.atom.vars:
+                for vals in self.BOX:
+                    pos = unit_solution_set(lit, vid, vals)
+                    neg = unit_solution_set(lit.negate(), vid, vals)
+                    assert neg == pos.complement(), (lit, vid, vals)
+
+    def test_direct_atom_forms(self):
+        x = P.var(0)
+        p = x * x - x + P.const(1)
+        cases = {
+            (Rel.EQ, True): (p, Rel.EQ), (Rel.EQ, False): (p, Rel.NEQ),
+            (Rel.NEQ, True): (p, Rel.NEQ), (Rel.NEQ, False): (p, Rel.EQ),
+            (Rel.LEQ, True): (p, Rel.LEQ),
+            (Rel.LEQ, False): (x - x * x, Rel.LEQ),
+            (Rel.LT, True): (p + P.const(1), Rel.LEQ),
+            (Rel.LT, False): (-p, Rel.LEQ),
+        }
+        for (rel, positive), expected in cases.items():
+            atom = Atom(0, p, rel)
+            form = atom.form(positive)
+            assert form == expected
+            assert atom.form(positive) is form      # built once
+            assert [m for m in form[0].terms if m] == \
+                [m for m in p.terms if m]           # monomial order kept
 
 
 class TestLiteralsAndClauses:
