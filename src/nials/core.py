@@ -17,10 +17,18 @@ became false, which gives the pushes and the conflict of a scan over
 every clause in that order: a literal the pass pushes wakes the later
 clauses for this pass and the earlier ones for the next.  A false watch
 stays only beside a true one assigned no later, so backtracking keeps
-the watches valid.  The theory side skips the checks that cannot act: a
-literal pushed by evaluation (`Reason.SEMANTIC`) is not evaluated again,
-and an assignment does not re-check an atom with two unassigned
-variables, or with one and no literal on the trail.
+the watches valid.
+
+An atom acts in `Solver._visit` only: evaluated once every variable has
+a value, or narrowing its one unassigned variable while its literal is
+on the trail.  An atom that acts is anchored on the trail's last element
+and is not visited again while that element stands.  This is sound
+because an atom acts at the current level, the anchor's own, so the
+values and literal it read stand while the anchor does and its
+narrowing is undone exactly when the anchor is popped; and because
+every value the trail assigns comes from the variable's feasible set,
+where the narrowing left the literal true.  A level-0 anchor is never
+popped.
 """
 
 from __future__ import annotations
@@ -106,7 +114,7 @@ class Solver:
         self._bcp_head = 0
         self.occurs: dict[int, list] = {}
         self._registered: set[int] = set()
-        self._settled: set[int] = set()
+        self._anchor: dict = {}     # atom id -> TrailElement, see _visit
         self._root_unsat = False
         self.qhead = 0
         # Level-0 literals over two or more variables, by variable, and
@@ -168,7 +176,7 @@ class Solver:
             return
         self._registered.add(atom.id)
         if not atom.vars:
-            self._check_atom(atom)      # a constant: assigned at once
+            self._visit(atom)       # a constant: assigned at once
             return
         for vid in atom.vars:
             self.occurs.setdefault(vid, []).append(atom)
@@ -199,121 +207,90 @@ class Solver:
     def propagate(self):
         """Run to fixpoint; returns conflict clause literals or None."""
         trail = self.trail
-        semantic = Reason.SEMANTIC
+        elements = trail.elements
+        anchor = self._anchor
         self._revisions_left = BOUND_REVISIONS
         while True:
-            while self.qhead < len(trail.elements):
-                elem = trail.elements[self.qhead]
+            while self.qhead < len(elements):
+                elem = elements[self.qhead]
                 self.qhead += 1
                 if elem.var is not None:
-                    c = self._on_assignment(elem)
-                elif (elem.lit.atom is not None
-                      and elem.reason is not semantic):
-                    c = self._check_atom(elem.lit.atom)
-                    if not trail.level and c is None:
-                        self._watch_hulls(elem.lit)
+                    atoms = self.occurs.get(elem.var.id, ())
+                elif elem.lit.atom is not None:
+                    atoms = (elem.lit.atom,)
                 else:
-                    c = None
-                if c is not None:
-                    return c
+                    continue
+                for atom in atoms:
+                    # `_anchored`, inline: this runs per atom an assignment
+                    # wakes, and most of them are anchored.
+                    e = anchor.get(atom.id)
+                    if (e is not None and e.pos < len(elements)
+                            and elements[e.pos] is e):
+                        continue
+                    c = self._visit(atom)
+                    if c is not None:
+                        return c
+                if not trail.level and elem.var is None:
+                    self._watch_hulls(elem.lit)
             c = self._bcp()
             if c is not None:
                 return c
-            if self.qhead < len(trail.elements):
+            if self.qhead < len(elements):
                 continue
             if trail.level:
                 return None
             c = self._propagate_bounds()
             if c is not None:
                 return c
-            if self.qhead >= len(trail.elements):
+            if self.qhead >= len(elements):
                 return None
 
-    def _on_assignment(self, elem):
-        occ = self.occurs.get(elem.var.id)
-        if not occ:
+    def _anchored(self, atom) -> bool:
+        """Whether the atom has acted and the trail still holds its anchor."""
+        e = self._anchor.get(atom.id)
+        elements = self.trail.elements
+        return e is not None and e.pos < len(elements) and elements[e.pos] is e
+
+    def _visit(self, atom):
+        """Act on an unanchored atom whose variables or literal the trail
+        may have changed: evaluate it once every variable has a value, or
+        narrow its one unassigned variable while its literal is on the
+        trail, and without conflict anchor it on the trail's last element.
+        Returns conflict clause literals or None."""
+        trail = self.trail
+        vals = trail.values
+        free = None
+        for v in atom.vars:
+            if v not in vals:
+                if free is not None:
+                    return None
+                free = v
+        entry = trail.lit_elem.get(atom.key)
+        if free is None:
+            t = atom.evaluate(vals)
+            if entry is None:
+                trail.push_propagation(Literal(t, atom=atom), Reason.SEMANTIC)
+                self.stats.propagations += 1
+            elif t != entry.lit.positive:
+                lits = [self._excl_neg(v) for v in atom.vars]
+                lits.append(Literal(t, atom=atom))
+                return lits
+        elif entry is None:
             return None
-        vals = self.trail.values
-        lit_elem = self.trail.lit_elem
-        settled = self._settled
-        keep = []
-        conflict = None
-        for i, atom in enumerate(occ):
-            if atom.id in settled:
-                continue
-            # Only an atom with no unassigned variable, or with one and its
-            # literal on the trail, can act; keep the others unchecked.
-            free = None
-            for v in atom.vars:
-                if v not in vals:
-                    if free is not None:
-                        break
-                    free = v
-            else:
-                entry = lit_elem.get(atom.key)
-                if free is None:
-                    conflict = self._evaluate_atom(atom, entry)
-                elif entry is not None:
-                    conflict = self._narrow_atom(atom, free, entry)
-                if atom.id not in settled:
-                    keep.append(atom)
-                if conflict is not None:
-                    keep.extend(a for a in occ[i + 1:] if a.id not in settled)
-                    break
-                continue
-            keep.append(atom)
-        self.occurs[elem.var.id] = keep
-        return conflict
-
-    def _check_atom(self, atom):
-        """React to an atom whose assignment state may have changed:
-        evaluate it once every variable has a value, or narrow its one
-        unassigned variable while its literal is on the trail.  Returns
-        conflict clause literals or None."""
-        vals = self.trail.values
-        unassigned = [v for v in atom.vars if v not in vals]
-        entry = self.trail.lit_elem.get(atom.key)
-        if not unassigned:
-            return self._evaluate_atom(atom, entry)
-        if entry is not None and len(unassigned) == 1:
-            return self._narrow_atom(atom, unassigned[0], entry)
-        return None
-
-    def _evaluate_atom(self, atom, entry):
-        """Assign a fully assigned atom's literal, or report the clash
-        with the one on the trail (`entry`)."""
-        trail = self.trail
-        t = atom.evaluate(trail.values)
-        if trail.level == 0:
-            self._settled.add(atom.id)
-        if entry is None:
-            trail.push_propagation(Literal(t, atom=atom), Reason.SEMANTIC)
-            self.stats.propagations += 1
-        elif t != entry.lit.positive:
-            lits = [self._excl_neg(v) for v in atom.vars]
-            lits.append(Literal(t, atom=atom))
-            return lits
-        return None
-
-    def _narrow_atom(self, atom, vid: int, entry):
-        """Narrow the feasible set of `vid`, the atom's one unassigned
-        variable, by the literal on the trail (`entry`); assign `vid` if
-        one value is left."""
-        trail = self.trail
-        var = self.store.var_by_id(vid)
-        fs = self.feas.assert_unit_constraint(var, entry.lit, trail)
-        if trail.level == 0:
-            self._settled.add(atom.id)
-        if fs.is_empty():
-            return self._explain(self.feas.contributions(vid), vid)
-        v = fs.singleton_value()
-        if v is not None:
-            trail.push_model_assignment(
-                var, v, decision=False,
-                reason=(Reason.FEASIBILITY_SINGLETON,
-                        self.feas.contributions(vid)))
-            self.stats.theory_assignments += 1
-            self.stats.propagations += 1
+        else:
+            var = self.store.var_by_id(free)
+            fs = self.feas.assert_unit_constraint(var, entry.lit, trail)
+            if fs.is_empty():
+                return self._explain(self.feas.contributions(free), free)
+            v = fs.singleton_value()
+            if v is not None:
+                trail.push_model_assignment(
+                    var, v, decision=False,
+                    reason=(Reason.FEASIBILITY_SINGLETON,
+                            self.feas.contributions(free)))
+                self.stats.theory_assignments += 1
+                self.stats.propagations += 1
+        self._anchor[atom.id] = trail.elements[-1]
         return None
 
     def _explain(self, contributions, vid: int):
@@ -334,7 +311,7 @@ class Solver:
         """Revise a level-0 literal over two or more unassigned variables
         now, and again whenever one of their hulls moves."""
         atom = lit.atom
-        if len(atom.vars) < 2 or atom.id in self._settled:
+        if len(atom.vars) < 2 or self._anchored(atom):
             return
         for vid in atom.vars:
             self._hull_lits.setdefault(vid, []).append(lit)
@@ -358,7 +335,7 @@ class Solver:
             lit = queue.popleft()
             queued.discard(lit.skey)
             atom = lit.atom
-            if atom.id in self._settled:
+            if self._anchored(atom):
                 continue
             self._revisions_left -= 1
             hulls = {vid: hull(feas.get(vid)) for vid in atom.vars}

@@ -144,6 +144,29 @@ def scan_clauses(clauses, lit_elem):
     return acting
 
 
+def scan_atoms(solver):
+    """The literals on the solver's trail that a theory check of their
+    atoms would act on: those false under the values of all their
+    atom's variables, and those that would still narrow F(v) of their
+    atom's one unassigned variable v.  Reference for `Solver._visit`,
+    which must leave none at a propagation fixpoint."""
+    vals = solver.trail.values
+    acting = []
+    for elem in solver.trail.elements:
+        lit = elem.lit
+        if lit is None or lit.atom is None:
+            continue
+        free = [v for v in lit.atom.vars if v not in vals]
+        if not free:
+            if lit.atom.evaluate(vals) != lit.positive:
+                acting.append(lit)
+        elif len(free) == 1:
+            fs = solver.feas.get(free[0])
+            if fs.intersect(unit_solution_set(lit, free[0], vals)) != fs:
+                acting.append(lit)
+    return acting
+
+
 def clauses_sat(clauses, iv, bv):
     return all(any(lit_evaluate(lit, iv, bv) for lit in c) for c in clauses)
 

@@ -7,12 +7,12 @@ import pytest
 
 from helpers import (box_clauses, brute_force, clauses_sat, ls_constants,
                      planted_instance, product_probe, random_instance,
-                     scan_clauses)
+                     scan_atoms, scan_clauses)
 from nials import localsearch
 from nials.core import Answer, Solver, SolverConfig, Stats
 from nials.errors import InternalError
-from nials.terms import (Clause, Formula, Literal, Polynomial, Rel, Sort,
-                         TermStore)
+from nials.terms import (Atom, Clause, Formula, Literal, Polynomial, Rel,
+                         Sort, TermStore)
 from nials.trail import Reason
 
 P = Polynomial
@@ -229,7 +229,8 @@ class TestLearnedLemmas:
 
 class TestWatches:
     """At every propagation fixpoint, the full scan of `scan_clauses`
-    finds no clause unit or all false: the watches missed nothing."""
+    finds no clause unit or all false, and `scan_atoms` no atom left to
+    evaluate or narrow: the watches and the atom anchors missed nothing."""
 
     @pytest.fixture
     def fixpoints(self, monkeypatch):
@@ -243,6 +244,7 @@ class TestWatches:
             if conflict is None:
                 assert scan_clauses(solver.clauses,
                                     solver.trail.lit_elem) == []
+                assert scan_atoms(solver) == []
                 covered.append(sum(c.learned for c in solver.clauses))
             return conflict
 
@@ -277,6 +279,31 @@ class TestWatches:
                                     ls_enabled=ls_enabled)
                 assert ans is not Answer.UNKNOWN
         assert len(fixpoints) > 300 and max(fixpoints) > 0
+
+
+class TestAtomVisits:
+    def test_evaluations_follow_search(self, monkeypatch):
+        """An atom is evaluated again only once a backtrack pops its
+        anchor, so atom evaluations stay within the propagations and
+        conflicts of a long LS-off search (2,489 here).  Re-evaluating
+        every exclusion atom over x at each assignment of x would take
+        over 40,000."""
+        evaluations = [0]
+        evaluate = Atom.evaluate
+
+        def counted(atom, values):
+            evaluations[0] += 1
+            return evaluate(atom, values)
+
+        monkeypatch.setattr(Atom, "evaluate", counted)
+        store, clauses, ints, bools = planted_instance(
+            random.Random(3), n_int=20, n_bool=3, n_clauses=150, lo=-24,
+            hi=24, max_deg=2, coeff=5)
+        ans, solver = solve(store, clauses, ints + bools, ls_enabled=False,
+                            max_conflicts=300)
+        assert ans is Answer.UNKNOWN
+        stats = solver.stats
+        assert 0 < evaluations[0] <= stats.propagations + stats.conflicts
 
 
 class TestLsAnswers:
