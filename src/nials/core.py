@@ -19,16 +19,26 @@ clauses for this pass and the earlier ones for the next.  A false watch
 stays only beside a true one assigned no later, so backtracking keeps
 the watches valid.
 
-An atom acts in `Solver._visit` only: evaluated once every variable has
-a value, or narrowing its one unassigned variable while its literal is
-on the trail.  An atom that acts is anchored on the trail's last element
-and is not visited again while that element stands.  This is sound
-because an atom acts at the current level, the anchor's own, so the
-values and literal it read stand while the anchor does and its
-narrowing is undone exactly when the anchor is popped; and because
-every value the trail assigns comes from the variable's feasible set,
-where the narrowing left the literal true.  A level-0 anchor is never
-popped.
+An atom acts in `Solver._visit` only, in one of three ways: evaluated
+once every variable has a value; narrowing its one unassigned variable x
+while its literal is on the trail; or, with one unassigned variable x
+and no literal on the trail, decided by F(x), the feasible set of x.
+With the other variables at their values and the atom linear in x, it
+holds on F(x) when F(x) lies inside its solutions in x, and fails on it
+when F(x) misses them; the literal that holds is pushed (unit
+constraints over feasible sets, Jovanović, Barrett & de Moura, FMCAD
+2013).  An atom that acts is anchored on the trail's last element and
+is not visited again while that element stands.  This is sound because
+an atom acts at the current level, the anchor's own, so the values and
+literal it read stand while the anchor does, and its narrowing is
+undone exactly when the anchor is popped; because F(x) only narrows
+while the anchor stands; and because every value the trail assigns
+comes from the variable's feasible set, where the narrowing or the
+decision left the literal true.  A level-0 anchor is never popped.  An
+atom that a learned or hull clause registers may have values for all
+its variables already, so no assignment would wake it: it is visited
+at the next propagation, and again whenever a backtrack pops its
+literal while its variables keep their values.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from typing import Optional
 from .bounds import hull, revise
 from .bridge import LsController
 from .errors import InternalError
-from .feasibility import FeasibilityMap
+from .feasibility import FeasibilityMap, decided, solution_set
 from .terms import (BOOL, LEQ, Clause, Formula, Literal, Polynomial,
                     TermStore, Variable)
 from .trail import Reason, Trail
@@ -61,12 +71,13 @@ class Stats:
                  "theory_assignments", "ls_calls", "ls_moves_accepted",
                  "ls_zero",     # local-search calls that reached cost 0
                  "restarts",
-                 "bounds")      # level-0 bound literals from hull revision
+                 "bounds",      # level-0 bound literals from hull revision
+                 "unit_props")  # atom literals decided by a feasible set
 
     def __init__(self):
         self.conflicts = self.decisions = self.propagations = 0
         self.theory_assignments = self.ls_calls = self.ls_moves_accepted = 0
-        self.ls_zero = self.restarts = self.bounds = 0
+        self.ls_zero = self.restarts = self.bounds = self.unit_props = 0
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__slots__}
@@ -115,6 +126,11 @@ class Solver:
         self.occurs: dict[int, list] = {}
         self._registered: set[int] = set()
         self._anchor: dict = {}     # atom id -> TrailElement, see _visit
+        # Atoms registered after __init__, due for a visit at the next
+        # propagation, and those whose literal such a visit pushed above
+        # the levels of their variables: (literal's level, atom).
+        self._due: Optional[deque] = None
+        self._lifted: list = []
         self._root_unsat = False
         self.qhead = 0
         # Level-0 literals over two or more variables, by variable, and
@@ -131,6 +147,7 @@ class Solver:
             heapq.heappush(self._heap, (0.0, x.id))
         for clause in formula.clauses:
             self._attach_clause(clause)
+        self._due = deque()
         self.ls = LsController() if self.config.ls_enabled else None
         self.deadline: Optional[float] = None   # time.monotonic() limit
         self.answer: Optional[Answer] = None
@@ -180,6 +197,10 @@ class Solver:
             return
         for vid in atom.vars:
             self.occurs.setdefault(vid, []).append(atom)
+        if self._due is not None:
+            # A learned or hull clause's atom: its variables may all have
+            # values already, and no assignment would wake it.
+            self._due.append(atom)
 
     def bump_var(self, vid: int):
         a = self.activity.get(vid, 0.0) + self._var_inc
@@ -210,7 +231,13 @@ class Solver:
         elements = trail.elements
         anchor = self._anchor
         self._revisions_left = BOUND_REVISIONS
+        due = self._due
         while True:
+            while due:
+                c = self._visit_due(due[0])
+                if c is not None:
+                    return c
+                due.popleft()
             while self.qhead < len(elements):
                 elem = elements[self.qhead]
                 self.qhead += 1
@@ -245,6 +272,27 @@ class Solver:
             if self.qhead >= len(elements):
                 return None
 
+    def _visit_due(self, atom):
+        """Visit an atom registered after __init__ if its variables all
+        have values (else an assignment or its literal wakes it), and note
+        whether its literal then sits above their levels, where a
+        backtrack can pop it while they keep their values.  Returns
+        conflict clause literals or None."""
+        var_elem = self.trail.var_elem
+        top = 0
+        for v in atom.vars:
+            e = var_elem.get(v)
+            if e is None:
+                return None
+            if e.level > top:
+                top = e.level
+        c = self._visit(atom)
+        if c is None:
+            level = self.trail.lit_elem[atom.key].level
+            if level > top:
+                self._lifted.append((level, atom))
+        return c
+
     def _anchored(self, atom) -> bool:
         """Whether the atom has acted and the trail still holds its anchor."""
         e = self._anchor.get(atom.id)
@@ -253,9 +301,13 @@ class Solver:
 
     def _visit(self, atom):
         """Act on an unanchored atom whose variables or literal the trail
-        may have changed: evaluate it once every variable has a value, or
-        narrow its one unassigned variable while its literal is on the
-        trail, and without conflict anchor it on the trail's last element.
+        may have changed: evaluate it once every variable has a value,
+        narrow its one unassigned variable x while its literal is on the
+        trail, or without its literal push the one that F(x) decides; and
+        without conflict anchor it on the trail's last element.  A
+        decided literal's reason is ``(Reason.FEASIBILITY_UNIT, x, the
+        contributions to F(x))``; `_explain_unit` builds its explanation
+        only when conflict analysis reaches it.
         Returns conflict clause literals or None."""
         trail = self.trail
         vals = trail.values
@@ -276,7 +328,20 @@ class Solver:
                 lits.append(Literal(t, atom=atom))
                 return lits
         elif entry is None:
-            return None
+            # A literal that no clause watches would wake none.
+            watchers = self._watchers
+            skey = 2 * atom.key
+            if not (watchers.get(skey) or watchers.get(skey + 1)):
+                return None
+            poly, rel = atom.form(True)
+            positive = decided(poly, rel, free, vals, self.feas.get(free))
+            if positive is None:
+                return None
+            trail.push_propagation(
+                Literal(positive, atom=atom),
+                (Reason.FEASIBILITY_UNIT, free, self.feas.contributions(free)))
+            self.stats.unit_props += 1
+            self.stats.propagations += 1
         else:
             var = self.store.var_by_id(free)
             fs = self.feas.assert_unit_constraint(var, entry.lit, trail)
@@ -303,6 +368,19 @@ class Solver:
             for u in lit.atom.vars:
                 if u != vid:
                     lits.append(self._excl_neg(u))
+        return lits
+
+    def _explain_unit(self, asserted: Literal, vid: int, contributions):
+        """Literals explaining a literal that F(vid) decided: the
+        explanation of F(vid), the level-0 literals that keep from F(vid)
+        the values where the literal fails, and the exclusion literals of
+        the atom's other variables."""
+        atom = asserted.atom
+        poly, rel = atom.form(not asserted.positive)
+        fails = solution_set(poly, rel, vid, self.trail.values)
+        lits = self._explain(contributions, vid)
+        lits += self._explain(self.feas.root_reasons(vid, fails), vid)
+        lits += [self._excl_neg(u) for u in atom.vars if u != vid]
         return lits
 
     # -- level-0 bounds -----------------------------------------------------
@@ -511,6 +589,8 @@ class Solver:
             if reason is Reason.SEMANTIC:
                 return [self._excl_neg(v) for v in lit.atom.vars]
             asserted = elem.lit
+            if reason.__class__ is tuple:   # Reason.FEASIBILITY_UNIT
+                return self._explain_unit(asserted, *reason[1:])
             return [l for l in reason.literals if l.skey != asserted.skey]
         # Falsified by model assignments.
         if elem.var is not None and lit.atom is not None:
@@ -614,6 +694,15 @@ class Solver:
         if self._bcp_head > n:
             self._bcp_head = n
         self._woken.clear()     # every wake due came from an undone level
+        if self._lifted:
+            values = self.trail.values
+            kept = []
+            for lifted in self._lifted:
+                if lifted[0] <= level:
+                    kept.append(lifted)
+                elif all(v in values for v in lifted[1].vars):
+                    self._due.append(lifted[1])
+            self._lifted = kept
         for vid in undone:
             if vid in self._decidable:
                 heapq.heappush(self._heap,

@@ -8,19 +8,18 @@ exactly on backtracking via a level-tagged undo log.
 from __future__ import annotations
 
 from .intervals import IntervalSet
-from .terms import BOOL, Literal, Rel, Variable
+from .terms import BOOL, EQ, LEQ, Literal, Rel, Variable
 from .trail import Trail
 from .univariate import solve_univariate_coeffs
 
 
-def solution_set(poly, rel: Rel, vid: int, values) -> IntervalSet:
-    """Integer solutions of ``poly ⋈ 0`` in ``vid``, with every other
-    variable of ``poly`` at its value in ``values``.
+def coefficients(poly, vid: int, values) -> tuple:
+    """The dense coefficients ``(c0, c1, …)`` of ``poly`` in ``vid``, with
+    every other variable at its value in ``values``.
 
-    The dense coefficients ``(c0, c1, …)`` in ``vid`` come from one pass
-    over the terms: each coefficient times the values of its other
-    variables, added at its exponent of ``vid``.  Trailing zeros are
-    trimmed, so the zero polynomial gives ``(0,)``.
+    They come from one pass over the terms: each coefficient times the
+    values of its other variables, added at its exponent of ``vid``.
+    Trailing zeros are trimmed, so the zero polynomial gives ``(0,)``.
     """
     coeffs = [0]
     top = 0
@@ -37,7 +36,49 @@ def solution_set(poly, rel: Rel, vid: int, values) -> IntervalSet:
         coeffs[e] += c
     while top and not coeffs[top]:
         top -= 1
-    return solve_univariate_coeffs(tuple(coeffs[:top + 1]), rel)
+    return tuple(coeffs[:top + 1])
+
+
+def solution_set(poly, rel: Rel, vid: int, values) -> IntervalSet:
+    """Integer solutions of ``poly ⋈ 0`` in ``vid``, with every other
+    variable of ``poly`` at its value in ``values``."""
+    return solve_univariate_coeffs(coefficients(poly, vid, values), rel)
+
+
+def decided(poly, rel: Rel, vid: int, values, fs: IntervalSet):
+    """True when ``poly ⋈ 0`` holds at every member of ``fs`` as a value
+    of ``vid``, with the other variables of ``poly`` at their values in
+    ``values``; False when it holds at none; None otherwise, and always
+    None above degree 1 in ``vid``.  ``⋈`` is one of `Atom.form`'s
+    relations.
+
+    A linear constraint is compared with the ends of ``fs`` or, for
+    = and ≠, with its one root, without building its solution set.
+    Isolating the roots of a higher degree costs more than the few
+    atoms it would decide.
+    """
+    cs = coefficients(poly, vid, values)
+    if len(cs) == 1:
+        return rel.holds(cs[0])
+    if len(cs) > 2:
+        return None
+    b, a = cs
+    if rel is LEQ:
+        lo, hi = fs.intervals[0][0], fs.intervals[-1][1]
+        if a < 0:       # x ≥ ⌈−b/a⌉
+            t = -(-b // -a)
+            return (True if lo is not None and lo >= t else
+                    False if hi is not None and hi < t else None)
+        t = -b // a     # x ≤ ⌊−b/a⌋
+        return (True if hi is not None and hi <= t else
+                False if lo is not None and lo > t else None)
+    if b % a or -b // a not in fs:
+        eq = False
+    elif fs.singleton_value() is None:
+        return None
+    else:
+        eq = True
+    return eq if rel is EQ else not eq
 
 
 def unit_solution_set(lit: Literal, vid: int, values) -> IntervalSet:
@@ -72,13 +113,18 @@ class FeasibilityMap:
 
     def hull_reasons(self, vid: int) -> list:
         """Level-0 literals, latest first, that alone give F(vid) at level 0
-        its least and greatest member.
+        its least and greatest member."""
+        ivs = self.get(vid).intervals
+        return self.root_reasons(
+            vid, IntervalSet.range(ivs[0][0], ivs[-1][1]).complement())
 
-        A literal is kept when it removes points outside F's hull that the
+    def root_reasons(self, vid: int, rest: IntervalSet) -> list:
+        """Level-0 literals, latest first, that together remove from `rest`
+        every point that all the level-0 literals of `vid` remove.
+
+        A literal is kept when it removes points of `rest` that the
         literals kept so far let in, until none is left.
         """
-        ivs = self.get(vid).intervals
-        rest = IntervalSet.range(ivs[0][0], ivs[-1][1]).complement()
         out = []
         for lit, allowed in reversed(self._root.get(vid, ())):
             if rest.is_empty():

@@ -24,7 +24,11 @@ from .terms import Literal, Variable
 
 class Reason(enum.Enum):
     SEMANTIC = "semantic"           # literal follows from model assignments
+    # A value that is the one member left in its variable's feasible set.
     FEASIBILITY_SINGLETON = "feasibility-singleton"
+    # An atom literal over one unassigned variable x that holds on all of
+    # F(x), with the atom's other variables at their values.
+    FEASIBILITY_UNIT = "feasibility-unit"
 
 
 class TrailElement:
@@ -42,7 +46,9 @@ class TrailElement:
         self.var = var
         self.value = value
         self.decision = decision
-        # Clause, Reason.SEMANTIC, or (Reason.FEASIBILITY_SINGLETON, literals)
+        # Clause, Reason.SEMANTIC, (Reason.FEASIBILITY_SINGLETON, literals),
+        # or (Reason.FEASIBILITY_UNIT, x's id, literals): the literals
+        # narrowed into F(x) above level 0.
         self.reason = reason
 
     def __repr__(self):

@@ -148,10 +148,15 @@ def scan_atoms(solver):
     """The literals on the solver's trail that a theory check of their
     atoms would act on: those false under the values of all their
     atom's variables, and those that would still narrow F(v) of their
-    atom's one unassigned variable v.  Reference for `Solver._visit`,
-    which must leave none at a propagation fixpoint."""
+    atom's one unassigned variable v; and the registered atoms whose
+    variables all have values but whose literal is not on the trail.
+    Reference for `Solver._visit`, which must leave none at a
+    propagation fixpoint."""
     vals = solver.trail.values
-    acting = []
+    lit_elem = solver.trail.lit_elem
+    acting = [atom for atoms in solver.occurs.values() for atom in atoms
+              if atom.key not in lit_elem
+              and all(v in vals for v in atom.vars)]
     for elem in solver.trail.elements:
         lit = elem.lit
         if lit is None or lit.atom is None:

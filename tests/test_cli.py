@@ -115,7 +115,8 @@ class TestSolveFile:
         keys = [l[2:].split("=", 1)[0] for l in stat_lines]
         assert keys == ["conflicts", "decisions", "propagations",
                         "theory_assignments", "ls_calls", "ls_moves_accepted",
-                        "ls_zero", "restarts", "bounds", "answer", "wall_ms"]
+                        "ls_zero", "restarts", "bounds", "unit_props",
+                        "answer", "wall_ms"]
         values = dict(l[2:].split("=", 1) for l in stat_lines)
         assert values["answer"] == "unsat"
         float(values["wall_ms"])

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from helpers import (box_clauses, brute_force, clauses_sat, ls_constants,
-                     planted_instance, product_probe, random_instance,
-                     scan_atoms, scan_clauses)
+from helpers import (box_clauses, brute_force, clauses_sat, entailed,
+                     ls_constants, planted_instance, product_probe,
+                     random_instance, scan_atoms, scan_clauses)
 from nials import localsearch
 from nials.core import Answer, Solver, SolverConfig, Stats
 from nials.errors import InternalError
@@ -163,7 +163,8 @@ class TestStats:
     def test_keys_order(self):
         assert list(Stats().as_dict()) == [
             "conflicts", "decisions", "propagations", "theory_assignments",
-            "ls_calls", "ls_moves_accepted", "ls_zero", "restarts", "bounds"]
+            "ls_calls", "ls_moves_accepted", "ls_zero", "restarts", "bounds",
+            "unit_props"]
 
     def test_counts_move(self):
         store, clauses, variables = example_formula()
@@ -254,12 +255,16 @@ class TestWatches:
     @pytest.mark.parametrize("ls_enabled", [True, False])
     def test_boxed_and_planted(self, ls_enabled, fixpoints):
         rng = random.Random(505 if ls_enabled else 606)
-        for _ in range(20):
-            store, clauses, ints, bools = random_instance(
-                rng, n_int=4, n_bool=3, n_clauses=14, max_deg=2, coeff=4)
-            clauses += box_clauses(store, ints, -8, 8)
-            solve(store, clauses, ints + bools, max_conflicts=300,
-                  ls_enabled=ls_enabled, threshold_base=5)
+
+        def boxed(count):
+            for _ in range(count):
+                store, clauses, ints, bools = random_instance(
+                    rng, n_int=4, n_bool=3, n_clauses=14, max_deg=2, coeff=4)
+                clauses += box_clauses(store, ints, -8, 8)
+                solve(store, clauses, ints + bools, max_conflicts=300,
+                      ls_enabled=ls_enabled, threshold_base=5)
+
+        boxed(20)
         for n_int, n_clauses in ((6, 40), (20, 150)):
             for _ in range(5):
                 store, clauses, ints, bools = planted_instance(
@@ -268,6 +273,9 @@ class TestWatches:
                 solve(store, clauses, ints + bools, max_conflicts=200,
                       ls_enabled=ls_enabled, threshold_base=5,
                       budget_per_var=2)
+        # Feasible sets decide many atoms, so boxed searches end in fewer
+        # fixpoints; 100 more instances keep the count past the guard.
+        boxed(100)
         assert len(fixpoints) > 1000 and max(fixpoints) > 100
 
     def test_hull_clauses(self, fixpoints):
@@ -304,6 +312,89 @@ class TestAtomVisits:
         assert ans is Answer.UNKNOWN
         stats = solver.stats
         assert 0 < evaluations[0] <= stats.propagations + stats.conflicts
+
+
+class TestUnitPropagation:
+    """An atom with one unassigned variable x and no literal on the trail
+    is decided by F(x): false when F(x) misses its solutions in x, true
+    when F(x) lies inside them."""
+
+    @pytest.mark.parametrize("ls_enabled", [True, False])
+    def test_refuted_within_one_conflict(self, ls_enabled):
+        # 2·x0² = 0 gives x0 = 0, so −2·x0·x1 < 0 has no solution in x1,
+        # and 3 − 2·x1 = 0 has no integer root.  Enumerating x1 over the
+        # box took 17 conflicts, two past the cap of 15.
+        store = TermStore()
+        x0, x1 = (store.new_var(f"x{i}", Sort.INT) for i in range(2))
+        p0, p1 = P.var(x0.id), P.var(x1.id)
+        lit = lambda p, rel: Literal(True, atom=store.mk_atom(p, rel, P.zero()))
+        clauses = [Clause([lit(P.const(2) * p0 * p0, Rel.EQ)]),
+                   Clause([lit(P.const(3) - P.const(2) * p1, Rel.EQ),
+                           lit(P.const(-2) * p0 * p1, Rel.LT)])]
+        clauses += box_clauses(store, [x1], -8, 8)
+        ans, solver = solve(store, clauses, [x0, x1], ls_enabled=ls_enabled,
+                            max_conflicts=15)
+        assert ans is Answer.UNSAT
+        assert solver.stats.conflicts <= 1 and solver.stats.unit_props >= 1
+
+    def test_feasible_set_inside_solutions_asserts_the_atom(self):
+        # x0 = 0 leaves x1 + x0 ≤ 10 with the solutions (−inf, 10] in x1,
+        # which hold F(x1) = [−8, 8]: the atom is pushed true before any
+        # decision, and ¬a ∨ b then gives b.
+        store = TermStore()
+        x0, x1 = (store.new_var(f"x{i}", Sort.INT) for i in range(2))
+        b = store.new_var("b", Sort.BOOL)
+        p0, p1 = P.var(x0.id), P.var(x1.id)
+        a = store.mk_atom(p1 + p0, Rel.LEQ, P.const(10))
+        clauses = [Clause([Literal(True, atom=store.mk_atom(p0, Rel.EQ,
+                                                            P.zero()))]),
+                   Clause([Literal(False, atom=a), Literal(True, bvar=b)])]
+        clauses += box_clauses(store, [x1], -8, 8)
+        solver = Solver(store, Formula(clauses, [x0, x1, b]))
+        assert solver.propagate() is None
+        elem = solver.trail.lit_elem[a.key]
+        assert elem.lit.positive and elem.level == 0
+        assert elem.reason[0] is Reason.FEASIBILITY_UNIT
+        assert solver.trail.values[b.id] is True
+        assert solver.stats.unit_props == 1 and solver.stats.decisions == 0
+        assert scan_atoms(solver) == []
+
+    @pytest.mark.parametrize("ls_enabled", [True, False])
+    def test_explanations_hold_everywhere(self, ls_enabled, monkeypatch):
+        """Every explanation of a decided literal that conflict analysis
+        builds, written as a clause with the literal, holds at every
+        integer point of a window wider than the box, as the hull
+        clauses of `tests/test_bounds.py` do."""
+        explained = []
+        real = Solver._resolve_lit
+
+        def record(solver, lit, pos):
+            repl = real(solver, lit, pos)
+            elem = solver.trail.elements[pos]
+            if (elem.lit is not None and elem.reason.__class__ is tuple
+                    and elem.reason[0] is Reason.FEASIBILITY_UNIT):
+                explained.append([elem.lit] + repl)
+            return repl
+
+        monkeypatch.setattr(Solver, "_resolve_lit", record)
+        rng = random.Random(707 if ls_enabled else 808)
+        checked = 0
+        for k in range(300):
+            if k % 2:
+                store, clauses, ints, bools = random_instance(
+                    rng, n_int=3, n_bool=1, n_clauses=10, max_deg=2, coeff=4)
+                clauses += box_clauses(store, ints, -4, 4)
+            else:
+                store, clauses, ints, bools = planted_instance(
+                    rng, n_int=3, n_bool=1, n_clauses=16, lo=-4, hi=4,
+                    max_deg=2, coeff=4)
+            explained.clear()
+            solve(store, clauses, ints + bools, max_conflicts=100,
+                  ls_enabled=ls_enabled, threshold_base=5)
+            for clause in explained:
+                assert entailed([], clause, ints, -6, 6, [])
+            checked += len(explained)
+        assert checked > 40
 
 
 class TestLsAnswers:
@@ -358,10 +449,11 @@ class TestPinnedSearch:
     """
 
     def stats(self, conflicts, decisions, propagations, theory, ls_calls,
-              ls_moves, ls_zero=0, restarts=0, bounds=0):
+              ls_moves, ls_zero=0, restarts=0, bounds=0, unit_props=0):
         return dict(zip(Stats().as_dict(), (conflicts, decisions, propagations,
                                             theory, ls_calls, ls_moves,
-                                            ls_zero, restarts, bounds)))
+                                            ls_zero, restarts, bounds,
+                                            unit_props)))
 
     def test_smtlib_example(self):
         from test_smtlib import EXAMPLE
@@ -370,7 +462,8 @@ class TestPinnedSearch:
         assert ans is Answer.SAT
         assert model == [("x", Sort.INT, 0), ("y", Sort.INT, 0),
                          ("z", Sort.INT, 2)]
-        assert solver.stats.as_dict() == self.stats(0, 3, 4, 3, 0, 0)
+        assert solver.stats.as_dict() == self.stats(0, 3, 4, 3, 0, 0,
+                                                    unit_props=2)
 
     def test_guidance_40_30(self):
         from test_acceptance import guidance_instance
@@ -394,9 +487,9 @@ class TestPinnedSearch:
         assert solver.stats.as_dict() == self.stats(1, 0, 3, 0, 0, 0)
 
     @pytest.mark.parametrize("seed, answer, ints, bools, stats", [
-        (23, Answer.SAT, {0: -1, 1: 0, 2: 0, 3: 0},
-         {4: True, 5: False, 6: False}, (20, 24, 168, 25, 1, 19, 1, 1)),
-        (17, Answer.UNSAT, {}, {}, (2002, 2021, 30513, 2160, 11, 49, 0, 11)),
+        (23, Answer.SAT, {0: 1, 1: -7, 2: 2, 3: 1},
+         {4: True, 5: False, 6: True}, (10, 15, 96, 16, 0, 0, 0, 0, 0, 9)),
+        (17, Answer.UNSAT, {}, {}, (127, 128, 2142, 266, 3, 10, 0, 2, 0, 249)),
     ])
     def test_seeded_random_cnf(self, seed, answer, ints, bools, stats):
         store, clauses, int_vars, bool_vars = random_instance(
@@ -412,10 +505,10 @@ class TestPinnedSearch:
         """SHA-256 over the answer, every `Stats` field, the learned-clause
         skeys in order and the model of seeded boxed-like and planted-like
         instances and a product probe, with LS on (called early and often)
-        and off.  Recorded when level-0 bound propagation landed (the
-        product probe is now unsat at level 0, and 7 of the 20 other
-        instances derive bounds); a faster core must reproduce it move
-        for move."""
+        and off.  Recorded when feasible sets began to decide atoms with
+        one unassigned variable (the product probe is unsat at level 0,
+        by level-0 bounds); a faster core must reproduce it move for
+        move."""
         def instances():
             rng = random.Random(2024)
             for _ in range(10):
@@ -442,7 +535,7 @@ class TestPinnedSearch:
                                [kv for kv in model if type(kv[1]) is bool],
                                )).encode())
         assert h.hexdigest() == (
-            "2c2e9978f2118a80c7a20715aec79e63a9b64266ac3f097a7c0ef1a264ae4073")
+            "56ec430d901ce004565d011dbe002bf8013b92e00224fdfac3c83c0f287c35db")
 
     def test_large_planted_digest(self):
         """SHA-256 as in `test_search_digest`, over planted-like instances
@@ -450,8 +543,8 @@ class TestPinnedSearch:
         clause propagation does most of the work.  With an LS budget of 2
         moves per variable every call fails and restarts the search, which
         then decides every variable again; with the default budget most
-        calls reach cost 0.  Recorded before two watched literals replaced
-        the full clause scan."""
+        calls reach cost 0.  Recorded when feasible sets began to decide
+        atoms with one unassigned variable."""
         rng = random.Random(2025)
         h = hashlib.sha256()
         for n_int, n_clauses in ((20, 150), (20, 150), (20, 150),
@@ -468,4 +561,4 @@ class TestPinnedSearch:
                 h.update(repr((ans.value, solver.stats.as_dict(), learned,
                                sorted(solver.model.items()))).encode())
         assert h.hexdigest() == (
-            "7fc16872f8eb7bd07d2ed8a23271521c117bbbaa9ded2e2aad3b9add1bfef448")
+            "b099882b0e46d89ab46be271c62f0ee42905d5b5fc454d851ac130cc72f95eb6")

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import narrowed_coeffs
-from nials.feasibility import FeasibilityMap, unit_solution_set
+from nials.feasibility import (FeasibilityMap, coefficients, decided,
+                               solution_set, unit_solution_set)
 from nials.intervals import IntervalSet
 from nials.terms import Atom, Literal, Polynomial, Rel, Sort, TermStore
 from nials.trail import Trail
@@ -290,3 +291,61 @@ class TestNarrowingProperties:
         s = unit_solution_set(lit, vid, values)
         for v in probe_points(terms, vid, values):
             assert (v in s) == lit.holds({**values, vid: v}), v
+
+
+@st.composite
+def feasible_sets(draw):
+    """A non-empty IntervalSet of up to three intervals, its outer ends
+    sometimes unbounded, its members sometimes one point."""
+    if draw(st.booleans()):
+        return IntervalSet.point(draw(st.integers(-30, 30)))
+    ends = sorted(draw(st.lists(st.integers(-30, 30), min_size=2,
+                                max_size=6, unique=True)))
+    ivs = [[lo, hi] for lo, hi in zip(ends[::2], ends[1::2])]
+    if draw(st.booleans()):
+        ivs[0][0] = None
+    if draw(st.booleans()):
+        ivs[-1][1] = None
+    return IntervalSet.from_intervals(map(tuple, ivs))
+
+
+class TestDecided:
+    @settings(deadline=None, max_examples=400)
+    @given(unit_cases(), feasible_sets())
+    @example(({((0, 1),): -2, (): 3}, 0, {}, Rel.EQ, True),
+             IntervalSet.full())        # 3 − 2x = 0 has no integer root
+    @example(({((0, 1), (1, 1)): -2}, 0, {1: 0}, Rel.LT, True),
+             IntervalSet.full())        # −2·x·y < 0 at y = 0
+    @example(({((0, 1),): 1, (): -4}, 0, {}, Rel.LEQ, True),
+             IntervalSet.range(None, 4))
+    def test_matches_the_solution_set(self, case, fs):
+        """True when F lies inside the literal's solutions, False when
+        it misses them, None otherwise and above degree 1."""
+        terms, vid, values, rel, positive = case
+        poly, frel = Atom(0, P(terms), rel).form(positive)
+        meet = fs.intersect(solution_set(poly, frel, vid, values))
+        expected = (None if len(coefficients(poly, vid, values)) > 2 else
+                    False if meet.is_empty() else True if meet == fs
+                    else None)
+        assert decided(poly, frel, vid, values, fs) is expected
+
+    def test_linear_ends_and_roots(self):
+        """Every a·x + b with small a and b against sets whose ends and
+        points fall on and beside its root or bound, against each of the
+        three relations."""
+        sets = [IntervalSet.full(), IntervalSet.range(None, 2),
+                IntervalSet.range(-2, None), IntervalSet.range(-3, 3),
+                IntervalSet.from_intervals([(None, -1), (1, None)]),
+                IntervalSet.from_intervals([(-4, -2), (0, 0), (2, 5)])]
+        sets += [IntervalSet.point(v) for v in range(-4, 5)]
+        for a in (-3, -2, -1, 1, 2, 3):
+            for b in range(-7, 8):
+                poly = P({((0, 1),): a, (): b})
+                for rel in (Rel.EQ, Rel.NEQ, Rel.LEQ):
+                    s = solution_set(poly, rel, 0, {})
+                    for fs in sets:
+                        meet = fs.intersect(s)
+                        expected = (False if meet.is_empty() else
+                                    True if meet == fs else None)
+                        assert decided(poly, rel, 0, {}, fs) is expected, \
+                            (a, b, rel, fs)

@@ -284,15 +284,15 @@ class TestConstantComparisons:
     DECLS = "(set-logic QF_NIA)(declare-const x Int)(declare-const b Bool)"
 
     @pytest.mark.parametrize("asserts, answer, stats, model", [
-        ("(assert (< 2 1))", "unsat", (1, 0, 1, 0, 0, 0, 0, 0, 0), None),
-        ("(assert (<= 1 2))(assert (= x 3))", "sat", (0, 0, 3, 1, 0, 0, 0, 0, 0),
-         {"x": 3, "b": True}),
-        ("(assert (or (< 2 1) b))", "sat", (0, 0, 2, 0, 0, 0, 0, 0, 0),
+        ("(assert (< 2 1))", "unsat", (1, 0, 1, 0, 0, 0, 0, 0, 0, 0), None),
+        ("(assert (<= 1 2))(assert (= x 3))", "sat",
+         (0, 0, 3, 1, 0, 0, 0, 0, 0, 0), {"x": 3, "b": True}),
+        ("(assert (or (< 2 1) b))", "sat", (0, 0, 2, 0, 0, 0, 0, 0, 0, 0),
          {"x": 0, "b": True}),
         ("(assert (or (> 0 (* 2 0)) (= x (+ x 1))))", "unsat",
-         (1, 0, 2, 0, 0, 0, 0, 0, 0), None),
+         (1, 0, 2, 0, 0, 0, 0, 0, 0, 0), None),
         ("(assert (and (= (- x x) 0) (> x 4)))", "sat",
-         (0, 1, 2, 1, 0, 0, 0, 0, 0),
+         (0, 1, 2, 1, 0, 0, 0, 0, 0, 0),
          {"x": 5, "b": True}),
     ])
     def test_answers_and_stats(self, asserts, answer, stats, model):
