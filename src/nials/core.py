@@ -12,12 +12,15 @@ backjumping.
 Boolean propagation watches two literals per clause (Moskewicz et al.,
 Chaff, DAC 2001; Eén & Sörensson, MiniSat, SAT 2003).  The watch
 positions sit in a list beside `clauses`, so `Clause.literals` keeps its
-order.  A pass visits, in attach order, the clauses woken by a watch that
-became false, which gives the pushes and the conflict of a scan over
-every clause in that order: a literal the pass pushes wakes the later
-clauses for this pass and the earlier ones for the next.  A false watch
-stays only beside a true one assigned no later, so backtracking keeps
-the watches valid.
+order, and each literal has the list of the clauses that watch it.  When
+the trail's one head reaches a literal, `Solver._bcp` walks the list of
+its negation.  Three facts keep this sound.  Every element the head has
+not reached sits at the current level, so a false watch kept beside a
+true one is undone together with it, and backtracking leaves the watches
+valid as they are.  A literal is true or false by its `lit_elem` entry
+alone: one false by evaluation with no entry still counts as unassigned.
+And `Solver._visit` reads the same lists to ask whether a clause watches
+a literal: an empty list is no watch.
 
 An atom acts in `Solver._visit` only, in one of three ways: evaluated
 once every variable has a value; narrowing its one unassigned variable x
@@ -116,13 +119,11 @@ class Solver:
         self.feas = FeasibilityMap()
         self.clauses: list[Clause] = []
         # Two watched literals: the watch positions of clause i at 2i and
-        # 2i + 1, and the indices of the clauses watching each
-        # `Literal.skey`.  `_woken` holds the clauses due for the next
-        # pass; `_bcp_head` is the first trail element not yet woken from.
+        # 2i + 1, and by `Literal.skey` the list of the clauses watching
+        # it.  Unit clauses wait in `_units` for the next propagation.
         self._watch: list = []
-        self._watchers: dict[int, set] = {}
-        self._woken: set[int] = set()
-        self._bcp_head = 0
+        self._watchers: dict[int, list] = {}
+        self._units: list = []
         self.occurs: dict[int, list] = {}
         self._registered: set[int] = set()
         self._anchor: dict = {}     # atom id -> TrailElement, see _visit
@@ -156,34 +157,29 @@ class Solver:
     # -- clause and atom bookkeeping ----------------------------------------
 
     def _attach_clause(self, clause: Clause, p: int = 0, q: int = 1):
-        """Watch the literals at positions p and q.  The pair must be
-        valid once the caller's pushes are made: neither false, or a false
-        one beside a true one assigned no later.  The first two are valid
-        for an input clause (a literal already on the trail wakes it) and
-        for a level-0 bound's clause (the bound, then a level-0 literal
-        negated); a learned clause passes its own.  A unit clause is due
-        for the next pass."""
+        """Watch the literals at positions p and q: append the clause to
+        the watch list of each.  Once the caller's pushes are made, each
+        watch must be unassigned, true, false by a trail element the head
+        has not reached, or false beside a true watch and undone no later
+        than it.  The first two positions do for an input clause (the
+        head has reached no element yet) and for a level-0 bound's clause
+        (the bound, then a level-0 literal negated); a learned clause
+        passes its asserting literal and one false at the backjump level.
+        A unit clause watches nothing: the next propagation pushes its
+        literal, unless the trail has it already (a learned unit's)."""
         lits = clause.literals
         i = len(self.clauses)
         self.clauses.append(clause)
         if len(lits) > 1:
-            watched = (lits[p].skey, lits[q].skey)
+            for k in (p, q):
+                self._watchers.setdefault(lits[k].skey, []).append(i)
         elif lits:
             p = q = 0
-            watched = (lits[0].skey,)
-            self._woken.add(i)
+            self._units.append(clause)
         else:
             p = q = 0
-            watched = ()
             self._root_unsat = True
         self._watch += (p, q)
-        watchers = self._watchers
-        for skey in watched:
-            ws = watchers.get(skey)
-            if ws is None:
-                watchers[skey] = {i}
-            else:
-                ws.add(i)
         for lit in lits:
             if lit.atom is not None:
                 self._register_atom(lit.atom)
@@ -226,11 +222,26 @@ class Solver:
     # -- propagation --------------------------------------------------------
 
     def propagate(self):
-        """Run to fixpoint; returns conflict clause literals or None."""
+        """Run to fixpoint; returns conflict clause literals or None.
+
+        Unit clauses are pushed first.  Then one head, `qhead`, walks the
+        trail: a model assignment wakes the atoms over its variable, a
+        literal its atom and, through `_bcp`, the clauses that watch its
+        negation."""
         trail = self.trail
         elements = trail.elements
         anchor = self._anchor
+        watchers = self._watchers
         self._revisions_left = BOUND_REVISIONS
+        units, self._units = self._units, []
+        for clause in units:
+            lit = clause.literals[0]
+            e = trail.lit_elem.get(lit.key)
+            if e is None:
+                trail.push_propagation(lit, clause)
+                self.stats.propagations += 1
+            elif e.lit.positive != lit.positive:
+                return [lit]
         due = self._due
         while True:
             while due:
@@ -241,12 +252,13 @@ class Solver:
             while self.qhead < len(elements):
                 elem = elements[self.qhead]
                 self.qhead += 1
-                if elem.var is not None:
+                lit = elem.lit
+                if lit is None:
                     atoms = self.occurs.get(elem.var.id, ())
-                elif elem.lit.atom is not None:
-                    atoms = (elem.lit.atom,)
+                elif lit.atom is not None:
+                    atoms = (lit.atom,)
                 else:
-                    continue
+                    atoms = ()
                 for atom in atoms:
                     # `_anchored`, inline: this runs per atom an assignment
                     # wakes, and most of them are anchored.
@@ -257,13 +269,13 @@ class Solver:
                     c = self._visit(atom)
                     if c is not None:
                         return c
-                if not trail.level and elem.var is None:
-                    self._watch_hulls(elem.lit)
-            c = self._bcp()
-            if c is not None:
-                return c
-            if self.qhead < len(elements):
-                continue
+                if lit is not None:
+                    if watchers.get(lit.skey ^ 1):
+                        c = self._bcp(lit.skey ^ 1)
+                        if c is not None:
+                            return c
+                    if not trail.level and lit.atom is not None:
+                        self._watch_hulls(lit)
             if trail.level:
                 return None
             c = self._propagate_bounds()
@@ -328,7 +340,8 @@ class Solver:
                 lits.append(Literal(t, atom=atom))
                 return lits
         elif entry is None:
-            # A literal that no clause watches would wake none.
+            # A literal that no clause watches (its list is empty or
+            # missing) would wake none.
             watchers = self._watchers
             skey = 2 * atom.key
             if not (watchers.get(skey) or watchers.get(skey + 1)):
@@ -451,106 +464,52 @@ class Solver:
         self._attach_clause(clause)
         return clause
 
-    def _bcp(self):
-        """One pass of Boolean constraint propagation; returns conflict
-        clause literals or None.
+    def _bcp(self, skey: int):
+        """Walk the watch list of the literal `skey`, which became false;
+        returns conflict clause literals or None.
 
-        The pass visits, in attach order, the clauses due: new unit
-        clauses, and those with a watch that became false since the last
-        pass.  A literal the pass pushes wakes later clauses for this pass
-        and earlier ones for the next, as a scan over every clause in
-        attach order would see them.  A clause is unit when exactly one of
-        its literals has no `lit_elem` entry and none is true; the first
-        clause found all false is the conflict.
+        Each clause on the list, in order, keeps its watches if the other
+        one is true; else moves the false watch to a literal that is not
+        false; else pushes the other watch if it is unassigned; else is
+        the conflict, returned with the rest of the list kept.  A literal
+        is false or true by a `lit_elem` entry only: one false by
+        evaluation but with no entry counts as unassigned.  Every element
+        the head has not reached sits at the current level, so a false
+        watch kept beside a true one is undone together with it.
         """
-        elements = self.trail.elements
-        watchers = self._watchers
-        woken = self._woken
-        for elem in elements[self._bcp_head:]:
-            lit = elem.lit
-            if lit is not None:
-                ws = watchers.get(lit.skey ^ 1)
-                if ws:
-                    woken.update(ws)
-        self._bcp_head = len(elements)
-        if not woken:
-            return None
-        heap = sorted(woken)
-        woken.clear()
+        ws = self._watchers[skey]
         trail = self.trail
         lit_elem = trail.lit_elem
-        clauses = self.clauses
-        watch = self._watch
-        pop, push = heapq.heappop, heapq.heappush
-        last = -1
-        while heap:
-            i = pop(heap)
-            if i == last:
-                continue
-            last = i
+        clauses, watch, watchers = self.clauses, self._watch, self._watchers
+        j = 0
+        for k, i in enumerate(ws):
+            ws[j] = i               # kept unless its watch moves
+            j += 1
             lits = clauses[i].literals
-            p, q = watch[2 * i], watch[2 * i + 1]
-            lp, lq = lits[p], lits[q]
-            ep, eq = lit_elem.get(lp.key), lit_elem.get(lq.key)
-            p_false = ep is not None and ep.lit.positive != lp.positive
-            q_false = eq is not None and eq.lit.positive != lq.positive
-            if q_false and not p_false:
-                p, q, ep, eq, p_false, q_false = q, p, eq, ep, True, False
-            if not p_false:
-                if p != q or ep is not None:
-                    continue        # no watch is false, or a unit clause true
-            elif not q_false and eq is not None and eq.level <= ep.level:
-                # A true watch may stand beside a false one that became
-                # false no earlier: backtracking frees the true one first.
+            b = 2 * i
+            if lits[watch[b]].skey == skey:
+                b += 1              # the other watch's slot; b ^ 1 is ours
+            other = lits[watch[b]]
+            e = lit_elem.get(other.key)
+            if e is not None and e.lit.positive == other.positive:
                 continue
-            # Keep q unless it is false, and find literals that are not
-            # false for the rest; f1 and f2 are the false ones assigned last.
-            a = -1 if q_false else q
-            b = f1 = f2 = l1 = l2 = -1
-            for k, lit in enumerate(lits):
-                if k == a:
+            p, q = watch[b ^ 1], watch[b]
+            for m, lit in enumerate(lits):
+                if m == p or m == q:
                     continue
-                e = lit_elem.get(lit.key)
-                if e is None or e.lit.positive == lit.positive:
-                    if a < 0:
-                        a = k
-                    else:
-                        b = k
-                        break
-                elif e.level > l1:
-                    f2, l2, f1, l1 = f1, l1, k, e.level
-                elif e.level > l2:
-                    f2, l2 = k, e.level
-            conflict = a < 0
-            if conflict:
-                a, b = f1, f2 if f2 >= 0 else f1
-            elif b < 0:
-                b = f1 if f1 >= 0 else a
-                lit = lits[a]
-                if lit.key not in lit_elem:
-                    trail.push_propagation(lit, clauses[i])
-                    self.stats.propagations += 1
-                    for j in watchers.get(lit.skey ^ 1, ()):
-                        if j > i:
-                            push(heap, j)
-                        else:
-                            woken.add(j)
-            if (a != p or b != q) and (a != q or b != p):
-                for k in (p, q):
-                    if k != a and k != b:
-                        watchers[lits[k].skey].discard(i)
-                for k in (a, b):
-                    if k != p and k != q:
-                        ws = watchers.get(lits[k].skey)
-                        if ws is None:
-                            watchers[lits[k].skey] = {i}
-                        else:
-                            ws.add(i)
-                watch[2 * i], watch[2 * i + 1] = a, b
-            if conflict:
-                self._bcp_head = len(elements)
-                return list(lits)
-        self._bcp_head = len(elements)
+                e2 = lit_elem.get(lit.key)
+                if e2 is None or e2.lit.positive == lit.positive:
+                    watch[b ^ 1] = m
+                    watchers.setdefault(lit.skey, []).append(i)
+                    j -= 1
+                    break
+            else:
+                if e is not None:
+                    del ws[j:k + 1]
+                    return list(lits)
+                trail.push_propagation(other, clauses[i])
+                self.stats.propagations += 1
+        del ws[j:]
         return None
 
     # -- conflict analysis --------------------------------------------------
@@ -691,9 +650,6 @@ class Solver:
         n = len(self.trail.elements)
         if self.qhead > n:
             self.qhead = n
-        if self._bcp_head > n:
-            self._bcp_head = n
-        self._woken.clear()     # every wake due came from an undone level
         if self._lifted:
             values = self.trail.values
             kept = []

@@ -1,5 +1,6 @@
 """Shared generators and brute-force oracles for the test suite."""
 
+import collections
 import contextlib
 import itertools
 
@@ -76,6 +77,19 @@ def random_instance(rng, n_int=3, n_bool=2, n_clauses=4, **kwargs):
     return store, clauses, int_vars, bool_vars
 
 
+def random_3cnf(rng, n_vars, ratio=4.26):
+    """Random 3-CNF over ``n_vars`` fresh Bool variables (three distinct
+    variables per clause, each negated at random), ``round(ratio *
+    n_vars)`` clauses, near the satisfiability threshold: at 8 to 12
+    variables about one in four is unsat."""
+    store = TermStore()
+    bools = [store.new_var(f"b{i}", Sort.BOOL) for i in range(n_vars)]
+    clauses = [Clause([Literal(rng.random() < 0.5, bvar=v)
+                       for v in rng.sample(bools, 3)])
+               for _ in range(round(ratio * n_vars))]
+    return store, clauses, bools
+
+
 def box_clauses(store, int_vars, lo, hi):
     """Unit clauses confining every integer variable to [lo, hi]."""
     out = []
@@ -127,8 +141,9 @@ def excl_pattern(atom):
 def scan_clauses(clauses, lit_elem):
     """The clauses that a full scan in order would act on under the trail's
     `lit_elem`: those with no true literal and at most one literal
-    without an entry (unit, or all false).  Reference for the watches
-    of `Solver._bcp`, which must leave none at a propagation fixpoint."""
+    without an entry (unit, or all false).  Reference for the two
+    watched literals of `Solver.propagate`, which must leave none at a
+    propagation fixpoint."""
     acting = []
     for clause in clauses:
         open_lits = 0
@@ -142,6 +157,21 @@ def scan_clauses(clauses, lit_elem):
             if open_lits <= 1:
                 acting.append(clause)
     return acting
+
+
+def watch_lists_ok(solver) -> bool:
+    """Whether every clause of two or more literals sits exactly once on
+    the watch list of each of its two watched literals (the positions
+    `solver._watch` holds for it) and on no other list."""
+    expected = collections.Counter()
+    for i, clause in enumerate(solver.clauses):
+        if len(clause) > 1:
+            for p in solver._watch[2 * i:2 * i + 2]:
+                expected[clause.literals[p].skey, i] += 1
+    found = collections.Counter(
+        (skey, i) for skey, ws in solver._watchers.items() for i in ws
+        if len(solver.clauses[i]) > 1)
+    return found == expected
 
 
 def scan_atoms(solver):

@@ -7,7 +7,8 @@ import pytest
 
 from helpers import (box_clauses, brute_force, clauses_sat, entailed,
                      ls_constants, planted_instance, product_probe,
-                     random_instance, scan_atoms, scan_clauses)
+                     random_3cnf, random_instance, scan_atoms,
+                     scan_clauses, watch_lists_ok)
 from nials import localsearch
 from nials.core import Answer, Solver, SolverConfig, Stats
 from nials.errors import InternalError
@@ -231,7 +232,9 @@ class TestLearnedLemmas:
 class TestWatches:
     """At every propagation fixpoint, the full scan of `scan_clauses`
     finds no clause unit or all false, and `scan_atoms` no atom left to
-    evaluate or narrow: the watches and the atom anchors missed nothing."""
+    evaluate or narrow: the watches and the atom anchors missed nothing.
+    And `watch_lists_ok`: each clause sits on the lists of its two
+    watches only."""
 
     @pytest.fixture
     def fixpoints(self, monkeypatch):
@@ -246,6 +249,7 @@ class TestWatches:
                 assert scan_clauses(solver.clauses,
                                     solver.trail.lit_elem) == []
                 assert scan_atoms(solver) == []
+                assert watch_lists_ok(solver)
                 covered.append(sum(c.learned for c in solver.clauses))
             return conflict
 
@@ -277,6 +281,25 @@ class TestWatches:
         # fixpoints; 100 more instances keep the count past the guard.
         boxed(100)
         assert len(fixpoints) > 1000 and max(fixpoints) > 100
+
+    @pytest.mark.parametrize("ls_enabled", [True, False])
+    def test_random_3cnf(self, ls_enabled, fixpoints):
+        """Boolean 3-CNF near the threshold, against enumeration: long
+        watch lists and conflicts found by clause propagation, which the
+        theory-driven instances above seldom reach."""
+        rng = random.Random(707 if ls_enabled else 808)
+        answers = []
+        for _ in range(200):
+            store, clauses, bools = random_3cnf(rng, rng.randint(8, 12))
+            ans, solver = solve(store, clauses, bools, ls_enabled=ls_enabled,
+                                threshold_base=5)
+            expected = brute_force(clauses, [], 0, 0, bools)
+            assert (ans is Answer.SAT) == (expected is not None)
+            if ans is Answer.SAT:
+                assert clauses_sat(clauses, {}, solver.model)
+            answers.append(ans)
+        assert Answer.UNSAT in answers and Answer.SAT in answers
+        assert len(fixpoints) > 1000 and max(fixpoints) > 5
 
     def test_hull_clauses(self, fixpoints):
         from test_bounds import hull_instances
@@ -489,7 +512,7 @@ class TestPinnedSearch:
     @pytest.mark.parametrize("seed, answer, ints, bools, stats", [
         (23, Answer.SAT, {0: 1, 1: -7, 2: 2, 3: 1},
          {4: True, 5: False, 6: True}, (10, 15, 96, 16, 0, 0, 0, 0, 0, 9)),
-        (17, Answer.UNSAT, {}, {}, (127, 128, 2142, 266, 3, 10, 0, 2, 0, 249)),
+        (17, Answer.UNSAT, {}, {}, (127, 128, 2143, 266, 3, 10, 0, 2, 0, 246)),
     ])
     def test_seeded_random_cnf(self, seed, answer, ints, bools, stats):
         store, clauses, int_vars, bool_vars = random_instance(
@@ -505,10 +528,10 @@ class TestPinnedSearch:
         """SHA-256 over the answer, every `Stats` field, the learned-clause
         skeys in order and the model of seeded boxed-like and planted-like
         instances and a product probe, with LS on (called early and often)
-        and off.  Recorded when feasible sets began to decide atoms with
-        one unassigned variable (the product probe is unsat at level 0,
-        by level-0 bounds); a faster core must reproduce it move for
-        move."""
+        and off.  Recorded when each literal on the trail began to walk
+        the watch list of its negation (the product probe is unsat at
+        level 0, by level-0 bounds); a faster core must reproduce it move
+        for move."""
         def instances():
             rng = random.Random(2024)
             for _ in range(10):
@@ -535,7 +558,7 @@ class TestPinnedSearch:
                                [kv for kv in model if type(kv[1]) is bool],
                                )).encode())
         assert h.hexdigest() == (
-            "56ec430d901ce004565d011dbe002bf8013b92e00224fdfac3c83c0f287c35db")
+            "0ce8a101310e0982e6d58e4761adcd4e049435eebafeec92421baaa3f2ee0f3b")
 
     def test_large_planted_digest(self):
         """SHA-256 as in `test_search_digest`, over planted-like instances
@@ -543,8 +566,8 @@ class TestPinnedSearch:
         clause propagation does most of the work.  With an LS budget of 2
         moves per variable every call fails and restarts the search, which
         then decides every variable again; with the default budget most
-        calls reach cost 0.  Recorded when feasible sets began to decide
-        atoms with one unassigned variable."""
+        calls reach cost 0.  Recorded when each literal on the trail
+        began to walk the watch list of its negation."""
         rng = random.Random(2025)
         h = hashlib.sha256()
         for n_int, n_clauses in ((20, 150), (20, 150), (20, 150),
@@ -561,4 +584,4 @@ class TestPinnedSearch:
                 h.update(repr((ans.value, solver.stats.as_dict(), learned,
                                sorted(solver.model.items()))).encode())
         assert h.hexdigest() == (
-            "b099882b0e46d89ab46be271c62f0ee42905d5b5fc454d851ac130cc72f95eb6")
+            "5dfab5b5f8269a273789c8ec75a3e8c9ed4c25206aadcab0c0cf8ffbb2fd5b6c")
