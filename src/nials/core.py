@@ -5,9 +5,14 @@ Propagation combines clause-level Boolean constraint propagation, semantic
 evaluation of fully assigned atoms, per-variable feasibility narrowing
 from unit constraints, and, at level 0, the bounds that literals over two
 or more variables imply over the hulls of those sets (`bounds.revise`).
-Conflicts are explained with exclusion literals (negated `x = value`
-atoms) and resolved to a single literal at the conflict level before
-backjumping.
+Conflicts are explained with exclusion literals and resolved to a single
+literal at the conflict level before backjumping.  A feasible set is
+explained with the point exclusions ¬(y = value) of the values it
+substituted.  A literal that evaluation at the trail's values makes
+false is explained the same way, except for x, its variable assigned
+last: x is excluded from the largest interval around its value on which
+the literal stays false (the cell explanations of NLSAT, Jovanović & de
+Moura, IJCAR 2012), so one conflict refutes that whole interval.
 
 Boolean propagation watches two literals per clause (Moskewicz et al.,
 Chaff, DAC 2001; Eén & Sörensson, MiniSat, SAT 2003).  The watch
@@ -55,7 +60,7 @@ from typing import Optional
 from .bounds import hull, revise
 from .bridge import LsController
 from .errors import InternalError
-from .feasibility import FeasibilityMap, decided, solution_set
+from .feasibility import FeasibilityMap, decided, false_span, solution_set
 from .terms import (BOOL, LEQ, Clause, Formula, Literal, Polynomial,
                     TermStore, Variable)
 from .trail import Reason, Trail
@@ -219,6 +224,24 @@ class Solver:
         atom = self.store.eq_atom(vid, self.trail.values[vid])
         return Literal(False, atom=atom)
 
+    def _excl_interval(self, vid: int, lo, hi) -> list:
+        """x ∉ [lo, hi] as one literal (`TermStore.interval_atom`
+        negated), or none when the interval is every x."""
+        if lo is None and hi is None:
+            return []
+        return [Literal(False, atom=self.store.interval_atom(vid, lo, hi))]
+
+    def _exclusions(self, lit: Literal) -> list:
+        """Exclusion literals for an atom literal that evaluation at the
+        trail's values makes false: ¬(y = β) for each of its variables
+        but the one assigned last, x, and x excluded from its
+        `false_span`.  With the literal's negation they form a clause
+        that holds at every integer point."""
+        values, var_elem = self.trail.values, self.trail.var_elem
+        x = max(lit.atom.vars, key=lambda v: var_elem[v].pos)
+        lits = [self._excl_neg(v) for v in lit.atom.vars if v != x]
+        return lits + self._excl_interval(x, *false_span((lit,), x, values))
+
     # -- propagation --------------------------------------------------------
 
     def propagate(self):
@@ -336,7 +359,7 @@ class Solver:
                 trail.push_propagation(Literal(t, atom=atom), Reason.SEMANTIC)
                 self.stats.propagations += 1
             elif t != entry.lit.positive:
-                lits = [self._excl_neg(v) for v in atom.vars]
+                lits = self._exclusions(entry.lit)
                 lits.append(Literal(t, atom=atom))
                 return lits
         elif entry is None:
@@ -516,11 +539,18 @@ class Solver:
 
     def _falsify_pos(self, lit: Literal) -> int:
         """Trail position at which the (false) literal became false: the
-        earlier of its own assignment and, for an atom whose variables are
-        all assigned, the latest of their assignments."""
+        earlier of the entry that assigned its negation and, for an atom
+        literal that evaluation at the values of its variables makes
+        false, the latest of their assignments.  A literal that
+        evaluation makes true is dated at its entry, so `_resolve_lit`
+        cites that entry's reason.  An entry that evaluation pushed
+        (`Reason.SEMANTIC`) sits above its variables' assignments, so its
+        negation is always dated at the latest of them."""
         trail = self.trail
-        elem = trail.lit_elem.get(lit.key)
-        pos = elem.pos if elem is not None else None
+        entry = trail.lit_elem.get(lit.key)
+        pos = None
+        if entry is not None and entry.lit.positive != lit.positive:
+            pos = entry.pos
         if lit.atom is not None:
             var_elem = trail.var_elem
             latest = 0
@@ -531,38 +561,55 @@ class Solver:
                 if elem.pos > latest:
                     latest = elem.pos
             else:
-                if pos is None or latest < pos:
+                if pos is None or (latest < pos and (
+                        entry.reason is Reason.SEMANTIC
+                        or lit.atom.evaluate(trail.values) != lit.positive)):
                     pos = latest
         if pos is None:
             raise InternalError(f"literal {lit} is not false on the trail")
         return pos
 
     def _resolve_lit(self, lit: Literal, pos: int):
-        """Replacement literals, or None if the literal is irreducible."""
+        """Replacement literals, or None if the literal is irreducible.
+
+        A literal dated at its own entry is resolved through the entry's
+        reason.  One that evaluation makes false at the assignment of x,
+        its variable assigned last, is replaced by `_exclusions`, unless
+        x is its only variable: then it is irreducible at x's decision,
+        and at x's propagation replaced by the explanation of F(x)."""
         trail = self.trail
         elem = trail.elements[pos]
         if trail.lit_elem.get(lit.key) is elem:
             if elem.decision:
                 return None
-            reason = elem.reason
-            if reason is Reason.SEMANTIC:
-                return [self._excl_neg(v) for v in lit.atom.vars]
             asserted = elem.lit
+            reason = elem.reason
             if reason.__class__ is tuple:   # Reason.FEASIBILITY_UNIT
                 return self._explain_unit(asserted, *reason[1:])
             return [l for l in reason.literals if l.skey != asserted.skey]
-        # Falsified by model assignments.
-        if elem.var is not None and lit.atom is not None:
-            info = lit.atom.var_eq
-            if info is not None and info[0] == elem.var.id and not lit.positive:
-                if elem.decision:
-                    return None
-                return self._explain(elem.reason[1], elem.var.id)
-        return [self._excl_neg(v) for v in lit.atom.vars]
+        # Falsified by evaluation at the assignment of x.
+        x = elem.var.id
+        if lit.atom.vars == (x,):
+            if elem.decision:
+                return None
+            return self._explain(elem.reason[1], x)
+        return self._exclusions(lit)
+
+    def _merged_exclusion(self, at_level) -> list:
+        """The literals over x alone that the decision x = v falsifies, as
+        one: x excluded from the `false_span` of them all."""
+        x = self.trail.elements[at_level[0][1]].var.id
+        lits = [lit for lit, _ in at_level]
+        return self._excl_interval(x, *false_span(lits, x, self.trail.values))
 
     def _analyze(self, conflict_lits):
-        """Reduce to a single literal at the conflict level.
+        """Reduce to a single literal at the conflict level, the highest
+        level of a literal left.
 
+        The latest reducible literal at that level is resolved until one
+        is left.  Those that no step reduces are over the level's decided
+        variable alone and merge into one (`_merged_exclusion`); when
+        that is none, the conflict level is the next one down.
         Returns the learned literals, the position of the asserting one,
         the backjump level and the position of a literal falsified at that
         level (-1 if none), or None when the conflict is at level 0
@@ -588,12 +635,11 @@ class Solver:
         while True:
             at_level = [(lit, pos) for lit, pos in cur.values()
                         if level_of(pos) == conflict_level]
-            if len(at_level) <= 1:
+            if len(at_level) == 1:
                 break
-            # At most one literal per level is irreducible (the one falsified
-            # by the level's decision element); resolve the latest reducible.
+            # Only literals that the level's decision element falsifies are
+            # irreducible; resolve the latest reducible one.
             at_level.sort(key=lambda t: -t[1])
-            resolved = False
             for lit, pos in at_level:
                 repl = self._resolve_lit(lit, pos)
                 if repl is None:
@@ -601,11 +647,19 @@ class Solver:
                 del cur[lit.skey]
                 for r in repl:
                     add(r)
-                resolved = True
                 break
-            if not resolved:
-                raise InternalError(
-                    "multiple irreducible literals at conflict level")
+            else:
+                if trail.elements[at_level[0][1]].var is None:
+                    raise InternalError(
+                        "multiple irreducible literals at conflict level")
+                merged = self._merged_exclusion(at_level)
+                for lit, _ in at_level:
+                    del cur[lit.skey]
+                for lit in merged:
+                    add(lit)
+                if not cur:
+                    return None
+                conflict_level = max(level_of(p) for _, p in cur.values())
         learned = []
         uip = partner = -1
         backjump = 0
@@ -616,8 +670,6 @@ class Solver:
             elif lv > backjump:
                 backjump, partner = lv, len(learned)
             learned.append(lit)
-        if uip < 0:
-            raise InternalError("no literal left at the conflict level")
         return learned, uip, backjump, partner
 
     def _resolve_conflict(self, conflict_lits) -> bool:

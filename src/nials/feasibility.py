@@ -88,6 +88,23 @@ def unit_solution_set(lit: Literal, vid: int, values) -> IntervalSet:
     return solution_set(poly, rel, vid, values)
 
 
+def false_span(lits, vid: int, values) -> tuple:
+    """The largest interval (lo, hi) around the value of ``vid`` in
+    ``values`` on which every literal of ``lits``, each false there, stays
+    false with its other variables at their values: from the solutions
+    of their negated forms."""
+    v = values[vid]
+    lo = hi = None
+    for lit in lits:
+        poly, rel = lit.atom.form(not lit.positive)
+        a, b = solution_set(poly, rel, vid, values).interval_of(v)
+        if a is not None and (lo is None or a > lo):
+            lo = a
+        if b is not None and (hi is None or b < hi):
+            hi = b
+    return lo, hi
+
+
 class FeasibilityMap:
     """Current feasibility set per integer variable, with exact undo."""
 

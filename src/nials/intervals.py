@@ -100,6 +100,12 @@ class IntervalSet:
     def __contains__(self, v: int) -> bool:
         return self._find(v) >= 0
 
+    def interval_of(self, v: int) -> tuple:
+        """The interval (lo, hi) of the set that holds the member v."""
+        i = self._find(v)
+        assert i >= 0, "interval_of a non-member"
+        return self.intervals[i]
+
     def _find(self, v: int) -> int:
         """Index of the interval containing v, or ``−(gap+1)`` if absent.
 

@@ -494,6 +494,21 @@ class TermStore:
             atom = self._new_atom(Polynomial._of(terms), EQ, (vid, value))
         return atom
 
+    def interval_atom(self, vid: int, lo: Optional[int],
+                      hi: Optional[int]) -> Atom:
+        """The atom ``lo ≤ x ≤ hi``, with None for an infinite end (not
+        both): ``x = lo`` for a point, ``x ≤ hi`` or ``lo ≤ x`` for a
+        half-line, else ``(x − lo)(x − hi) ≤ 0``."""
+        if lo == hi:
+            return self.eq_atom(vid, lo)
+        x = Polynomial.var(vid)
+        if lo is None:
+            return self.mk_atom(x, LEQ, Polynomial.const(hi))
+        if hi is None:
+            return self.mk_atom(Polynomial.const(lo), LEQ, x)
+        poly = (x - Polynomial.const(lo)) * (x - Polynomial.const(hi))
+        return self.mk_atom(poly, LEQ, Polynomial.zero())
+
     def _new_atom(self, poly: Polynomial, rel: Rel,
                   var_eq: Optional[tuple]) -> Atom:
         atom = Atom(len(self.atoms), poly, rel, var_eq)

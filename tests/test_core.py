@@ -228,6 +228,29 @@ class TestLearnedLemmas:
                 checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("ls_enabled", [True, False])
+    def test_boolean_heavy_instances(self, ls_enabled):
+        """2–4 Bool and 2–3 Int variables: clause propagation pushes atom
+        literals before their variables have values, so conflicts come
+        from evaluating them afterwards.  Every answer matches
+        enumeration and every learned clause is entailed over the box."""
+        rng = random.Random(909 if ls_enabled else 1010)
+        checked = 0
+        for _ in range(120):
+            store, clauses, ints, bools = random_instance(
+                rng, n_int=rng.randint(2, 3), n_bool=rng.randint(2, 4),
+                n_clauses=rng.randint(4, 10), max_deg=2, coeff=3)
+            clauses += box_clauses(store, ints, -3, 3)
+            ans, solver = solve(store, clauses, ints + bools,
+                                ls_enabled=ls_enabled, threshold_base=5)
+            expected = brute_force(clauses, ints, -3, 3, bools)
+            assert ans is (Answer.UNSAT if expected is None else Answer.SAT)
+            for lemma in solver.clauses:
+                if lemma.learned:
+                    assert entailed(clauses, list(lemma), ints, -3, 3, bools)
+                    checked += 1
+        assert checked > 50
+
 
 class TestWatches:
     """At every propagation fixpoint, the full scan of `scan_clauses`
@@ -420,6 +443,135 @@ class TestUnitPropagation:
         assert checked > 40
 
 
+# Two instances of `bench/gen_inputs.boxed(7)`, both unsat.  In the first,
+# x0·x1 = 1 leaves x0 = x1 = ±1, where ¬(x1² + 4·x0·x1 ≤ 0) is true; the
+# second has one variable, and every value of the box fails its clauses.
+BOXED_00389 = """(set-logic QF_NIA)
+(declare-fun x0 () Int)
+(declare-fun x1 () Int)
+(assert (or (<= (+ (* 4 x0 x1) (* x1 x1)) 0) (not (distinct (* x0 x1) 0))))
+(assert (not (= (* 4 x1 x1) 0)))
+(assert (not (distinct (+ 4 (* (- 4) x0 x1)) 0)))
+(assert (<= (+ (- 8) (* (- 1) x0)) 0))
+(assert (<= (+ (- 8) x0) 0))
+(assert (<= (+ (- 8) (* (- 1) x1)) 0))
+(assert (<= (+ (- 8) x1) 0))
+(check-sat)"""
+BOXED_00829 = """(set-logic QF_NIA)
+(declare-fun x0 () Int)
+(assert (or (not (distinct (* (- 4) x0 x0) 0)) (= (* 3 x0 x0) 0)
+            (not (distinct (* x0 x0) 0))))
+(assert (or (< (+ (* (- 1) x0) (* 6 x0 x0)) 0)
+            (not (= (+ (* 4 x0) (* (- 1) x0 x0)) 0))
+            (not (= (+ (* 4 x0) (* 4 x0 x0)) 0))))
+(assert (or (not (distinct (+ 4 (* 2 x0 x0)) 0))
+            (not (= (+ (- 3) (* 3 x0) (* 3 x0 x0)) 0))
+            (<= (+ (* (- 3) x0) (* 3 x0 x0)) 0)))
+(assert (or (= (* 2 x0 x0) 0) (not (<= (+ 4 (* (- 3) x0)) 0))
+            (not (= (* (- 4) x0) 0))))
+(assert (or (not (distinct (+ (* 2 x0) (* 4 x0 x0)) 0))
+            (not (<= (+ (- 4) (* 2 x0 x0)) 0))))
+(assert (<= (+ (- 8) (* (- 1) x0)) 0))
+(assert (<= (+ (- 8) x0) 0))
+(check-sat)"""
+
+
+class TestIntervalExclusions:
+    """An atom literal that evaluation at the trail's values makes false
+    is replaced by the exclusions of its variables, with the one assigned
+    last widened to the interval on which the literal stays false."""
+
+    @pytest.mark.parametrize("ls_enabled", [True, False])
+    def test_one_variable_refuted_in_few_conflicts(self, ls_enabled):
+        # Point exclusions refuted one value of [−8, 8] per conflict: 17,
+        # two past the cap of 15.
+        from nials import smtlib
+        ans, _, solver = smtlib.solve(
+            smtlib.parse(BOXED_00829),
+            SolverConfig(max_conflicts=15, ls_enabled=ls_enabled))
+        assert ans is Answer.UNSAT and solver.stats.conflicts <= 4
+
+    @pytest.mark.parametrize("ls_enabled", [True, False])
+    def test_widened_lemmas_hold_everywhere(self, ls_enabled, monkeypatch):
+        """Each literal that `_exclusions` replaces is false at the trail's
+        values, and its negation with the replacement is a clause that
+        holds at every integer point of a window wider than the box; so
+        is, for each literal that `_merged_exclusion` merges, its negation
+        with the merged literal."""
+        lemmas = []
+        exclusions, merged = Solver._exclusions, Solver._merged_exclusion
+
+        def record_exclusions(solver, lit):
+            assert lit.atom.evaluate(solver.trail.values) != lit.positive
+            repl = exclusions(solver, lit)
+            lemmas.append([lit.negate()] + repl)
+            return repl
+
+        def record_merged(solver, at_level):
+            lits = merged(solver, at_level)
+            for old, _ in at_level:
+                lemmas.append([old.negate()] + lits)
+            return lits
+
+        monkeypatch.setattr(Solver, "_exclusions", record_exclusions)
+        monkeypatch.setattr(Solver, "_merged_exclusion", record_merged)
+        rng = random.Random(1111 if ls_enabled else 1212)
+        checked = widened = 0
+        for k in range(200):
+            if k % 2:
+                store, clauses, ints, bools = random_instance(
+                    rng, n_int=3, n_bool=1, n_clauses=10, max_deg=2, coeff=4)
+                clauses += box_clauses(store, ints, -4, 4)
+            else:
+                store, clauses, ints, bools = planted_instance(
+                    rng, n_int=3, n_bool=1, n_clauses=16, lo=-4, hi=4,
+                    max_deg=2, coeff=4)
+            lemmas.clear()
+            solve(store, clauses, ints + bools, max_conflicts=100,
+                  ls_enabled=ls_enabled, threshold_base=5)
+            for clause in lemmas:
+                assert entailed([], clause, ints, -7, 7, [])
+                widened += any(lit.atom.var_eq is None for lit in clause[1:])
+            checked += len(lemmas)
+        assert checked > 120 and widened > 30
+
+    def test_exclusions_only_where_evaluation_falsifies(self, monkeypatch):
+        """`_resolve_lit` replaces a literal dated at a model assignment
+        only where evaluation at the trail's values makes it false.  A
+        literal that evaluation makes true was falsified by its own entry
+        and is resolved through that entry's reason: dated at its
+        variables' assignment instead, ¬(x1² + 4·x0·x1 ≤ 0), true at
+        x0 = x1 = 1 in BOXED_00389, was replaced by ¬(x0 = 1) ∨ ¬(x1 = 1),
+        a step that is false there."""
+        from nials import smtlib
+        checked = [0]
+        real = Solver._resolve_lit
+
+        def record(solver, lit, pos):
+            repl = real(solver, lit, pos)
+            trail = solver.trail
+            if repl is not None and trail.lit_elem.get(lit.key) is not \
+                    trail.elements[pos]:
+                assert lit.atom.evaluate(trail.values) != lit.positive
+                checked[0] += 1
+            return repl
+
+        monkeypatch.setattr(Solver, "_resolve_lit", record)
+        for ls_enabled in (True, False):
+            ans, _, _ = smtlib.solve(smtlib.parse(BOXED_00389),
+                                     SolverConfig(ls_enabled=ls_enabled))
+            assert ans is Answer.UNSAT
+        rng = random.Random(1313)
+        for k in range(2000):
+            store, clauses, ints, bools = random_instance(
+                rng, n_int=rng.randint(2, 3), n_bool=rng.randint(2, 4),
+                n_clauses=rng.randint(4, 10), max_deg=2, coeff=4)
+            clauses += box_clauses(store, ints, -3, 3)
+            solve(store, clauses, ints + bools, max_conflicts=100,
+                  ls_enabled=k % 2 == 0)
+        assert checked[0] > 200
+
+
 class TestLsAnswers:
     """A local-search call restarts the search, and cost 0 answers sat."""
 
@@ -511,8 +663,8 @@ class TestPinnedSearch:
 
     @pytest.mark.parametrize("seed, answer, ints, bools, stats", [
         (23, Answer.SAT, {0: 1, 1: -7, 2: 2, 3: 1},
-         {4: True, 5: False, 6: True}, (10, 15, 96, 16, 0, 0, 0, 0, 0, 9)),
-        (17, Answer.UNSAT, {}, {}, (127, 128, 2143, 266, 3, 10, 0, 2, 0, 246)),
+         {4: True, 5: False, 6: True}, (4, 9, 54, 9, 0, 0, 0, 0, 0, 6)),
+        (17, Answer.UNSAT, {}, {}, (127, 128, 2166, 265, 3, 11, 0, 2, 0, 246)),
     ])
     def test_seeded_random_cnf(self, seed, answer, ints, bools, stats):
         store, clauses, int_vars, bool_vars = random_instance(
@@ -528,10 +680,10 @@ class TestPinnedSearch:
         """SHA-256 over the answer, every `Stats` field, the learned-clause
         skeys in order and the model of seeded boxed-like and planted-like
         instances and a product probe, with LS on (called early and often)
-        and off.  Recorded when each literal on the trail began to walk
-        the watch list of its negation (the product probe is unsat at
-        level 0, by level-0 bounds); a faster core must reproduce it move
-        for move."""
+        and off.  Recorded when evaluation conflicts began to exclude an
+        interval of the variable assigned last (the product probe is
+        unsat at level 0, by level-0 bounds); a faster core must
+        reproduce it move for move."""
         def instances():
             rng = random.Random(2024)
             for _ in range(10):
@@ -558,7 +710,7 @@ class TestPinnedSearch:
                                [kv for kv in model if type(kv[1]) is bool],
                                )).encode())
         assert h.hexdigest() == (
-            "0ce8a101310e0982e6d58e4761adcd4e049435eebafeec92421baaa3f2ee0f3b")
+            "1fbd65358446f0ef65fe7d0118a1e9a4ee943606cd73078a971d5cd01b8cde2c")
 
     def test_large_planted_digest(self):
         """SHA-256 as in `test_search_digest`, over planted-like instances
@@ -566,8 +718,8 @@ class TestPinnedSearch:
         clause propagation does most of the work.  With an LS budget of 2
         moves per variable every call fails and restarts the search, which
         then decides every variable again; with the default budget most
-        calls reach cost 0.  Recorded when each literal on the trail
-        began to walk the watch list of its negation."""
+        calls reach cost 0.  Recorded when evaluation conflicts began to
+        exclude an interval of the variable assigned last."""
         rng = random.Random(2025)
         h = hashlib.sha256()
         for n_int, n_clauses in ((20, 150), (20, 150), (20, 150),
@@ -584,4 +736,4 @@ class TestPinnedSearch:
                 h.update(repr((ans.value, solver.stats.as_dict(), learned,
                                sorted(solver.model.items()))).encode())
         assert h.hexdigest() == (
-            "5dfab5b5f8269a273789c8ec75a3e8c9ed4c25206aadcab0c0cf8ffbb2fd5b6c")
+            "7a8f70a7c8b613b9a7a519c49591fd80a9a676196a7f3ed0ab806f57171a95dd")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import narrowed_coeffs
 from nials.feasibility import (FeasibilityMap, coefficients, decided,
-                               solution_set, unit_solution_set)
+                               false_span, solution_set, unit_solution_set)
 from nials.intervals import IntervalSet
 from nials.terms import Atom, Literal, Polynomial, Rel, Sort, TermStore
 from nials.trail import Trail
@@ -96,6 +96,27 @@ class TestRestriction:
             IntervalSet.range(None, 5)
         assert feas.contributions(y.id) == ()
         assert feas.get(y.id) == IntervalSet.range(None, 5)
+
+
+class TestFalseSpan:
+    @pytest.mark.parametrize("values, span", [
+        ({0: 5, 1: 1}, (4, None)),      # x0 ≤ 3 fails from 4 on
+        ({0: -5, 1: -1}, (None, -4)),   # −x0 ≤ 3 fails up to −4
+    ])
+    def test_interval_around_the_value(self, setup, values, span):
+        store, x, y, _ = setup
+        lit = unit(store, P.var(x.id) * P.var(y.id) - P.const(3), Rel.LEQ)
+        assert false_span([lit], x.id, values) == span
+
+    def test_between_the_roots(self, setup):
+        # x² > 4 is false on [−2, 2]; the negated literal on the rest.
+        store, x, _, _ = setup
+        lit = unit(store, P.const(4) - P.var(x.id) * P.var(x.id), Rel.LT)
+        assert false_span([lit], x.id, {x.id: 1}) == (-2, 2)
+        assert false_span([lit.negate()], x.id, {x.id: 7}) == (3, None)
+        # Both, and x ≠ 1, are false at x = 1 on [1, 1] only.
+        ne = unit(store, P.var(x.id) - P.const(1), Rel.EQ, positive=False)
+        assert false_span([lit, ne], x.id, {x.id: 1}) == (1, 1)
 
 
 class TestBacktracking:

@@ -125,3 +125,10 @@ class TestNavigation:
         assert (v in s) == any(
             (lo is None or lo <= v) and (hi is None or v <= hi)
             for lo, hi in s.intervals)
+
+    @given(interval_sets, st.integers(-18, 18))
+    def test_interval_of_holds_the_member(self, s, v):
+        if v in s:
+            lo, hi = s.interval_of(v)
+            assert (lo, hi) in s.intervals
+            assert (lo is None or lo <= v) and (hi is None or v <= hi)

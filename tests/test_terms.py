@@ -332,6 +332,17 @@ class TestTermStore:
             assert list(c.poly.terms.items()) == list(d.poly.terms.items())
             assert c.var_eq == d.var_eq == (x.id, value)
 
+    @pytest.mark.parametrize("lo, hi", [
+        (3, 3), (None, 2), (-4, None), (-4, 2), (0, 5), (-6, -1)])
+    def test_interval_atom_holds_on_its_interval(self, lo, hi):
+        store = TermStore()
+        x = store.new_var("x", Sort.INT)
+        atom = store.interval_atom(x.id, lo, hi)
+        for v in range(-10, 11):
+            inside = (lo is None or lo <= v) and (hi is None or v <= hi)
+            assert atom.evaluate({x.id: v}) == inside
+        assert (atom.var_eq is not None) == (lo == hi)
+
     @pytest.mark.parametrize("lhs, var_eq", [
         (P.var(0) * P.const(2) - P.const(4), (0, 2)),   # 2x - 4 = 0
         (P.var(0) * P.const(2) - P.const(3), None),     # 2x - 3 = 0
