@@ -156,7 +156,6 @@ class Solver:
         self._due = deque()
         self.ls = LsController() if self.config.ls_enabled else None
         self.deadline: Optional[float] = None   # time.monotonic() limit
-        self.answer: Optional[Answer] = None
         self.model: dict = {}       # var id -> int or bool, once SAT
 
     # -- clause and atom bookkeeping ----------------------------------------
@@ -754,34 +753,27 @@ class Solver:
             self.deadline = time.monotonic() + cfg.timeout_ms / 1000.0
         deadline = self.deadline
         if self._root_unsat:
-            self.answer = Answer.UNSAT
-            return self.answer
+            return Answer.UNSAT
         while True:
             conflict = self.propagate()
             if conflict is not None:
                 if not self._resolve_conflict(conflict):
-                    self.answer = Answer.UNSAT
-                    return self.answer
+                    return Answer.UNSAT
                 if (cfg.max_conflicts is not None
                         and self.stats.conflicts >= cfg.max_conflicts):
-                    self.answer = Answer.UNKNOWN
-                    return self.answer
+                    return Answer.UNKNOWN
                 if deadline is not None and time.monotonic() > deadline:
-                    self.answer = Answer.UNKNOWN
-                    return self.answer
+                    return Answer.UNKNOWN
                 continue
             if deadline is not None and time.monotonic() > deadline:
-                self.answer = Answer.UNKNOWN
-                return self.answer
+                return Answer.UNKNOWN
             if self.ls is not None and self.ls.should_run(self.stats.conflicts):
                 answer = self._local_search()
                 if answer is not None:
-                    self.answer = answer
                     return answer
             if not self.decide():
                 self._set_model(self.trail.values)
-                self.answer = Answer.SAT
-                return self.answer
+                return Answer.SAT
 
     def _local_search(self) -> Optional[Answer]:
         """Restart, then one local-search call from level 0.

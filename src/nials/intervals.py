@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from .errors import InternalError
+
 
 def _lo_le(a: Optional[int], b: Optional[int]) -> bool:
     """a <= b where None means −∞."""
@@ -101,9 +103,10 @@ class IntervalSet:
         return self._find(v) >= 0
 
     def interval_of(self, v: int) -> tuple:
-        """The interval (lo, hi) of the set that holds the member v."""
+        """The interval (lo, hi) holding the member v; else InternalError."""
         i = self._find(v)
-        assert i >= 0, "interval_of a non-member"
+        if i < 0:
+            raise InternalError(f"interval_of {v}: not a member of {self}")
         return self.intervals[i]
 
     def _find(self, v: int) -> int:

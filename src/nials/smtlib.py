@@ -141,11 +141,11 @@ class Compiler:
 
     def command(self, cmd: Sexpr):
         if not isinstance(cmd, list) or not cmd or not isinstance(cmd[0], str):
-            raise ParseError(f"malformed command {print_sexpr(cmd)}", 0, 0)
+            raise ParseError(f"malformed command {print_sexpr(cmd)}")
         head = cmd[0]
         if head == "assert":
             if len(cmd) != 2:
-                raise ParseError(f"malformed assert {print_sexpr(cmd)}", 0, 0)
+                raise ParseError(f"malformed assert {print_sexpr(cmd)}")
             if self.checked:
                 # Every check-sat answers for all of the script's assertions.
                 raise UnsupportedError(
@@ -159,7 +159,7 @@ class Compiler:
             pass
         elif head == "declare-fun":
             if len(cmd) != 4:
-                raise ParseError(f"malformed declare-fun {print_sexpr(cmd)}", 0, 0)
+                raise ParseError(f"malformed declare-fun {print_sexpr(cmd)}")
             name, args, sort = cmd[1], cmd[2], cmd[3]
             if args != []:
                 raise UnsupportedError(
@@ -168,12 +168,12 @@ class Compiler:
             self.store.new_var(name, self._sort(sort))
         elif head == "declare-const":
             if len(cmd) != 3:
-                raise ParseError(f"malformed declare-const {print_sexpr(cmd)}", 0, 0)
+                raise ParseError(f"malformed declare-const {print_sexpr(cmd)}")
             self._check_new_symbol(cmd[1])
             self.store.new_var(cmd[1], self._sort(cmd[2]))
         elif head == "define-fun":
             if len(cmd) != 5:
-                raise ParseError(f"malformed define-fun {print_sexpr(cmd)}", 0, 0)
+                raise ParseError(f"malformed define-fun {print_sexpr(cmd)}")
             name, args, sort, body = cmd[1], cmd[2], cmd[3], cmd[4]
             if args != []:
                 raise UnsupportedError(f"define-fun with arity > 0: {name}")
@@ -224,7 +224,7 @@ class Compiler:
         except KeyError:
             raise UnsupportedError(f"unsupported operator {e[0]}") from None
         except (IndexError, TypeError):     # () or a list at the head
-            raise ParseError(f"malformed term {print_sexpr(e)}", 0, 0) from None
+            raise ParseError(f"malformed term {print_sexpr(e)}") from None
         if handler is None:
             return self._let(e, env)
         vals = []
@@ -271,14 +271,14 @@ class Compiler:
             return value
         if name in self.macros:
             return self.macros[name]
-        raise ParseError(f"undeclared identifier {name}", 0, 0)
+        raise ParseError(f"undeclared identifier {name}")
 
     # Handlers: ``e`` is the application, ``vals`` its operands' values.
 
     def _arith(self, e: list, vals: list) -> Polynomial:
         """``(* a …)``, ``(+ a …)``, ``(- a b …)`` and the negation ``(- a)``."""
         if not vals:
-            raise ParseError(f"operator {e[0]} needs arguments", 0, 0)
+            raise ParseError(f"operator {e[0]} needs arguments")
         if e[0] == "*":
             return Polynomial.product(vals)
         if len(vals) == 1 and e[0] == "-":
@@ -298,7 +298,7 @@ class Compiler:
                     a, b = b, a
                 return Literal(True, atom=self.store.mk_atom(a, rel, b))
         if len(vals) < 2:
-            raise ParseError(f"operator {e[0]} needs two arguments", 0, 0)
+            raise ParseError(f"operator {e[0]} needs two arguments")
         ints = vals[0].__class__ is Polynomial
         for v in vals:
             if (v.__class__ is Polynomial) is not ints:
@@ -327,7 +327,7 @@ class Compiler:
         if op == "and":
             return fa.mk_and(vals)
         if len(vals) < 2:
-            raise ParseError(f"{op} takes at least two arguments", 0, 0)
+            raise ParseError(f"{op} takes at least two arguments")
         if op == "xor":
             return functools.reduce(_xor, vals)
         acc = vals[-1]                  # =>, associating to the right
@@ -337,12 +337,12 @@ class Compiler:
 
     def _not(self, e: list, vals: list) -> fa.BoolExpr:
         if len(vals) != 1:
-            raise ParseError("not takes one argument", 0, 0)
+            raise ParseError("not takes one argument")
         return fa.mk_not(vals[0])
 
     def _ite(self, e: list, vals: list):
         if len(vals) != 3:
-            raise ParseError("ite takes three arguments", 0, 0)
+            raise ParseError("ite takes three arguments")
         cond, then, els = vals
         if cond.__class__ is Polynomial:
             raise _sort_error("Bool", e[1])
@@ -360,14 +360,14 @@ class Compiler:
 
     def _let(self, e: list, env: dict):
         if len(e) != 3 or not isinstance(e[1], list):
-            raise ParseError("malformed let", 0, 0)
+            raise ParseError("malformed let")
         bound = {}
         for binding in e[1]:
             if not (isinstance(binding, list) and len(binding) == 2
                     and isinstance(binding[0], str)):
-                raise ParseError("malformed let binding", 0, 0)
+                raise ParseError("malformed let binding")
             if binding[0] in bound:
-                raise ParseError(f"let: {binding[0]} bound twice", 0, 0)
+                raise ParseError(f"let: {binding[0]} bound twice")
             bound[binding[0]] = self.term(binding[1], env)
         return self.term(e[2], {**env, **bound})
 
@@ -400,7 +400,8 @@ def _xor(a, b) -> fa.BoolExpr:
 
 @contextmanager
 def _nesting_limit():
-    """Report input nested beyond Python's recursion limit as unsupported."""
+    """Report input nested beyond Python's recursion limit as unsupported;
+    the search, which does not recurse with it, runs outside."""
     try:
         yield
     except RecursionError:
@@ -434,10 +435,10 @@ def solve(script: Script, config: Optional[SolverConfig] = None):
     """
     with _nesting_limit():
         comp = compile_script(script)
-        ast = fa.mk_and(comp.assertions + comp.side)
-        formula = clausify(comp.store, ast)
-        solver = Solver(comp.store, formula, config)
-        ans = solver.check_sat()
+        formula = clausify(comp.store, fa.mk_and(comp.assertions + comp.side))
+    solver = Solver(comp.store, formula, config)
+    ans = solver.check_sat()
+    with _nesting_limit():
         model = _script_model(comp, solver) if ans is Answer.SAT else None
     return ans, model, solver
 

@@ -5,6 +5,7 @@ polarity lives on the literal, never inside the atom.  `Literal` is the one
 literal type from the SMT-LIB frontend to conflict analysis; its integer
 keys are spelled only in this module (`atom_key`, `bool_key`).
 `Atom.form` is the one place where negation and strictness are resolved.
+`TermStore` interns variables and atoms, so they compare by identity.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ INT, BOOL = Sort.INT, Sort.BOOL
 
 
 class Variable:
-    """A declared or auxiliary variable; equality and hash follow its
-    fields, which nothing changes after construction."""
+    """A declared or auxiliary variable.  `TermStore` makes one per name,
+    so equality is identity."""
 
     __slots__ = ("id", "name", "sort", "is_aux")
 
@@ -58,15 +59,6 @@ class Variable:
         self.name = name
         self.sort = sort
         self.is_aux = is_aux
-
-    def __eq__(self, other):
-        if other.__class__ is not Variable:
-            return NotImplemented
-        return (self.id == other.id and self.name == other.name
-                and self.sort is other.sort and self.is_aux == other.is_aux)
-
-    def __hash__(self):
-        return hash((self.id, self.name, self.sort, self.is_aux))
 
     def __repr__(self):
         return self.name
@@ -273,21 +265,18 @@ _ONE = Polynomial.const(1)
 class Atom:
     """Normalized arithmetic atom ``poly ⋈ 0``.
 
-    ``var_eq`` is ``(var id, c)`` when the atom reads ``x − c = 0``, else
-    None; exclusion literals and conflict analysis rely on it.  Search
-    reads ``vars`` (the variable ids, in the iteration order of
+    Search reads ``vars`` (the variable ids, in the iteration order of
     ``poly.variables``) and ``key`` (`atom_key` of the id) straight from
-    the atom.  Equality and hash follow ``id``.
+    the atom.  `TermStore` makes one atom per normal form, so equality is
+    identity.
     """
 
-    __slots__ = ("id", "poly", "rel", "var_eq", "vars", "key", "_forms")
+    __slots__ = ("id", "poly", "rel", "vars", "key", "_forms")
 
-    def __init__(self, id: int, poly: Polynomial, rel: Rel,
-                 var_eq: Optional[tuple] = None):
+    def __init__(self, id: int, poly: Polynomial, rel: Rel):
         self.id = id
         self.poly = poly
         self.rel = rel
-        self.var_eq = var_eq
         self.vars = tuple(poly.variables)
         self.key = atom_key(id)
         self._forms = None      # [negative form, positive form], on demand
@@ -321,14 +310,6 @@ class Atom:
 
     def evaluate(self, values: Mapping[int, int]) -> bool:
         return self.rel.holds(self.poly.evaluate(values))
-
-    def __eq__(self, other):
-        if other.__class__ is not Atom:
-            return NotImplemented
-        return self.id == other.id
-
-    def __hash__(self):
-        return hash(self.id)
 
     def __repr__(self):
         return f"({self.poly} {self.rel.value} 0)"
@@ -441,8 +422,7 @@ class TermStore:
         self.variables: list[Variable] = []
         self._var_by_name: dict[str, Variable] = {}
         self._atoms: dict[tuple, Atom] = {}
-        self._eq_atoms: dict[tuple, Atom] = {}     # Atom.var_eq -> atom
-        self.atoms: list[Atom] = []
+        self._eq_atoms: dict[tuple, Atom] = {}     # (vid, c) -> x − c = 0
         self._fresh: dict[str, int] = {}           # prefix -> next n to try
 
     def new_var(self, name: str, sort: Sort, is_aux: bool = False) -> Variable:
@@ -477,13 +457,13 @@ class TermStore:
         atom = self._atoms.get((poly, rel))
         if atom is None:
             atom = self._new_atom(poly, rel,
-                                  _var_eq(poly) if rel is EQ else None)
+                                  _eq_key(poly) if rel is EQ else None)
         return atom
 
     def eq_atom(self, vid: int, value: int) -> Atom:
         """The atom ``x = value``: the one `mk_atom` gives for it.
 
-        Every atom of that form is registered by its ``var_eq``, so a miss
+        Every such atom is indexed by ``(vid, value)`` when made, so a miss
         is a new atom, built in the normal form `mk_atom` would give it.
         """
         atom = self._eq_atoms.get((vid, value))
@@ -510,16 +490,15 @@ class TermStore:
         return self.mk_atom(poly, LEQ, Polynomial.zero())
 
     def _new_atom(self, poly: Polynomial, rel: Rel,
-                  var_eq: Optional[tuple]) -> Atom:
-        atom = Atom(len(self.atoms), poly, rel, var_eq)
+                  eq_key: Optional[tuple]) -> Atom:
+        atom = Atom(len(self._atoms), poly, rel)
         self._atoms[(poly, rel)] = atom
-        self.atoms.append(atom)
-        if var_eq is not None:
-            self._eq_atoms[var_eq] = atom
+        if eq_key is not None:
+            self._eq_atoms[eq_key] = atom
         return atom
 
 
-def _var_eq(poly: Polynomial) -> Optional[tuple]:
+def _eq_key(poly: Polynomial) -> Optional[tuple]:
     """(vid, c) if ``poly`` is ``x − c``, else None."""
     terms = poly._terms
     c = terms.get((), 0)

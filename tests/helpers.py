@@ -123,8 +123,8 @@ def lit_evaluate(lit, int_values, bool_values):
 def excl_pattern(atom):
     """(vid, c) if the atom is literally ``x − c = 0``, else None.
 
-    Reference for `Atom.var_eq`, computed from the polynomial's variable
-    set and degree instead of its monomials.
+    The key by which `TermStore.eq_atom` finds the atom, computed from
+    the polynomial's variable set and degree instead of its monomials.
     """
     if atom.rel is not Rel.EQ:
         return None

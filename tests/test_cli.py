@@ -127,6 +127,14 @@ class TestSolveFile:
         assert "div" in err
         assert out == ""
 
+    def test_compile_error_has_no_position(self, tmp_path):
+        p = tmp_path / "undeclared.smt2"
+        p.write_text("(set-logic QF_NIA)(declare-const x Int)"
+                     "(assert (> (+ x y) 0))(check-sat)")
+        code, out, err = run_main([str(p)])
+        assert (code, out) == (2, "")
+        assert err == f"{p}: error: undeclared identifier y\n"
+
     def test_symbol_declared_twice_exit_2(self, tmp_path):
         p = tmp_path / "twice.smt2"
         p.write_text("(set-logic QF_NIA)(define-fun a () Int 5)"
@@ -143,6 +151,17 @@ class TestSolveFile:
         assert code == 2
         assert "nested too deeply" in err
         assert out == ""
+
+    def test_recursion_error_in_search_is_internal_error(self, files,
+                                                         monkeypatch):
+        # Only input nested too deeply is a usage error; the search does
+        # not recurse with the input's depth.
+        def recurse(self):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(core.Solver, "check_sat", recurse)
+        code, out, err = run_main([files["ex1"]])
+        assert (code, out) == (3, "")
+        assert "internal error" in err and "nested too deeply" not in err
 
     def test_non_utf8_file_exit_2(self, tmp_path):
         path = tmp_path / "latin1.smt2"

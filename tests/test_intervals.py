@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nials.errors import InternalError
 from nials.intervals import IntervalSet, nearest_to_zero
 
 WINDOW = range(-20, 21)
@@ -132,3 +133,11 @@ class TestNavigation:
             lo, hi = s.interval_of(v)
             assert (lo, hi) in s.intervals
             assert (lo is None or lo <= v) and (hi is None or v <= hi)
+
+    def test_interval_of_a_non_member_is_an_internal_error(self):
+        # A raise, not an assert: under -O an assert would give (0, 3),
+        # an interval that 5 is not in.
+        s = IntervalSet.from_intervals([(0, 3), (10, 20)])
+        for v in (5, -1, 21):
+            with pytest.raises(InternalError, match="not a member"):
+                s.interval_of(v)
