@@ -61,8 +61,7 @@ from .bounds import hull, revise
 from .bridge import LsController
 from .errors import InternalError
 from .feasibility import FeasibilityMap, decided, false_span, solution_set
-from .terms import (BOOL, LEQ, Clause, Formula, Literal, Polynomial,
-                    TermStore, Variable)
+from .terms import BOOL, Clause, Formula, Literal, TermStore, Variable
 from .trail import Reason, Trail
 
 
@@ -436,6 +435,7 @@ class Solver:
         trail, the revisions of this propagation call run out, or the
         deadline passes.  Returns conflict literals or None."""
         feas, queue, queued = self.feas, self._revise, self._queued
+        interval_atom = self.store.interval_atom
         for vid in feas.moved:
             for lit in self._hull_lits.get(vid, ()):
                 if lit.skey not in queued:
@@ -458,13 +458,10 @@ class Solver:
             for vid, lo, hi, own in found:
                 h_lo, h_hi = hulls[vid]
                 used = [u for u in atom.vars if own or u != vid]
-                x = Polynomial.var(vid)
                 if lo > h_lo:
-                    self._enter_bound(self.store.mk_atom(
-                        Polynomial.const(lo), LEQ, x), lit, used)
+                    self._enter_bound(interval_atom(vid, lo, None), lit, used)
                 if hi < h_hi:
-                    self._enter_bound(self.store.mk_atom(
-                        x, LEQ, Polynomial.const(hi)), lit, used)
+                    self._enter_bound(interval_atom(vid, None, hi), lit, used)
             if found:
                 return None
         return None

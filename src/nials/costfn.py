@@ -213,12 +213,11 @@ class IncrementalCost:
                 fl[k] = last
                 pos[last] = k
 
-    def probe(self, var_id: int, new_value, below=None):
-        """Total cost with one variable changed; the state stays as it was.
-
-        With `below`, None as soon as the total cannot be under it: the
-        clauses of positive cost are scored first, and then each true
-        clause can only add to the total.
+    def probe(self, var_id: int, new_value, below):
+        """Total cost with one variable changed, or None as soon as it
+        cannot be under `below`; the state stays as it was.  The clauses of
+        positive cost are scored first, and then each true clause can only
+        add to the total.
         """
         values = self.values
         w = self.watch.get(var_id, _UNWATCHED)
@@ -235,7 +234,7 @@ class IncrementalCost:
                     c *= lit_cost[k]
                 total += _moved_cost(c, xlits, lit_val, lit_rel, values,
                                      diffs) - old
-        if below is not None and total >= below:
+        if total >= below:
             return None
         for i, xlits, rest in w[1]:
             if costs[i]:
@@ -247,7 +246,7 @@ class IncrementalCost:
                 c = _moved_cost(c, xlits, lit_val, lit_rel, values, diffs)
                 if c:
                     total += c
-                    if below is not None and total >= below:
+                    if total >= below:
                         return None
         return total
 

@@ -123,19 +123,20 @@ class Compiler:
 
     A term compiles to a `Polynomial` if it has sort Int and to a Boolean
     structure (`terms.Literal` or `formula_ast` node) if it has sort Bool.
+    `symbols`, the one table of names, maps each declared or defined name to
+    its value; auxiliary variables are not in it, so no script names one.
     """
 
     def __init__(self):
         self.store = TermStore()
-        self.macros: dict[str, Union[Polynomial, fa.BoolExpr, Literal]] = {}
+        self.symbols: dict[str, Union[Polynomial, fa.BoolExpr, Literal]] = {}
         self.assertions: list[fa.BoolExpr] = []
         self.side: list[fa.BoolExpr] = []
-        self.logic: Optional[str] = None
         self.checked = False            # a check-sat has been seen
-        # Memoised leaves: true/false and numerals, then variables by name.
+        # Memoised leaves: true/false and numerals.
         self._constants: dict = {"true": fa.TRUE, "false": fa.FALSE}
-        self._variables: dict = {}
         self._negated: dict = {}        # numeral -> (- numeral)
+        self._unquoted: dict = {}       # quoted leaf -> its name
 
     # -- command level ------------------------------------------------------
 
@@ -152,36 +153,30 @@ class Compiler:
                     "assert after check-sat: incremental scripts are not supported")
             self.assertions.append(self.bool_term(cmd[1], {}))
         elif head == "set-logic":
-            if len(cmd) != 2 or cmd[1] not in _SUPPORTED_LOGICS:
+            if len(cmd) != 2 or _symbol(cmd[1]) not in _SUPPORTED_LOGICS:
                 raise UnsupportedError(f"unsupported logic in {print_sexpr(cmd)}")
-            self.logic = cmd[1]
         elif head in ("set-info", "set-option"):
             pass
-        elif head == "declare-fun":
-            if len(cmd) != 4:
-                raise ParseError(f"malformed declare-fun {print_sexpr(cmd)}")
-            name, args, sort = cmd[1], cmd[2], cmd[3]
-            if args != []:
-                raise UnsupportedError(
-                    f"declare-fun with arity > 0: {name}")
-            self._check_new_symbol(name)
-            self.store.new_var(name, self._sort(sort))
-        elif head == "declare-const":
-            if len(cmd) != 3:
-                raise ParseError(f"malformed declare-const {print_sexpr(cmd)}")
-            self._check_new_symbol(cmd[1])
-            self.store.new_var(cmd[1], self._sort(cmd[2]))
+        elif head in ("declare-fun", "declare-const"):
+            # (declare-fun x () S) is (declare-const x S).
+            if len(cmd) != (4 if head == "declare-fun" else 3):
+                raise ParseError(f"malformed {head} {print_sexpr(cmd)}")
+            name = self._new_symbol(cmd[1])
+            if cmd[2:-1] not in ([], [[]]):
+                raise UnsupportedError(f"declare-fun with arity > 0: {name}")
+            var = self.store.new_var(name, self._sort(cmd[-1]))
+            self.symbols[name] = (Polynomial.var(var.id) if var.sort is INT
+                                  else Literal(True, bvar=var))
         elif head == "define-fun":
             if len(cmd) != 5:
                 raise ParseError(f"malformed define-fun {print_sexpr(cmd)}")
-            name, args, sort, body = cmd[1], cmd[2], cmd[3], cmd[4]
-            if args != []:
+            name = self._new_symbol(cmd[1])
+            if cmd[2] != []:
                 raise UnsupportedError(f"define-fun with arity > 0: {name}")
-            self._check_new_symbol(name)
-            value = self.term(body, {})
-            if (self._sort(sort) is INT) != isinstance(value, Polynomial):
+            value = self.term(cmd[4], {})
+            if (self._sort(cmd[3]) is INT) != isinstance(value, Polynomial):
                 raise SortError(f"define-fun {name}: body sort mismatch")
-            self.macros[name] = value
+            self.symbols[name] = value
         elif head == "check-sat":
             self.checked = True
         elif head in ("get-model", "exit"):
@@ -189,10 +184,12 @@ class Compiler:
         else:
             raise UnsupportedError(f"unsupported command {head}")
 
-    def _check_new_symbol(self, name: str):
-        """Variables and macros share one namespace; each name once."""
-        if name in self.macros or self.store.lookup_var(name) is not None:
+    def _new_symbol(self, s: Sexpr) -> str:
+        """The name of a new symbol; `true` and `false` are taken."""
+        name = _symbol(s)
+        if name in self.symbols or name in self._constants:
             raise SortError(f"symbol {name!r} already declared")
+        return name
 
     def _sort(self, s: Sexpr) -> Sort:
         if s == "Int":
@@ -233,7 +230,7 @@ class Compiler:
                 # Memoised leaves inline, in the order of `_atom_term`.
                 v = self._constants.get(a)
                 if v is None:
-                    v = None if env else self._variables.get(a)
+                    v = None if env else self.symbols.get(a)
                     if v is None:
                         v = self._atom_term(a, env)
             else:
@@ -244,8 +241,12 @@ class Compiler:
         return handler(self, e, vals)
 
     def _atom_term(self, name: str, env: dict):
-        # Lookup order: true/false, numerals, let-bound names, variables,
-        # macros; so no let binding shadows a constant.
+        # Lookup order: true/false, numerals, let-bound names, symbols; so
+        # no let binding shadows a constant.
+        if name[0] == "|":
+            if name not in self._unquoted:
+                self._unquoted[name] = _symbol(name)
+            name = self._unquoted[name]
         value = self._constants.get(name)
         if value is not None:
             return value
@@ -260,18 +261,9 @@ class Compiler:
             return value
         if name in env:
             return env[name]
-        value = self._variables.get(name)
-        if value is not None:
-            return value
-        var = self.store.lookup_var(name)
-        if var is not None:
-            value = self._variables[name] = (
-                Polynomial.var(var.id) if var.sort is INT
-                else Literal(True, bvar=var))
-            return value
-        if name in self.macros:
-            return self.macros[name]
-        raise ParseError(f"undeclared identifier {name}")
+        if name not in self.symbols:
+            raise ParseError(f"undeclared identifier {name}")
+        return self.symbols[name]
 
     # Handlers: ``e`` is the application, ``vals`` its operands' values.
 
@@ -366,9 +358,10 @@ class Compiler:
             if not (isinstance(binding, list) and len(binding) == 2
                     and isinstance(binding[0], str)):
                 raise ParseError("malformed let binding")
-            if binding[0] in bound:
-                raise ParseError(f"let: {binding[0]} bound twice")
-            bound[binding[0]] = self.term(binding[1], env)
+            name = _symbol(binding[0])
+            if name in bound:
+                raise ParseError(f"let: {name} bound twice")
+            bound[name] = self.term(binding[1], env)
         return self.term(e[2], {**env, **bound})
 
 
@@ -386,6 +379,23 @@ _APPLY = {
     "not": (Compiler._not, False), "ite": (Compiler._ite, None),
     "let": (None, None),
 }
+
+
+def _symbol(s: Sexpr) -> str:
+    """The name of the symbol ``s``: ``|x|`` is ``x`` where ``x`` is a
+    simple symbol (SMT-LIB 2.6, §3.1); other quoted symbols keep their bars."""
+    if s.__class__ is not str or s[0] in '0123456789":':
+        raise ParseError(f"expected a symbol, got {print_sexpr(s)}")
+    if s[0] == "|" and re.fullmatch(
+            r"(?!\d|(?:BINARY|DECIMAL|HEXADECIMAL|NUMERAL|STRING|_|!|as|let"
+            r"|exists|forall|match|par|assert|check-sat(?:-assuming)?|echo"
+            r"|declare-(?:const|datatypes?|fun|sort)|exit|pop|push"
+            r"|define-(?:funs?-rec|fun|sort)|reset(?:-assertions)?"
+            r"|get-(?:assertions|assignment|info|model|option|proof|value"
+            r"|unsat-(?:assumptions|core))|set-(?:info|logic|option))\Z)"
+            r"[\w~!@$%^&*\-+=<>.?/]+", s[1:-1], re.ASCII):
+        return s[1:-1]
+    return s
 
 
 def _sort_error(sort: str, e: Sexpr) -> SortError:

@@ -5,7 +5,7 @@ polarity lives on the literal, never inside the atom.  `Literal` is the one
 literal type from the SMT-LIB frontend to conflict analysis; its integer
 keys are spelled only in this module (`atom_key`, `bool_key`).
 `Atom.form` is the one place where negation and strictness are resolved.
-`TermStore` interns variables and atoms, so they compare by identity.
+`TermStore` numbers variables and interns atoms; both compare by identity.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from typing import Iterable, Mapping, Optional
-
-from .errors import SortError
 
 
 class Sort(enum.Enum):
@@ -49,8 +47,8 @@ INT, BOOL = Sort.INT, Sort.BOOL
 
 
 class Variable:
-    """A declared or auxiliary variable.  `TermStore` makes one per name,
-    so equality is identity."""
+    """A declared or auxiliary variable; equality is identity.  Its name
+    is for printing: only `smtlib.Compiler` resolves names."""
 
     __slots__ = ("id", "name", "sort", "is_aux")
 
@@ -413,40 +411,28 @@ class Formula:
 
 
 class TermStore:
-    """Append-only interning store for variables and atoms.
+    """Append-only store that numbers variables and interns atoms.
 
-    One store per solver instance; ids are dense.
+    One store per solver instance; ids are dense.  Names are not looked up.
     """
 
     def __init__(self):
         self.variables: list[Variable] = []
-        self._var_by_name: dict[str, Variable] = {}
         self._atoms: dict[tuple, Atom] = {}
         self._eq_atoms: dict[tuple, Atom] = {}     # (vid, c) -> x − c = 0
-        self._fresh: dict[str, int] = {}           # prefix -> next n to try
+        self._fresh: dict[str, int] = {}           # prefix -> next n
 
     def new_var(self, name: str, sort: Sort, is_aux: bool = False) -> Variable:
-        if name in self._var_by_name:
-            raise SortError(f"variable {name!r} already declared")
         v = Variable(len(self.variables), name, sort, is_aux)
         self.variables.append(v)
-        self._var_by_name[name] = v
         return v
 
     def fresh_var(self, prefix: str, sort: Sort) -> Variable:
-        """A new auxiliary variable ``prefix!n`` with the least free n.
-
-        Names are never removed, so every n below the last one given out
-        is still taken and the search resumes there.
-        """
+        """A new auxiliary variable ``prefix!n``, n counting from 0 per
+        prefix; no script can name it, not even by declaring ``prefix!n``."""
         n = self._fresh.get(prefix, 0)
-        while f"{prefix}!{n}" in self._var_by_name:
-            n += 1
         self._fresh[prefix] = n + 1
         return self.new_var(f"{prefix}!{n}", sort, is_aux=True)
-
-    def lookup_var(self, name: str) -> Optional[Variable]:
-        return self._var_by_name.get(name)
 
     def var_by_id(self, vid: int) -> Variable:
         return self.variables[vid]

@@ -144,6 +144,18 @@ class TestSolveFile:
         assert "already declared" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command, bad", [
+        ("(declare-const (x) Int)", "(x)"), ("(declare-fun (x) () Int)", "(x)"),
+        ("(define-fun (x) () Int 1)", "(x)"),
+        ("(set-logic (QF_NIA))", "(QF_NIA)")])
+    def test_list_for_a_symbol_exit_2(self, tmp_path, command, bad):
+        # Bad input, not an internal error with a traceback.
+        p = tmp_path / "list.smt2"
+        p.write_text(command + "(check-sat)")
+        code, out, err = run_main([str(p)])
+        assert (code, out) == (2, "")
+        assert err == f"{p}: error: expected a symbol, got {bad}\n"
+
     def test_deep_nesting_exit_2(self, tmp_path):
         p = tmp_path / "deep.smt2"
         p.write_text(DEEP)

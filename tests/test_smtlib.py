@@ -222,6 +222,12 @@ class TestErrors:
         "(declare-const a Int)(define-fun a () Int 5)",
         "(define-fun a () Int 5)(define-fun a () Int 6)",
         "(declare-const a Int)(declare-fun a () Bool)",
+        # |a| is the symbol a; true and false are declared by the Core
+        # theory.
+        "(declare-const a Int)(declare-fun |a| () Int)",
+        "(declare-const |a| Int)(define-fun a () Int 5)",
+        "(declare-const true Bool)(assert (not true))",
+        "(define-fun false () Bool true)",
     ])
     def test_symbol_declared_twice(self, text):
         with pytest.raises(SortError, match="already declared"):
@@ -243,6 +249,53 @@ class TestErrors:
         with pytest.raises(UnsupportedError):
             smtlib.parse("(set-logic QF_NIA)(declare-const p Bool)"
                          "(declare-const q Bool)(assert (distinct p q true))")
+
+
+class TestSymbols:
+    """`Compiler.symbols` is the one table of names a script can reach."""
+
+    ITE = ("(set-logic QF_NIA)(declare-const x Int)"
+           "(assert (= x (ite (> x 0) 1 2)))")
+
+    def test_aux_variable_cannot_be_named(self):
+        with pytest.raises(ParseError, match="undeclared identifier ite!0"):
+            smtlib.parse(self.ITE + "(assert (= ite!0 7))")
+
+    def test_script_may_declare_an_aux_name(self):
+        ans, model = run(self.ITE + "(declare-const ite!0 Int)"
+                         "(assert (= ite!0 7))(check-sat)")
+        assert ans == "sat"
+        assert model.splitlines()[1:-1] == [
+            "  (define-fun x () Int 1)", "  (define-fun ite!0 () Int 7)"]
+
+    @pytest.mark.parametrize("decl, use", [
+        ("|x|", "x"), ("x", "|x|"), ("|x|", "|x|"), ("|set-x|", "set-x"),
+        ("|lets|", "lets")])
+    def test_quoted_simple_symbol_is_the_symbol(self, decl, use):
+        ans, model = run(f"(declare-const {decl} Int)(assert (> {use} 4))"
+                         f"(assert (< (let ((|y| {use})) (* y y)) 30))"
+                         "(check-sat)")
+        name = use.strip("|")
+        assert (ans, model) == ("sat",
+                                f"(\n  (define-fun {name} () Int 5)\n)")
+
+    @pytest.mark.parametrize("text", [
+        "(declare-const 5 Int)(assert (= 5 3))", '(declare-const "s" Int)',
+        "(define-fun :k () Int 1)", "(assert (let ((7 1)) true))"])
+    def test_numeral_string_or_keyword_is_no_symbol(self, text):
+        with pytest.raises(ParseError, match="expected a symbol"):
+            smtlib.parse(text)
+
+    @pytest.mark.parametrize("name", [
+        "|42|", "|a b|", "|x:y|", "|é|", "|let|", "|!|", "|set-logic|",
+        "|get-unsat-core|"])
+    def test_other_quoted_symbols_keep_their_bars(self, name):
+        # |42| is a variable, not the numeral 42, and the model names each
+        # one quoted, as SMT-LIB needs.
+        ans, model = run(f"(declare-const {name} Int)"
+                         f"(assert (= (+ {name} 1) 42))(check-sat)")
+        assert (ans, model) == ("sat",
+                                f"(\n  (define-fun {name} () Int 41)\n)")
 
 
 def run(text):
@@ -480,8 +533,8 @@ class TestIntTerms:
                 for name, body in macros:
                     env[name] = int_value(body, env, ites)
                 wants = [int_value(t, env, ites) for t in terms]
-                values = {comp.store.lookup_var(v).id: env[v]
-                          for v in INT_VARS}
+                values = {v.id: env[v.name] for v in comp.store.variables
+                          if not v.is_aux}
                 values.update(zip(aux, ites))
                 for t, poly, want in zip(terms, polys, wants):
                     assert poly.evaluate(values) == want, t

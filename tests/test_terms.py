@@ -284,10 +284,15 @@ class TestLiteralsAndClauses:
 
 
 class TestVariable:
-    def test_one_variable_per_name(self):
+    def test_store_numbers_variables(self):
+        # The store does not resolve names: one variable per name is the
+        # compiler's job (`TestErrors::test_symbol_declared_twice`).
         store = TermStore()
-        x = store.new_var("x", Sort.INT)
-        assert store.lookup_var("x") is store.var_by_id(x.id) is x
+        x, b, x2 = (store.new_var(n, s) for n, s in
+                    (("x", Sort.INT), ("b", Sort.BOOL), ("x", Sort.INT)))
+        assert [v.id for v in (x, b, x2)] == [0, 1, 2]
+        assert store.variables == [x, b, x2] and x2 is not x
+        assert store.var_by_id(x.id) is x
         assert x != Variable(x.id, "x", Sort.INT)
         assert repr(x) == "x"
 
@@ -375,18 +380,3 @@ class TestTermStore:
         v2 = store.fresh_var("def", Sort.BOOL)
         assert v1.name != v2.name
         assert v1.is_aux and v2.is_aux
-
-    def test_fresh_var_takes_least_free_index(self):
-        store = TermStore()
-        store.new_var("ite!1", Sort.INT)
-        names = [store.fresh_var("ite", Sort.INT).name for _ in range(2)]
-        store.new_var("ite!3", Sort.INT)
-        names.append(store.fresh_var("ite", Sort.INT).name)
-        names.append(store.fresh_var("def", Sort.BOOL).name)
-        assert names == ["ite!0", "ite!2", "ite!4", "def!0"]
-
-    def test_duplicate_name_rejected(self):
-        store = TermStore()
-        store.new_var("x", Sort.INT)
-        with pytest.raises(Exception):
-            store.new_var("x", Sort.INT)
