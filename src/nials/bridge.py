@@ -70,6 +70,8 @@ def build_ls_formula(clauses, trail):
     Clauses with a trail-true literal are replaced by that literal as a
     unit; trail-false literals are dropped from their clause and their
     negations conjoined as units.  Returns a list of literal lists.
+    A literal's truth is its trail entry: at the level-0 fixpoint where
+    the core calls this, every atom over assigned variables has one.
     """
     units = {}
     out = []

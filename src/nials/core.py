@@ -131,9 +131,8 @@ class Solver:
         self.occurs: dict[int, list] = {}
         self._registered: set[int] = set()
         self._anchor: dict = {}     # atom id -> TrailElement, see _visit
-        # Atoms registered after __init__, due for a visit at the next
-        # propagation, and those whose literal such a visit pushed above
-        # the levels of their variables: (literal's level, atom).
+        # Atoms registered after __init__, due at the next propagation,
+        # and (literal's level, atom) for each literal their visits left.
         self._due: Optional[deque] = None
         self._lifted: list = []
         self._root_unsat = False
@@ -308,22 +307,15 @@ class Solver:
     def _visit_due(self, atom):
         """Visit an atom registered after __init__ if its variables all
         have values (else an assignment or its literal wakes it), and note
-        whether its literal then sits above their levels, where a
-        backtrack can pop it while they keep their values.  Returns
-        conflict clause literals or None."""
-        var_elem = self.trail.var_elem
-        top = 0
-        for v in atom.vars:
-            e = var_elem.get(v)
-            if e is None:
-                return None
-            if e.level > top:
-                top = e.level
+        its literal's level: a backtrack below it that keeps their values
+        must visit the atom again.  Returns conflict clause literals or
+        None."""
+        values = self.trail.values
+        if not all(v in values for v in atom.vars):
+            return None
         c = self._visit(atom)
         if c is None:
-            level = self.trail.lit_elem[atom.key].level
-            if level > top:
-                self._lifted.append((level, atom))
+            self._lifted.append((self.trail.lit_elem[atom.key].level, atom))
         return c
 
     def _anchored(self, atom) -> bool:
@@ -715,16 +707,13 @@ class Solver:
     # -- decisions ----------------------------------------------------------
 
     def _pick_branch_var(self) -> Optional[Variable]:
+        """The unassigned variable of the best heap entry, never a stale
+        one: `bump_var` pushes at each rise, `_backtrack` at each undo."""
         assigned = self.trail.values
         while self._heap:
-            negact, vid = heapq.heappop(self._heap)
-            if vid in assigned:
-                continue
-            cur = self.activity.get(vid, 0.0)
-            if -negact < cur:
-                heapq.heappush(self._heap, (-cur, vid))
-                continue
-            return self.store.var_by_id(vid)
+            vid = heapq.heappop(self._heap)[1]
+            if vid not in assigned:
+                return self.store.var_by_id(vid)
         return None
 
     def decide(self) -> bool:

@@ -7,8 +7,9 @@ guess opens a decision level.
 The trail owns the assignment under construction, indexed beside the
 element list: `values` maps the id of every assigned variable, Int or
 Bool, to its value; `lit_elem` maps a `Literal.key` to the element that
-assigned a literal of that key; `var_elem` maps an Int variable's id to
-its model assignment.  The value cache persists across backtracking and
+assigned a literal of that key, and a literal's truth is that entry
+alone: the trail evaluates no atom; `var_elem` maps an Int variable's id
+to its model assignment.  The value cache persists across backtracking and
 keeps the last value (or, for a Boolean variable, the phase) a variable
 had when its assignment was undone.
 """
@@ -71,17 +72,9 @@ class Trail:
         self.cache: dict = {}           # var id -> last undone value or phase
 
     def value_of_lit(self, lit: Literal) -> Optional[bool]:
-        """Trail truth of the literal if a literal of its key is assigned,
-        else exact atom evaluation once its variables all have values."""
+        """Trail truth of the literal: from its key's entry, else None."""
         elem = self.lit_elem.get(lit.key)
-        if elem is not None:
-            return elem.lit.positive == lit.positive
-        if lit.atom is not None:
-            vals = self.values
-            if all(vid in vals for vid in lit.atom.vars):
-                t = lit.atom.evaluate(vals)
-                return t if lit.positive else not t
-        return None
+        return None if elem is None else elem.lit.positive == lit.positive
 
     # -- stack operations ---------------------------------------------------
 

@@ -2,13 +2,14 @@
 
 import random
 
-from helpers import (assignments, box_clauses, clauses_sat, ls_constants,
-                     planted_instance, random_instance)
+from helpers import (assignments, box_clauses, clauses_sat, cost_at,
+                     ls_constants, planted_instance, random_instance)
 from nials import localsearch
 from nials.bridge import (LS_BUDGET_PER_VAR, LS_THRESHOLD_BASE, TOP_K,
                           LsController, LsSchedule, apply_ls_result,
                           build_initial_assignment, build_ls_formula)
 from nials.core import Answer, Solver, SolverConfig
+from nials.costfn import compile_clauses
 from nials.feasibility import FeasibilityMap
 from nials.localsearch import DEFAULT_ACC, LsResult
 from nials.terms import (Clause, Formula, Literal, Polynomial, Rel, Sort,
@@ -195,6 +196,34 @@ class TestLsFormula:
                     continue
                 assert clauses_sat(clauses, iv, bv) == \
                     clauses_sat(simplified, iv, bv)
+
+    def test_cost_needs_no_evaluation_under_model_assignments(self):
+        """Trails of model assignments and Boolean decisions, with no atom
+        literal on them: the LS cost of the simplified formula equals the
+        cost of the input clauses at every assignment that agrees with the
+        trail, because `compile_clauses` folds the literals over fixed
+        variables that `build_ls_formula` leaves in."""
+        rng = random.Random(5005)
+        for _ in range(300):
+            store, clauses, ints, bools = random_instance(
+                rng, n_int=rng.randint(1, 2), n_bool=rng.randint(0, 2),
+                n_clauses=rng.randint(1, 3), max_deg=2, coeff=3)
+            trail = Trail()
+            for b in bools:
+                if rng.random() < 0.5:
+                    trail.push_decision(Literal(rng.random() < 0.5, bvar=b))
+            for x in ints:
+                if rng.random() < 0.4:
+                    trail.push_model_assignment(x, rng.randint(-2, 2),
+                                                decision=True)
+            fixed = trail.values
+            simplified = compile_clauses(build_ls_formula(clauses, trail),
+                                         fixed=fixed)
+            whole = compile_clauses(clauses, fixed=fixed)
+            for iv, bv in assignments(ints, -2, 2, bools):
+                if all({**iv, **bv}[k] == v for k, v in fixed.items()):
+                    assert cost_at(simplified, iv, bv) == \
+                        cost_at(whole, iv, bv)
 
 
 class TestApplyResult:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import (box_clauses, brute_force, clauses_sat, entailed,
-                     excl_pattern, ls_constants, planted_instance,
+                     excl_pattern, heap_ok, ls_constants, planted_instance,
                      product_probe, random_3cnf, random_instance, scan_atoms,
                      scan_clauses, watch_lists_ok)
 from nials import localsearch
@@ -257,7 +257,8 @@ class TestWatches:
     finds no clause unit or all false, and `scan_atoms` no atom left to
     evaluate or narrow: the watches and the atom anchors missed nothing.
     And `watch_lists_ok`: each clause sits on the lists of its two
-    watches only."""
+    watches only; and `heap_ok`: every unassigned variable has a heap
+    entry at its activity or above."""
 
     @pytest.fixture
     def fixpoints(self, monkeypatch):
@@ -273,6 +274,7 @@ class TestWatches:
                                     solver.trail.lit_elem) == []
                 assert scan_atoms(solver) == []
                 assert watch_lists_ok(solver)
+                assert heap_ok(solver)
                 covered.append(sum(c.learned for c in solver.clauses))
             return conflict
 

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import narrowed_coeffs
-from nials.feasibility import (FeasibilityMap, coefficients, decided,
-                               false_span, solution_set, unit_solution_set)
+from nials.feasibility import (FeasibilityMap, decided, false_span,
+                               unit_solution_set)
 from nials.intervals import IntervalSet
 from nials.terms import Atom, Literal, Polynomial, Rel, Sort, TermStore
 from nials.trail import Trail
@@ -284,14 +284,21 @@ def unit_cases(draw):
     return terms, vid, values, rel, draw(st.booleans())
 
 
-def probe_points(terms, vid, values) -> set:
-    """Integers around the real roots of the substituted polynomial, around
-    0, and beyond the Cauchy bound on both sides."""
+def substituted_coeffs(terms, vid, values) -> list:
+    """Dense coefficients in ``vid`` of ``terms`` (degree <= 3) with the
+    other variables at their values, trailing zeros trimmed."""
     coeffs = [0] * 4
     for m, c in P(terms).substitute(values).terms.items():
         coeffs[m[0][1] if m else 0] += c
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
+    return coeffs
+
+
+def probe_points(terms, vid, values) -> set:
+    """Integers around the real roots of the substituted polynomial, around
+    0, and beyond the Cauchy bound on both sides."""
+    coeffs = substituted_coeffs(terms, vid, values)
     centres = [0]
     if len(coeffs) > 1:
         centres += [round(r.real) for r in np.roots(coeffs[::-1])]
@@ -330,6 +337,14 @@ def feasible_sets(draw):
     return IntervalSet.from_intervals(map(tuple, ivs))
 
 
+def by_enumeration(holds, fs, points):
+    """What `decided` answers if the members of ``fs`` among ``points``
+    stand for all of ``fs``."""
+    seen = {holds(v) for v in points if v in fs}
+    assert seen, fs
+    return True if seen == {True} else False if seen == {False} else None
+
+
 class TestDecided:
     @settings(deadline=None, max_examples=400)
     @given(unit_cases(), feasible_sets())
@@ -339,34 +354,42 @@ class TestDecided:
              IntervalSet.full())        # −2·x·y < 0 at y = 0
     @example(({((0, 1),): 1, (): -4}, 0, {}, Rel.LEQ, True),
              IntervalSet.range(None, 4))
-    def test_matches_the_solution_set(self, case, fs):
-        """True when F lies inside the literal's solutions, False when
-        it misses them, None otherwise and above degree 1."""
+    def test_matches_enumeration(self, case, fs):
+        """True when the literal holds on all of F, False when on none of
+        it, None otherwise and above degree 1.  The probe points and F's
+        ends with their neighbours cut the line into runs on which a
+        linear literal's truth and membership in F are constant, and
+        every interval of F holds one of them."""
         terms, vid, values, rel, positive = case
-        poly, frel = Atom(0, P(terms), rel).form(positive)
-        meet = fs.intersect(solution_set(poly, frel, vid, values))
-        expected = (None if len(coefficients(poly, vid, values)) > 2 else
-                    False if meet.is_empty() else True if meet == fs
-                    else None)
+        lit = Literal(positive, atom=Atom(0, P(terms), rel))
+        poly, frel = lit.atom.form(positive)
+        if len(substituted_coeffs(terms, vid, values)) > 2:
+            expected = None
+        else:
+            ends = {e + d for lo, hi in fs.intervals for e in (lo, hi)
+                    if e is not None for d in (-1, 0, 1)}
+            points = probe_points(terms, vid, values) | ends
+            expected = by_enumeration(
+                lambda v: lit.holds({**values, vid: v}), fs, points)
         assert decided(poly, frel, vid, values, fs) is expected
 
     def test_linear_ends_and_roots(self):
         """Every a·x + b with small a and b against sets whose ends and
         points fall on and beside its root or bound, against each of the
-        three relations."""
+        three relations, by enumeration over a window wider than every
+        root and every end: beyond it nothing changes."""
         sets = [IntervalSet.full(), IntervalSet.range(None, 2),
                 IntervalSet.range(-2, None), IntervalSet.range(-3, 3),
                 IntervalSet.from_intervals([(None, -1), (1, None)]),
                 IntervalSet.from_intervals([(-4, -2), (0, 0), (2, 5)])]
         sets += [IntervalSet.point(v) for v in range(-4, 5)]
+        window = range(-10, 11)
         for a in (-3, -2, -1, 1, 2, 3):
             for b in range(-7, 8):
                 poly = P({((0, 1),): a, (): b})
                 for rel in (Rel.EQ, Rel.NEQ, Rel.LEQ):
-                    s = solution_set(poly, rel, 0, {})
                     for fs in sets:
-                        meet = fs.intersect(s)
-                        expected = (False if meet.is_empty() else
-                                    True if meet == fs else None)
+                        expected = by_enumeration(
+                            lambda v: rel.holds(a * v + b), fs, window)
                         assert decided(poly, rel, 0, {}, fs) is expected, \
                             (a, b, rel, fs)

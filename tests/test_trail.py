@@ -75,14 +75,14 @@ class TestValueLookup:
         assert trail.value_of_lit(Literal(True, atom=a_z)) is True
         assert trail.value_of_lit(Literal(False, atom=a_xy)) is False
 
-    def test_semantic_evaluation_without_assignment(self, setup):
+    def test_no_entry_no_truth(self, setup):
+        """An atom over assigned variables has no truth without its entry:
+        the trail never evaluates it."""
         store, x, y, z = setup
         trail = Trail()
         trail.push_model_assignment(x, 3, decision=True)
         a = atom(store, P.var(x.id) - P.const(3), Rel.EQ)
-        # Never Boolean-assigned, but fully evaluated by the model.
-        assert trail.value_of_lit(Literal(True, atom=a)) is True
-        assert a.key not in trail.lit_elem
+        assert trail.value_of_lit(Literal(True, atom=a)) is None
 
 
 class TestBacktracking:
