@@ -124,10 +124,9 @@ class Solver:
         self.clauses: list[Clause] = []
         # Two watched literals: the watch positions of clause i at 2i and
         # 2i + 1, and by `Literal.skey` the list of the clauses watching
-        # it.  Unit clauses wait in `_units` for the next propagation.
+        # it.  A clause of fewer than two literals watches nothing.
         self._watch: list = []
         self._watchers: dict[int, list] = {}
-        self._units: list = []
         self.occurs: dict[int, list] = {}
         self._registered: set[int] = set()
         self._anchor: dict = {}     # atom id -> TrailElement, see _visit
@@ -135,7 +134,6 @@ class Solver:
         # and (literal's level, atom) for each literal their visits left.
         self._due: Optional[deque] = None
         self._lifted: list = []
-        self._root_unsat = False
         self.qhead = 0
         # Level-0 literals over two or more variables, by variable, and
         # those due for revision since a hull of theirs moved.
@@ -145,13 +143,15 @@ class Solver:
         self._revisions_left = 0
         self.activity: dict[int, float] = {}
         self._var_inc = 1.0
-        self._heap: list = []
-        self._decidable = {x.id for x in formula.variables}
+        self._heap: list = []       # (−activity, id) of formula variables
         for x in formula.variables:
             heapq.heappush(self._heap, (0.0, x.id))
         for clause in formula.clauses:
             self._attach_clause(clause)
         self._due = deque()
+        # The conflict of an input refuted at its unit clauses, which
+        # every propagation returns; None if there is none.
+        self._refutation = self._push_units()
         self.ls = LsController() if self.config.ls_enabled else None
         self.deadline: Optional[float] = None   # time.monotonic() limit
         self.model: dict = {}       # var id -> int or bool, once SAT
@@ -167,24 +167,40 @@ class Solver:
         head has reached no element yet) and for a level-0 bound's clause
         (the bound, then a level-0 literal negated); a learned clause
         passes its asserting literal and one false at the backjump level.
-        A unit clause watches nothing: the next propagation pushes its
-        literal, unless the trail has it already (a learned unit's)."""
+        A clause of fewer than two literals watches nothing: `_push_units`
+        pushes an input unit's literal, `_resolve_conflict` a learned
+        one's, and a one-literal hull clause is a level-0 conflict."""
         lits = clause.literals
         i = len(self.clauses)
         self.clauses.append(clause)
         if len(lits) > 1:
             for k in (p, q):
                 self._watchers.setdefault(lits[k].skey, []).append(i)
-        elif lits:
-            p = q = 0
-            self._units.append(clause)
         else:
             p = q = 0
-            self._root_unsat = True
         self._watch += (p, q)
         for lit in lits:
             if lit.atom is not None:
                 self._register_atom(lit.atom)
+
+    def _push_units(self):
+        """Push the literals of the input unit clauses, in clause order,
+        after those of the constant atoms.  Returns the conflict of the
+        first empty clause or unit false on the trail, else None."""
+        trail = self.trail
+        for clause in self.formula.clauses:
+            lits = clause.literals
+            if len(lits) > 1:
+                continue
+            if not lits:
+                return []
+            truth = trail.value_of_lit(lits[0])
+            if truth is None:
+                trail.push_propagation(lits[0], clause)
+                self.stats.propagations += 1
+            elif not truth:
+                return [lits[0]]
+        return None
 
     def _register_atom(self, atom):
         if atom.id in self._registered:
@@ -208,8 +224,7 @@ class Solver:
             self._var_inc *= 1.0 / _ACTIVITY_RESCALE
             a = self.activity.get(vid, 0.0) + self._var_inc
         self.activity[vid] = a
-        if vid in self._decidable:
-            heapq.heappush(self._heap, (-a, vid))
+        heapq.heappush(self._heap, (-a, vid))
 
     def _decay_activity(self):
         self._var_inc /= _ACTIVITY_DECAY
@@ -244,24 +259,17 @@ class Solver:
     def propagate(self):
         """Run to fixpoint; returns conflict clause literals or None.
 
-        Unit clauses are pushed first.  Then one head, `qhead`, walks the
-        trail: a model assignment wakes the atoms over its variable, a
-        literal its atom and, through `_bcp`, the clauses that watch its
-        negation."""
+        An input refuted at its unit clauses returns that conflict (see
+        `_push_units`).  Else one head, `qhead`, walks the trail: a model
+        assignment wakes the atoms over its variable, a literal its atom
+        and, through `_bcp`, the clauses that watch its negation."""
+        if self._refutation is not None:
+            return self._refutation
         trail = self.trail
         elements = trail.elements
         anchor = self._anchor
         watchers = self._watchers
         self._revisions_left = BOUND_REVISIONS
-        units, self._units = self._units, []
-        for clause in units:
-            lit = clause.literals[0]
-            e = trail.lit_elem.get(lit.key)
-            if e is None:
-                trail.push_propagation(lit, clause)
-                self.stats.propagations += 1
-            elif e.lit.positive != lit.positive:
-                return [lit]
         due = self._due
         while True:
             while due:
@@ -700,9 +708,7 @@ class Solver:
                     self._due.append(lifted[1])
             self._lifted = kept
         for vid in undone:
-            if vid in self._decidable:
-                heapq.heappush(self._heap,
-                               (-self.activity.get(vid, 0.0), vid))
+            heapq.heappush(self._heap, (-self.activity.get(vid, 0.0), vid))
 
     # -- decisions ----------------------------------------------------------
 
@@ -733,13 +739,15 @@ class Solver:
     # -- top level ----------------------------------------------------------
 
     def check_sat(self) -> Answer:
+        """Propagate, learn from each conflict, else decide.  When a
+        local-search call is due above level 0, restart and propagate; the
+        call runs at the level-0 fixpoint and answers sat at cost 0.
+        Unsat comes from `_resolve_conflict` alone."""
         cfg = self.config
         self.deadline = None
         if cfg.timeout_ms is not None:
             self.deadline = time.monotonic() + cfg.timeout_ms / 1000.0
         deadline = self.deadline
-        if self._root_unsat:
-            return Answer.UNSAT
         while True:
             conflict = self.propagate()
             if conflict is not None:
@@ -754,33 +762,17 @@ class Solver:
             if deadline is not None and time.monotonic() > deadline:
                 return Answer.UNKNOWN
             if self.ls is not None and self.ls.should_run(self.stats.conflicts):
-                answer = self._local_search()
-                if answer is not None:
-                    return answer
+                if self.trail.level > 0:
+                    self._backtrack(0)
+                    self.stats.restarts += 1
+                    continue
+                result = self.ls.run(self)
+                if result is not None and result.reached_zero:
+                    self._set_model(result.values)
+                    return Answer.SAT
             if not self.decide():
                 self._set_model(self.trail.values)
                 return Answer.SAT
-
-    def _local_search(self) -> Optional[Answer]:
-        """Restart, then one local-search call from level 0.
-
-        Called at a propagation fixpoint, so only a restart needs another
-        propagation.  UNSAT on a conflict at level 0; SAT when the call
-        reaches cost 0 and its assignment passes the model check; else
-        None, and the search goes on from level 0 with learned clauses
-        kept.
-        """
-        if self.trail.level > 0:
-            self._backtrack(0)
-            self.stats.restarts += 1
-            if self.propagate() is not None:
-                self.stats.conflicts += 1
-                return Answer.UNSAT
-        result = self.ls.run(self)
-        if result is None or not result.reached_zero:
-            return None
-        self._set_model(result.values)
-        return Answer.SAT
 
     def _set_model(self, values: dict):
         """Take a complete assignment as the model; InternalError unless it

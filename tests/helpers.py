@@ -175,16 +175,17 @@ def watch_lists_ok(solver) -> bool:
 
 
 def heap_ok(solver) -> bool:
-    """Whether every unassigned decidable variable has a decision-heap
-    entry whose priority is at least its activity: equal to it, unless a
-    rescale has lowered the activities since the push.  Then the entry a
-    pick pops first for it is never stale."""
+    """Whether every unassigned variable of the formula, which are the
+    variables the solver decides, has a decision-heap entry whose
+    priority is at least its activity: equal to it, unless a rescale has
+    lowered the activities since the push.  Then the entry a pick pops
+    first for it is never stale."""
     best = {}
     for negact, vid in solver._heap:
         best[vid] = max(best.get(vid, -negact), -negact)
     assigned = solver.trail.values
-    return all(vid in best and best[vid] >= solver.activity.get(vid, 0.0)
-               for vid in solver._decidable if vid not in assigned)
+    return all(x.id in best and best[x.id] >= solver.activity.get(x.id, 0.0)
+               for x in solver.formula.variables if x.id not in assigned)
 
 
 def scan_atoms(solver):

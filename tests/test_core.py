@@ -129,6 +129,64 @@ class TestSmallFormulas:
         assert ans is Answer.UNSAT
 
 
+class TestInputRefutations:
+    """An input refuted at its unit clauses: the first propagation
+    returns the conflict, and conflict analysis answers unsat at level
+    0, counting one conflict like any other."""
+
+    @pytest.mark.parametrize("case", ["empty", "clashing", "constant"])
+    def test_first_propagation_returns_the_conflict(self, case):
+        store = TermStore()
+        x = store.new_var("x", Sort.INT)
+        b = store.new_var("b", Sort.BOOL)
+        if case == "empty":
+            clauses, conflict = [Clause([])], []
+        elif case == "clashing":
+            clauses = [Clause([Literal(True, bvar=b)]),
+                       Clause([Literal(False, bvar=b)])]
+            conflict = [Literal(False, bvar=b)]
+        else:   # 2 < 1, which holds nowhere, asserted
+            false = Literal(True, atom=store.mk_atom(P.const(2), Rel.LT,
+                                                     P.const(1)))
+            clauses, conflict = [Clause([false])], [false]
+        assert Solver(store, Formula(clauses, [x, b])).propagate() == conflict
+        ans, solver = solve(store, clauses, [x, b])
+        assert ans is Answer.UNSAT
+        assert solver.stats.conflicts == 1 and solver.stats.decisions == 0
+
+    def test_units_follow_the_constant_atoms(self):
+        """The trail holds the constant atoms' literals in registration
+        order, then the unit clauses' literals in clause order, and then
+        what propagation derives: a unit clause before a clause with a
+        constant atom must not push its literal in between."""
+        store = TermStore()
+        x = store.new_var("x", Sort.INT)
+        b0, b1, b2 = (store.new_var(f"b{i}", Sort.BOOL) for i in range(3))
+        one_leq_two = store.mk_atom(P.const(1), Rel.LEQ, P.const(2))
+        three_lt_one = store.mk_atom(P.const(3), Rel.LT, P.const(1))
+        one_neq_two = store.mk_atom(P.const(1), Rel.NEQ, P.const(2))
+        assert len({one_leq_two.id, three_lt_one.id, one_neq_two.id}) == 3
+        x_leq_5 = Literal(True, atom=store.mk_atom(P.var(x.id), Rel.LEQ,
+                                                   P.const(5)))
+        clauses = [
+            Clause([Literal(True, bvar=b0)]),
+            Clause([Literal(True, atom=one_leq_two), Literal(True, bvar=b1)]),
+            Clause([x_leq_5]),
+            Clause([Literal(True, atom=three_lt_one), Literal(True, bvar=b2)]),
+            Clause([Literal(True, atom=one_neq_two)]),
+        ]
+        solver = Solver(store, Formula(clauses, [x, b0, b1, b2]))
+        assert solver.propagate() is None
+        assert [e.lit for e in solver.trail.elements] == [
+            Literal(True, atom=one_leq_two), Literal(False, atom=three_lt_one),
+            Literal(True, atom=one_neq_two),
+            Literal(True, bvar=b0), x_leq_5,
+            Literal(True, bvar=b2)]
+        reasons = [e.reason for e in solver.trail.elements]
+        assert reasons[:3] == [Reason.SEMANTIC] * 3
+        assert reasons[3:5] == [clauses[0], clauses[2]]
+
+
 class TestLimits:
     def hard_instance(self, bound=1000):
         """x, y in [-bound, bound] with x*y = p for a prime p > bound:
@@ -601,6 +659,29 @@ class TestLsAnswers:
                             threshold_base=5, max_conflicts=200)
         assert solver.stats.restarts >= 1
         assert solver.stats.restarts <= solver.stats.ls_calls
+
+    def test_unsat_at_the_propagation_after_a_restart(self):
+        """x < y and y < x over [−100, 100] take more hull revisions than
+        one level-0 propagation runs (`BOUND_REVISIONS`), so the search
+        decides b0 and b1 first, and (¬b0 ∨ ¬b1 ∨ ±b2) gives a conflict
+        that backjumps to level 1.  That conflict makes a local-search
+        call due: the restart's propagation revises on, refutes the
+        hulls, and the answer is unsat before the call runs."""
+        store = TermStore()
+        b = [store.new_var(f"b{i}", Sort.BOOL) for i in range(3)]
+        x, y = store.new_var("x", Sort.INT), store.new_var("y", Sort.INT)
+        px, py = P.var(x.id), P.var(y.id)
+        lit = lambda lhs, rel, rhs: Literal(True, atom=store.mk_atom(
+            lhs, rel, rhs))
+        clauses = [Clause([Literal(False, bvar=b[0]), Literal(False, bvar=b[1]),
+                           Literal(sign, bvar=b[2])]) for sign in (True, False)]
+        clauses += [Clause([lit(px, Rel.LT, py)]), Clause([lit(py, Rel.LT, px)])]
+        clauses += box_clauses(store, [x, y], -100, 100)
+        ans, solver = solve(store, clauses, b + [x, y], threshold_base=1)
+        assert ans is Answer.UNSAT
+        assert solver.stats.as_dict() == {
+            **Stats().as_dict(), "conflicts": 2, "decisions": 2,
+            "propagations": 208, "restarts": 1, "bounds": 200}
 
     def test_corrupted_zero_cost_raises(self, monkeypatch):
         run = localsearch.run
